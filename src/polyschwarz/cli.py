@@ -46,8 +46,7 @@ def _z_grid(n: int, points: int, cap: float):
 
 
 def _make_spec(args) -> quadrature.QuadratureSpec | None:
-    nodes = getattr(args, "nodes", None)
-    radius = getattr(args, "radius", None)
+    nodes, radius = args.nodes, args.radius
     if nodes is None and radius is None:
         return None
     kwargs = {}
@@ -109,7 +108,8 @@ def cmd_growth(args) -> int:
     mapping = load_map(args.map)
     reports = []
     for z in _z_grid(mapping.n, args.grid, args.radius_cap):
-        reports.append(bounds.verify_growth_bound(mapping, z, tol=args.tol or 1e-9))
+        tol = bounds.DEFAULT_TOL_EXACT if args.tol is None else args.tol
+        reports.append(bounds.verify_growth_bound(mapping, z, tol=tol))
     _write_reports(reports, args.out, args.csv)
     return _exit_for(reports)
 
@@ -174,55 +174,62 @@ def _build_parser() -> argparse.ArgumentParser:
                     "pluriharmonic maps on the unit polydisk")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
-    common.add_argument("--nodes", type=int, default=None, help="quadrature nodes per dimension")
-    common.add_argument("--radius", type=float, default=None, help="quadrature radius override")
-    common.add_argument("--out", default=None, help="output file path")
+    # One parent per flag, so each subcommand accepts only the flags it uses.
+    def flag(*names, **kwargs):
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
 
-    grid_common = argparse.ArgumentParser(add_help=False)
-    grid_common.add_argument("--grid", type=int, default=5, help="points per axis for the z grid")
-    grid_common.add_argument("--radius-cap", type=float, default=0.9,
-                             help="largest |z_j| sampled on the grid")
-    grid_common.add_argument("--csv", default=None, help="also export the reports as CSV")
+    tol = flag("--tol", type=float, default=None, help="tolerance override")
+    nodes = flag("--nodes", type=int, default=None, help="quadrature nodes per dimension")
+    radius = flag("--radius", type=float, default=None, help="quadrature radius override")
+    out = flag("--out", default=None, help="output file path")
+    out_required = flag("--out", required=True, help="output file path")
 
-    p = sub.add_parser("verify", parents=[common, grid_common],
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid", type=int, default=5, help="points per axis for the z grid")
+    grid.add_argument("--radius-cap", type=float, default=0.9,
+                      help="largest |z_j| sampled on the grid")
+    grid.add_argument("--csv", default=None, help="also export the reports as CSV")
+
+    p = sub.add_parser("verify", parents=[tol, nodes, radius, out, grid],
                        help="derivative bound on a z grid")
     p.add_argument("--map", required=True)
     p.add_argument("--alpha", required=True, type=_parse_alpha)
     p.add_argument("--method", choices=["exact", "cauchy"], default="exact")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("gradient", parents=[common, grid_common],
+    p = sub.add_parser("gradient", parents=[tol, out, grid],
                        help="directional gradient bound on a z grid")
     p.add_argument("--map", required=True)
     p.add_argument("--samples", type=int, default=512)
     p.set_defaults(func=cmd_gradient)
 
-    p = sub.add_parser("growth", parents=[common, grid_common],
+    p = sub.add_parser("growth", parents=[tol, out, grid],
                        help="arctan growth bound (requires f(0) = 0)")
     p.add_argument("--map", required=True)
     p.set_defaults(func=cmd_growth)
 
-    p = sub.add_parser("coeffs", parents=[common, grid_common],
+    p = sub.add_parser("coeffs", parents=[tol, nodes, radius, out, grid],
                        help="coefficient, homogeneous-part, and l2 bounds")
     p.add_argument("--map", required=True)
     p.add_argument("--max-degree", type=int, default=6)
     p.set_defaults(func=cmd_coeffs)
 
-    p = sub.add_parser("lemma", parents=[common], help="|cos| integral oracle (target 4)")
+    p = sub.add_parser("lemma", parents=[tol, nodes], help="|cos| integral oracle (target 4)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--gamma", type=float, default=0.0)
     p.set_defaults(func=cmd_lemma)
 
-    p = sub.add_parser("extremal", parents=[common], help="emit a planar extremal map file")
+    p = sub.add_parser("extremal", parents=[nodes, out_required],
+                       help="emit a planar extremal map file")
     p.add_argument("--gamma", type=_parse_complex, default=complex(1.0))
     p.add_argument("--a", type=_parse_complex, default=complex(0.0))
     p.add_argument("--lambda", dest="lam", type=_parse_complex, default=complex(1.0))
     p.add_argument("--degree", type=int, default=32)
     p.set_defaults(func=cmd_extremal)
 
-    p = sub.add_parser("random", parents=[common], help="emit a random certified map file")
+    p = sub.add_parser("random", parents=[out_required], help="emit a random certified map file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--degree", type=int, default=4)
@@ -230,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=float, default=0.05)
     p.set_defaults(func=cmd_random)
 
-    p = sub.add_parser("sharpness", parents=[common], help="search for near-equality instances")
+    p = sub.add_parser("sharpness", parents=[out], help="search for near-equality instances")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", required=True, type=_parse_alpha)
     p.add_argument("--family", choices=list(search.FAMILIES), default="colonna_tensor")

@@ -69,14 +69,28 @@ class PolydiskAutomorphism:
         self.rotations = rot
         self.n = int(c.size)
 
+    @staticmethod
+    def _mobius(c, lam, zeta):
+        w = lam * np.asarray(zeta, dtype=complex)
+        return (c + w) / (1.0 + np.conj(c) * w)
+
     def __call__(self, Z):
-        Z = np.asarray(Z, dtype=complex)
-        w = self.rotations * Z
-        return (self.center + w) / (1.0 + np.conj(self.center) * w)
+        return self._mobius(self.center, self.rotations, Z)
+
+    def coordinate(self, j: int, zeta) -> np.ndarray:
+        """The j-th coordinate factor applied to an array of scalars."""
+        return self._mobius(self.center[j], self.rotations[j], zeta)
 
     def derivative_at_zero(self) -> np.ndarray:
         """Diagonal Jacobian at the origin: entries lam_j * (1 - |c_j|^2)."""
         return np.diag(self.rotations * (1.0 - np.abs(self.center) ** 2))
+
+
+def _check_axes(axes, n: int) -> list[np.ndarray]:
+    axes = [np.asarray(a, dtype=complex) for a in axes]
+    if len(axes) != n or any(a.ndim != 1 for a in axes):
+        raise ValueError(f"expected {n} one-dimensional axis arrays")
+    return axes
 
 
 class PluriharmonicMap:
@@ -89,6 +103,12 @@ class PluriharmonicMap:
     def eval_points(self, Z) -> np.ndarray:
         """Evaluate on an array of points, shape (..., n) -> (..., N)."""
         raise NotImplementedError
+
+    def eval_grid(self, axes) -> np.ndarray:
+        """Evaluate on the tensor grid of n per-axis point arrays,
+        shape (M_1, ..., M_n, N).  Generic fallback through a meshgrid."""
+        axes = _check_axes(axes, self.n)
+        return self.eval_points(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
 
     def __call__(self, z) -> np.ndarray:
         z = check_point(z, self.n)
@@ -147,6 +167,30 @@ class SeriesMap(PluriharmonicMap):
             for k, b in self.anti.items():
                 out += np.prod(Zc ** np.asarray(k), axis=-1)[..., None] * np.conj(b)
         return out
+
+    def eval_grid(self, axes) -> np.ndarray:
+        """Separable evaluation: each table, as a dense coefficient tensor, is
+        contracted axis by axis with per-axis power tables."""
+        axes = _check_axes(axes, self.n)
+        out = np.zeros(tuple(a.size for a in axes) + (self.N,), dtype=complex)
+        if self.holo:
+            out += self._contract_grid(self.holo, axes)
+        if self.anti:
+            out += self._contract_grid({k: np.conj(b) for k, b in self.anti.items()},
+                                       [np.conj(a) for a in axes])
+        return out
+
+    def _contract_grid(self, table, axes) -> np.ndarray:
+        """sum_k c_k prod_j axes[j]**k_j on the tensor grid, shape (M_1, ..., M_n, N)."""
+        shape = np.max(np.array(list(table)), axis=0) + 1
+        res = np.zeros((self.N,) + tuple(shape), dtype=complex)
+        for k, c in table.items():
+            res[(slice(None),) + k] = c
+        for a in axes:
+            # Contracting axis 1 (the exponents of the next coordinate) appends
+            # that coordinate's grid axis, so the result ends as (N, M_1, ..., M_n).
+            res = np.tensordot(res, a[:, None] ** np.arange(res.shape[1]), axes=(1, 1))
+        return np.moveaxis(res, 0, -1)
 
 
 def derivative_exact(mapping: PluriharmonicMap, z, alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -221,6 +265,11 @@ class ComposedMap(PluriharmonicMap):
 
     def eval_points(self, Z) -> np.ndarray:
         return self.outer.eval_points(self.inner(np.asarray(Z, dtype=complex)))
+
+    def eval_grid(self, axes) -> np.ndarray:
+        # The automorphism acts coordinatewise, so it maps the grid's axes.
+        axes = _check_axes(axes, self.n)
+        return self.outer.eval_grid([self.inner.coordinate(j, a) for j, a in enumerate(axes)])
 
 
 def compose_with_automorphism(mapping: PluriharmonicMap, phi: PolydiskAutomorphism) -> ComposedMap:

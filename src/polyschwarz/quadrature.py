@@ -18,6 +18,10 @@ from .mapping import PluriharmonicMap, check_point
 
 DEFAULT_EXTRACTION_RADIUS = 0.5
 DEFAULT_CAUCHY_NODES = 512
+# Largest torus sample (nodes**n * N complex values) a quadrature may build.
+# Series evaluation holds two such arrays at once and the FFT table a third,
+# so the cap keeps that under a GiB; 512 nodes per axis at n = 3 (2 GiB) is out.
+MAX_SAMPLE_BYTES = 256 * 2**20
 
 
 class QuadratureSpec:
@@ -90,9 +94,17 @@ def abs_cos_integral(m: int, gamma: float, nodes: int = 4096) -> float:
 # ---------------------------------------------------------------------------
 # Shared torus sampling.  Maps are immutable after construction, so grid
 # values and their FFTs are cached on the map object keyed by (radii, nodes).
+# The grid is the tensor product of one circle per axis and is evaluated
+# through eval_grid, which series maps contract axis by axis.
 # ---------------------------------------------------------------------------
 
 def _torus_samples(mapping: PluriharmonicMap, radii, nodes: int) -> np.ndarray:
+    size = nodes**mapping.n * mapping.N * np.dtype(complex).itemsize
+    if size > MAX_SAMPLE_BYTES:
+        raise ValueError(
+            f"a torus sample of {nodes}^{mapping.n} x {mapping.N} complex values needs "
+            f"{size / 2**20:.0f} MiB, over the {MAX_SAMPLE_BYTES // 2**20} MiB limit; "
+            f"use fewer quadrature nodes per dimension (--nodes)")
     cache = getattr(mapping, "_quad_cache", None)
     if cache is None:
         cache = {}
@@ -100,10 +112,7 @@ def _torus_samples(mapping: PluriharmonicMap, radii, nodes: int) -> np.ndarray:
     key = ("samples", tuple(radii), nodes)
     if key not in cache:
         theta = 2.0 * np.pi * np.arange(nodes) / nodes
-        circles = [r * np.exp(1j * theta) for r in radii]
-        grids = np.meshgrid(*circles, indexing="ij")
-        Z = np.stack(grids, axis=-1)
-        cache[key] = mapping.eval_points(Z)
+        cache[key] = mapping.eval_grid([r * np.exp(1j * theta) for r in radii])
     return cache[key]
 
 
@@ -205,15 +214,16 @@ def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec: QuadratureSpec 
         eta = r * np.exp(1j * theta)
         kernels.append(eta / (eta - z[j]) ** (aj + 1))
 
-    def contract(V):
-        res = V
+    def contract(kernels):
+        res = vals
         for K in kernels:
             res = np.tensordot(K, res, axes=(0, 0))
         return res / M**mapping.n
 
+    # The anti-holomorphic part is conj(sum conj(V) K) = sum V conj(K).
     fact = float(mi_factorial(alpha))
-    A = fact * contract(vals)
-    B = np.conj(fact * contract(np.conj(vals)))
+    A = fact * contract(kernels)
+    B = fact * contract([np.conj(K) for K in kernels])
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise ValueError("non-finite Cauchy quadrature result")
     return A, B

@@ -224,8 +224,7 @@ def test_criterion_08_homogeneous_and_l2_bounds(capsys, scalar_suite):
         radii = rng.uniform(0.3, 0.8, n)
         M = 16
         theta = 2 * np.pi * np.arange(M) / M
-        grids = np.meshgrid(*[r * np.exp(1j * theta) for r in radii], indexing="ij")
-        vals = f.eval_points(np.stack(grids, axis=-1))
+        vals = f.eval_grid([r * np.exp(1j * theta) for r in radii])
         lhs = float(np.mean(np.sum(np.abs(vals) ** 2, axis=-1)))
         rhs = float(np.linalg.norm(f(np.zeros(n))) ** 2)
         for table in (f.holo, f.anti):

@@ -119,3 +119,30 @@ def test_sharpness_command(tmp_path, capsys):
     assert rec["ratio"] == pytest.approx(1.0, abs=1e-9)
     assert rec["alpha"] == [1]
     assert rec["evaluations"] <= 30
+
+
+def test_growth_honours_tol_zero(tmp_path):
+    zeromap = tmp_path / "zero.json"
+    save_map(SeriesMap(1, 1, {(1,): [0.4]}), zeromap)
+    out_path = tmp_path / "growth.jsonl"
+    assert main(["growth", "--map", str(zeromap), "--grid", "2", "--tol", "0",
+                 "--out", str(out_path)]) == 0
+    recs = [json.loads(line) for line in out_path.read_text().strip().splitlines()]
+    assert [r["tol"] for r in recs] == [0.0, 0.0]
+
+
+def test_unused_flags_are_rejected(tmp_path, capsys):
+    path = _write_random(tmp_path, n=2)
+    assert main(["gradient", "--map", str(path), "--grid", "1",
+                 "--nodes", "9999", "--radius", "0.1"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["sharpness", "--n", "1", "--alpha", "1", "--tol", "0.1"]) == 2
+    assert main(["random", "--n", "1"]) == 2  # nowhere to write the map
+
+
+def test_cauchy_sample_too_large_is_a_usage_error(tmp_path, capsys):
+    path = _write_random(tmp_path, n=3, degree=2)
+    assert main(["verify", "--map", str(path), "--alpha", "1,1,1", "--method", "cauchy",
+                 "--grid", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "512^3" in err and "MiB" in err

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from polyschwarz import (ColonnaMap, MapFormatError, PolydiskAutomorphism, QuadratureSpec,
-                         SeriesMap, compose_with_automorphism, derivative_exact, evaluate,
-                         extract_coefficient, jacobian_pair, load_map, make_extremal_colonna,
-                         map_from_dict, map_to_dict, random_bounded_map, save_map,
-                         sup_bound_l1)
+from polyschwarz import (BlaschkeProduct, ColonnaMap, MapFormatError, PolydiskAutomorphism,
+                         QuadratureSpec, SeriesMap, compose_with_automorphism, derivative_exact,
+                         evaluate, extract_coefficient, jacobian_pair, load_map,
+                         make_extremal_colonna, map_from_dict, map_to_dict, random_bounded_map,
+                         save_map, sup_bound_l1)
 
 FOUR_OVER_PI = 4.0 / math.pi
 
@@ -237,3 +237,63 @@ def test_composed_map_not_serializable():
     T = compose_with_automorphism(f, PolydiskAutomorphism([0.2]))
     with pytest.raises(MapFormatError):
         map_to_dict(T)
+
+
+def _meshgrid_values(f, axes):
+    return f.eval_points(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+
+
+def _axes(rng, lengths):
+    """Unequal lengths and radii; the first point of each axis lies off its circle."""
+    axes = []
+    for m in lengths:
+        a = rng.uniform(0.2, 0.95) * np.exp(2j * np.pi * rng.uniform(0, 1, m))
+        a[0] *= 0.5
+        axes.append(a)
+    return axes
+
+
+def _assert_grid_matches(f, axes):
+    vals = f.eval_grid(axes)
+    assert vals.shape == tuple(len(a) for a in axes) + (f.N,)
+    assert np.max(np.abs(vals - _meshgrid_values(f, axes)), initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2])
+def test_eval_grid_matches_meshgrid_series_and_composed(n, N):
+    rng = np.random.default_rng(10 * n + N)
+    f = random_bounded_map(n, N, 4, seed=n + N)
+    axes = _axes(rng, (7, 5, 3)[:n])
+    _assert_grid_matches(f, axes)
+    c = 0.5 * rng.uniform(0, 1, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+    rot = np.exp(2j * np.pi * rng.uniform(0, 1, n))
+    _assert_grid_matches(compose_with_automorphism(f, PolydiskAutomorphism(c, rot)), axes)
+
+
+def test_eval_grid_partial_sparse_and_empty_tables():
+    rng = np.random.default_rng(7)
+    axes = _axes(rng, (6, 4))
+    holo = {(0, 0): [0.1], (3, 1): [0.2 - 0.1j], (0, 5): [0.05j]}
+    anti = {(2, 0): [0.1j], (1, 4): [-0.07]}
+    for f in (SeriesMap(2, 1, holo), SeriesMap(2, 1, None, anti), SeriesMap(2, 1, holo, anti),
+              SeriesMap(2, 1, {(7, 0): [0.3]}, {(0, 6): [0.2]}), SeriesMap(2, 2)):
+        _assert_grid_matches(f, axes)
+    assert not np.any(SeriesMap(2, 2).eval_grid(axes))
+
+
+def test_eval_grid_fallback_closed_forms():
+    rng = np.random.default_rng(3)
+    axes = _axes(rng, (9,))
+    for f in (make_extremal_colonna(1, 0.3 + 0.2j, np.exp(0.7j)),
+              BlaschkeProduct([0.3, -0.2 + 0.4j], np.exp(0.2j))):
+        _assert_grid_matches(f, axes)
+        _assert_grid_matches(compose_with_automorphism(f, PolydiskAutomorphism([0.4j])), axes)
+
+
+def test_eval_grid_rejects_wrong_axes():
+    f = random_bounded_map(2, 1, 2, seed=0)
+    with pytest.raises(ValueError):
+        f.eval_grid([np.zeros(3)])
+    with pytest.raises(ValueError):
+        f.eval_grid([np.zeros((2, 2)), np.zeros(2)])

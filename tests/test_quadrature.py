@@ -193,3 +193,17 @@ def test_quadrature_spec_validation():
     spec = QuadratureSpec(64, (0.5,))
     assert spec.resolve_radii(3, 0.7) == (0.5, 0.5, 0.5)
     assert QuadratureSpec(64).resolve_radii(2, 0.7) == (0.7, 0.7)
+
+
+def test_torus_sample_size_guard(monkeypatch):
+    f = random_bounded_map(3, 1, 2, seed=0)
+
+    def no_allocation(self, axes):
+        raise AssertionError("the guard must refuse before evaluating the grid")
+
+    monkeypatch.setattr(SeriesMap, "eval_grid", no_allocation)
+    # default Cauchy nodes at n = 3: 512^3 complex values, 2048 MiB
+    with pytest.raises(ValueError, match="2048 MiB"):
+        cauchy_derivative(f, [0.1, 0.2, 0.3], (1, 1, 1))
+    with pytest.raises(ValueError, match="--nodes"):
+        extract_coefficients(random_bounded_map(2, 2, 2, seed=0), 2, QuadratureSpec(4096))
