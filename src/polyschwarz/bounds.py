@@ -1,5 +1,7 @@
-"""Right-hand-side formulas of the Schwarz-Pick type estimates and the
-verification routines that certify each inequality on concrete maps.
+"""Right-hand-side formulas of the Schwarz-Pick type estimates, the
+left-hand sides (derivatives by the exact or Cauchy method, Jacobians and
+their directional maximum), and the verification routines that certify each
+inequality on concrete maps.
 
 A verification refuses (raises HypothesisError) when a map cannot be
 certified to satisfy the inequality's hypotheses; a failed BoundReport is
@@ -14,12 +16,13 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .multiindex import as_index, degree as mi_degree, factorial as mi_factorial
-from .mapping import (BlaschkeProduct, ColonnaMap, ComposedMap, PluriharmonicMap,
-                      check_point, derivative_exact, jacobian_pair)
-from .quadrature import QuadratureSpec, cauchy_derivative, extract_coefficients, sup_bound_l1
+from .multiindex import as_order, degree as mi_degree, factorial as mi_factorial, unit_index
+from .mapping import (BlaschkeProduct, ColonnaMap, ComposedMap, PluriharmonicMap, SeriesMap,
+                      check_point, derivative_exact, sup_bound_l1, to_pairs)
+from .quadrature import QuadratureSpec, cauchy_derivative, extract_coefficients
 
 FOUR_OVER_PI = 4.0 / math.pi
+INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Matched to the two LHS error models: exact series arithmetic vs quadrature.
 DEFAULT_TOL_EXACT = 1e-9
@@ -79,9 +82,7 @@ def rhs_polydisk(alpha, z_inf: float) -> float:
 
     Requires every alpha_j >= 1.
     """
-    alpha = as_index(alpha)
-    if any(a < 1 for a in alpha):
-        raise ValueError(f"every derivative order component must be >= 1, got {alpha}")
+    alpha = as_order(alpha)
     t = _check_radius(z_inf)
     n = len(alpha)
     total = mi_degree(alpha)
@@ -147,43 +148,154 @@ def certified_sup_bound(mapping: PluriharmonicMap) -> float:
 
 def require_certified(mapping: PluriharmonicMap, N: int | None = None) -> None:
     bound = certified_sup_bound(mapping)
-    if bound > 1.0 + CERTIFICATION_SLACK:
+    if not bound <= 1.0 + CERTIFICATION_SLACK:  # also refuses a NaN bound
         raise HypothesisError(
             f"hypothesis: map not certified into the unit disk (sup bound {bound:.6g} > 1)")
     if N is not None and mapping.N != N:
         raise HypothesisError(f"hypothesis: expected codomain dimension {N}, map has N = {mapping.N}")
 
 
-def _z_params(z: np.ndarray) -> list[list[float]]:
-    return [[float(c.real), float(c.imag)] for c in z]
+# ---------------------------------------------------------------------------
+# Left-hand sides: derivatives, Jacobians and the directional maximum.
+# ---------------------------------------------------------------------------
+
+def _resolve_method(mapping: PluriharmonicMap, method: str | None = None) -> tuple[str, float]:
+    """The derivative method and its default tolerance: `method` when given,
+    else exact differentiation for finite series and Cauchy quadrature for
+    every other map."""
+    if method is None:
+        method = "exact" if mapping.is_series else "cauchy"
+    if method == "exact":
+        return method, DEFAULT_TOL_EXACT
+    if method == "cauchy":
+        return method, DEFAULT_TOL_QUAD
+    raise ValueError(f"unknown method {method!r}; expected 'exact' or 'cauchy'")
+
+
+def _derivative_pair(mapping: PluriharmonicMap, z, alpha, method: str | None = None,
+                     spec: QuadratureSpec | None = None):
+    """(d^alpha f, dbar^alpha f) at z by the method _resolve_method picks."""
+    method, _ = _resolve_method(mapping, method)
+    if method == "exact":
+        return derivative_exact(mapping, z, alpha)
+    return cauchy_derivative(mapping, z, alpha, spec)
+
+
+@dataclass
+class JacobianPair:
+    """First-order Wirtinger derivative matrices, both N x n."""
+
+    d: np.ndarray
+    dbar: np.ndarray
+
+
+def jacobian_pair(mapping: PluriharmonicMap, z, spec=None) -> JacobianPair:
+    """Df and Dbar-f at z; exact for series maps, Cauchy quadrature otherwise."""
+    z = check_point(z, mapping.n)
+    d = np.zeros((mapping.N, mapping.n), dtype=complex)
+    dbar = np.zeros_like(d)
+    for m in range(mapping.n):
+        d[:, m], dbar[:, m] = _derivative_pair(mapping, z, unit_index(mapping.n, m), spec=spec)
+    return JacobianPair(d, dbar)
+
+
+def golden_max(f, lo: float, hi: float, iters: int = 20):
+    """Golden-section maximization on [lo, hi] with a fixed probe count.
+
+    Returns the best probed (x, f(x)); the fixed iteration count keeps the
+    number of objective evaluations deterministic.
+    """
+    a, b = float(lo), float(hi)
+    c = b - INV_GOLDEN * (b - a)
+    d = a + INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - INV_GOLDEN * (b - a)
+            fc = f(c)
+            x, fx = c, fc
+        else:
+            a, c, fc = c, d, fd
+            d = a + INV_GOLDEN * (b - a)
+            fd = f(d)
+            x, fx = d, fd
+        if fx > best_f:
+            best_x, best_f = x, fx
+    return best_x, best_f
+
+
+def direction_max(jp: JacobianPair, samples: int = 512, refine_steps: int = 3):
+    """Maximize ||d theta + dbar conj(theta)|| over the direction torus
+    |theta_j| = 1 (the objective is convex in theta, so the polydisk max is
+    attained there).  Deterministic sampling plus coordinatewise phase
+    refinement; the value is a certified lower bound of the true max.
+    """
+    d = np.atleast_2d(np.asarray(jp.d, dtype=complex))
+    dbar = np.atleast_2d(np.asarray(jp.dbar, dtype=complex))
+    if d.shape != dbar.shape:
+        raise ValueError("jacobian matrices must share a shape")
+    n = d.shape[1]
+
+    def value(phi):
+        th = np.exp(1j * phi)
+        return float(np.linalg.norm(d @ th + dbar @ np.conj(th)))
+
+    rng = np.random.default_rng(20140113)  # fixed stream: results are reproducible
+    P = rng.uniform(0.0, 2.0 * np.pi, size=(max(8, int(samples)), n))
+    P[0] = 0.0
+    T = np.exp(1j * P)
+    V = T @ d.T + np.conj(T) @ dbar.T
+    norms = np.linalg.norm(V, axis=1)
+    order = np.argsort(-norms)
+
+    best_phi = P[order[0]].copy()
+    best_val = float(norms[order[0]])
+    for idx in order[: min(3, len(order))]:
+        phi = P[idx].copy()
+        cur = float(norms[idx])
+        window = np.pi / 2.0
+        for _ in range(max(1, int(refine_steps))):
+            for j in range(n):
+                def slice_obj(t, j=j):
+                    trial = phi.copy()
+                    trial[j] = t
+                    return value(trial)
+                x, fx = golden_max(slice_obj, phi[j] - window, phi[j] + window)
+                if fx >= cur:
+                    phi[j] = x
+                    cur = fx
+            window *= 0.3
+        if cur > best_val:
+            best_val = cur
+            best_phi = phi
+    return np.exp(1j * best_phi), best_val
 
 
 # ---------------------------------------------------------------------------
 # Verification routines.
 # ---------------------------------------------------------------------------
 
-def verify_derivative_bound(mapping: PluriharmonicMap, z, alpha, method: str = "exact",
+def verify_derivative_bound(mapping: PluriharmonicMap, z, alpha, method: str | None = None,
                             tol: float | None = None,
                             spec: QuadratureSpec | None = None) -> BoundReport:
     """Order-alpha derivative bound for a certified scalar map into the disk:
-    |d^alpha f| + |dbar^alpha f| <= rhs_polydisk(alpha, ||z||_inf)."""
+    |d^alpha f| + |dbar^alpha f| <= rhs_polydisk(alpha, ||z||_inf).
+
+    method is "exact" or "cauchy"; None picks exact differentiation for
+    series maps and Cauchy quadrature otherwise.
+    """
     require_certified(mapping, N=1)
-    alpha = as_index(alpha)
-    if any(a < 1 for a in alpha):
-        raise ValueError(f"every derivative order component must be >= 1, got {alpha}")
+    alpha = as_order(alpha)
     z = check_point(z, mapping.n)
-    if method == "exact":
-        A, B = derivative_exact(mapping, z, alpha)
-        tol = DEFAULT_TOL_EXACT if tol is None else tol
-    elif method == "cauchy":
-        A, B = cauchy_derivative(mapping, z, alpha, spec)
-        tol = DEFAULT_TOL_QUAD if tol is None else tol
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'exact' or 'cauchy'")
+    method, default_tol = _resolve_method(mapping, method)
+    A, B = _derivative_pair(mapping, z, alpha, method, spec)
     lhs = abs(A[0]) + abs(B[0])
     rhs = rhs_polydisk(alpha, np.max(np.abs(z)))
-    params = {"z": _z_params(z), "alpha": list(alpha), "method": method}
-    return make_report("derivative_polydisk", params, lhs, rhs, tol)
+    params = {"z": to_pairs(z), "alpha": list(alpha), "method": method}
+    return make_report("derivative_polydisk", params, lhs, rhs,
+                       default_tol if tol is None else tol)
 
 
 def verify_coefficient_bound(mapping: PluriharmonicMap, max_degree: int,
@@ -215,16 +327,13 @@ def verify_homogeneous_bound(mapping: PluriharmonicMap, m: int, z,
         raise ValueError("homogeneous-part check requires a finite-series map")
     require_certified(mapping)
     z = check_point(z, mapping.n)
-    part = np.zeros(mapping.N, dtype=complex)
-    for k, a in mapping.holo.items():
-        if mi_degree(k) == m:
-            part += a * np.prod(z ** np.asarray(k))
-    zc = np.conj(z)
-    for k, b in mapping.anti.items():
-        if mi_degree(k) == m:
-            part += np.conj(b) * np.prod(zc ** np.asarray(k))
-    lhs = np.linalg.norm(part)
-    return make_report("homogeneous_part", {"m": m, "z": _z_params(z)}, lhs, FOUR_OVER_PI, tol)
+
+    def degree_m(table):
+        return {k: v for k, v in table.items() if mi_degree(k) == m}
+
+    part = SeriesMap(mapping.n, mapping.N, degree_m(mapping.holo), degree_m(mapping.anti))
+    lhs = np.linalg.norm(part(z))
+    return make_report("homogeneous_part", {"m": m, "z": to_pairs(z)}, lhs, FOUR_OVER_PI, tol)
 
 
 def verify_l2_bound(mapping: PluriharmonicMap, tol: float = DEFAULT_TOL_EXACT) -> BoundReport:
@@ -251,18 +360,16 @@ def verify_gradient_bound(mapping: PluriharmonicMap, z, direction_samples: int =
     certified lower estimate of the true max; a pass certifies the sampled
     and refined directions only.
     """
-    from .search import direction_max
-
     require_certified(mapping)
     z = check_point(z, mapping.n)
     jp = jacobian_pair(mapping, z, spec)
     _, value = direction_max(jp, samples=direction_samples)
-    if tol is None:
-        tol = DEFAULT_TOL_EXACT if mapping.is_series else DEFAULT_TOL_QUAD
+    _, default_tol = _resolve_method(mapping)
     rhs = rhs_gradient(np.max(np.abs(z)))
-    params = {"z": _z_params(z), "direction_samples": int(direction_samples),
+    params = {"z": to_pairs(z), "direction_samples": int(direction_samples),
               "note": "lhs is a sampled lower estimate of the directional maximum"}
-    return make_report("gradient_direction", params, value, rhs, tol)
+    return make_report("gradient_direction", params, value, rhs,
+                       default_tol if tol is None else tol)
 
 
 def verify_growth_bound(mapping: PluriharmonicMap, z,
@@ -275,4 +382,4 @@ def verify_growth_bound(mapping: PluriharmonicMap, z,
         raise HypothesisError(f"hypothesis: f(0) != 0 (||f(0)|| = {np.linalg.norm(f0):.3g})")
     lhs = float(np.linalg.norm(mapping(z)))
     rhs = rhs_growth(np.max(np.abs(z)))
-    return make_report("growth_arctan", {"z": _z_params(z)}, lhs, rhs, tol)
+    return make_report("growth_arctan", {"z": to_pairs(z)}, lhs, rhs, tol)

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import bounds, quadrature, search
 from .bounds import HypothesisError
-from .mapping import MapFormatError, load_map, make_extremal_colonna, random_bounded_map, save_map
+from .mapping import ColonnaMap, MapFormatError, load_map, random_bounded_map, save_map
+from .multiindex import as_order
 
 
 def _parse_complex(text: str) -> complex:
@@ -29,12 +30,9 @@ def _parse_complex(text: str) -> complex:
 
 def _parse_alpha(text: str) -> tuple:
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        return as_order(tuple(int(p) for p in text.split(",")))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"alpha must be comma-separated integers, got {text!r}") from exc
-    if not parts or any(p <= 0 for p in parts):
-        raise argparse.ArgumentTypeError("alpha components must be positive integers")
-    return parts
+        raise argparse.ArgumentTypeError(f"alpha must be comma-separated integers >= 1 ({exc})") from exc
 
 
 def _z_grid(n: int, points: int, cap: float):
@@ -83,35 +81,28 @@ def _exit_for(reports) -> int:
 # Subcommand handlers.
 # ---------------------------------------------------------------------------
 
-def cmd_verify(args) -> int:
+def _sweep(args, check) -> int:
+    """Run check(mapping, z) at every point of the z grid and write the reports."""
     mapping = load_map(args.map)
-    spec = _make_spec(args)
-    reports = []
-    for z in _z_grid(mapping.n, args.grid, args.radius_cap):
-        reports.append(bounds.verify_derivative_bound(
-            mapping, z, args.alpha, method=args.method, tol=args.tol, spec=spec))
+    reports = [check(mapping, z) for z in _z_grid(mapping.n, args.grid, args.radius_cap)]
     _write_reports(reports, args.out, args.csv)
     return _exit_for(reports)
+
+
+def cmd_verify(args) -> int:
+    spec = _make_spec(args)
+    return _sweep(args, lambda mapping, z: bounds.verify_derivative_bound(
+        mapping, z, args.alpha, method=args.method, tol=args.tol, spec=spec))
 
 
 def cmd_gradient(args) -> int:
-    mapping = load_map(args.map)
-    reports = []
-    for z in _z_grid(mapping.n, args.grid, args.radius_cap):
-        reports.append(bounds.verify_gradient_bound(
-            mapping, z, direction_samples=args.samples, tol=args.tol))
-    _write_reports(reports, args.out, args.csv)
-    return _exit_for(reports)
+    return _sweep(args, lambda mapping, z: bounds.verify_gradient_bound(
+        mapping, z, direction_samples=args.samples, tol=args.tol))
 
 
 def cmd_growth(args) -> int:
-    mapping = load_map(args.map)
-    reports = []
-    for z in _z_grid(mapping.n, args.grid, args.radius_cap):
-        tol = bounds.DEFAULT_TOL_EXACT if args.tol is None else args.tol
-        reports.append(bounds.verify_growth_bound(mapping, z, tol=tol))
-    _write_reports(reports, args.out, args.csv)
-    return _exit_for(reports)
+    tol = bounds.DEFAULT_TOL_EXACT if args.tol is None else args.tol
+    return _sweep(args, lambda mapping, z: bounds.verify_growth_bound(mapping, z, tol=tol))
 
 
 def cmd_coeffs(args) -> int:
@@ -128,16 +119,17 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_lemma(args) -> int:
-    value = quadrature.abs_cos_integral(args.m, args.gamma, nodes=args.nodes or 4096)
+    nodes = 4096 if args.nodes is None else args.nodes
+    value = quadrature.abs_cos_integral(args.m, args.gamma, nodes=nodes)
     tol = args.tol if args.tol is not None else 1e-5
-    print(f"abs-cos integral: m={args.m} gamma={args.gamma} nodes={args.nodes or 4096} "
+    print(f"abs-cos integral: m={args.m} gamma={args.gamma} nodes={nodes} "
           f"value={value:.10f} target=4")
     return 0 if abs(value - 4.0) <= tol else 1
 
 
 def cmd_extremal(args) -> int:
-    mapping = make_extremal_colonna(args.gamma, args.a, getattr(args, "lam"))
-    series = mapping.to_series(args.degree, nodes=args.nodes or 512)
+    mapping = ColonnaMap(args.gamma, args.a, args.lam)
+    series = mapping.to_series(args.degree, nodes=512 if args.nodes is None else args.nodes)
     save_map(series, args.out)
     print(f"wrote extremal map (degree {args.degree}) to {args.out}")
     return 0

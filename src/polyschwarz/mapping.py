@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import MultiIndex, as_index, degree as mi_degree, enumerate_indices, unit_index
+from .multiindex import MultiIndex, as_index, degree as mi_degree, enumerate_indices
 
 MODULUS_TOL = 1e-12
 
@@ -115,11 +114,6 @@ class PluriharmonicMap:
         return self.eval_points(z.reshape(1, -1))[0]
 
 
-def evaluate(mapping: PluriharmonicMap, z) -> np.ndarray:
-    """Evaluate a map at an interior point of the polydisk."""
-    return mapping(z)
-
-
 class SeriesMap(PluriharmonicMap):
     """Finite double power series: f(z) = sum a_k z^k + sum conj(b_k) conj(z)^k.
 
@@ -138,7 +132,11 @@ class SeriesMap(PluriharmonicMap):
         self.N = int(N)
         self.holo = self._clean_table(holo)
         self.anti = self._clean_table(anti)
-        self.certified_sup = None if certified_sup is None else float(certified_sup)
+        if certified_sup is not None:
+            certified_sup = float(certified_sup)
+            if not 0.0 <= certified_sup < math.inf:
+                raise MapFormatError(f"certified_sup must be finite and nonnegative, got {certified_sup}")
+        self.certified_sup = certified_sup
 
     def _clean_table(self, table) -> dict[MultiIndex, np.ndarray]:
         out: dict[MultiIndex, np.ndarray] = {}
@@ -156,6 +154,14 @@ class SeriesMap(PluriharmonicMap):
     def degree(self) -> int:
         degs = [mi_degree(k) for k in self.holo] + [mi_degree(k) for k in self.anti]
         return max(degs) if degs else 0
+
+    def scaled(self, factor: float) -> SeriesMap:
+        """The series times a real factor (no certified_sup is carried over).
+        The tables are already validated, so they are not cleaned again."""
+        out = SeriesMap(self.n, self.N)
+        out.holo = {k: factor * v for k, v in self.holo.items()}
+        out.anti = {k: factor * v for k, v in self.anti.items()}
+        return out
 
     def eval_points(self, Z) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex)
@@ -223,30 +229,14 @@ def derivative_exact(mapping: PluriharmonicMap, z, alpha) -> tuple[np.ndarray, n
     return A, B
 
 
-@dataclass
-class JacobianPair:
-    """First-order Wirtinger derivative matrices, both N x n."""
-
-    d: np.ndarray
-    dbar: np.ndarray
-
-
-def jacobian_pair(mapping: PluriharmonicMap, z, spec=None) -> JacobianPair:
-    """Df and Dbar-f at z; exact for series maps, Cauchy quadrature otherwise."""
-    z = check_point(z, mapping.n)
-    d = np.zeros((mapping.N, mapping.n), dtype=complex)
-    dbar = np.zeros_like(d)
-    for m in range(mapping.n):
-        alpha = unit_index(mapping.n, m)
-        if mapping.is_series:
-            A, B = derivative_exact(mapping, z, alpha)
-        else:
-            from .quadrature import cauchy_derivative
-
-            A, B = cauchy_derivative(mapping, z, alpha, spec)
-        d[:, m] = A
-        dbar[:, m] = B
-    return JacobianPair(d, dbar)
+def sup_bound_l1(mapping: PluriharmonicMap) -> float:
+    """Coefficient l1 norm: a certified upper bound for sup ||f|| over the
+    closed polydisk."""
+    if not mapping.is_series:
+        raise ValueError("the l1 sup bound requires a finite-series map")
+    total = sum(np.linalg.norm(v) for v in mapping.holo.values())
+    total += sum(np.linalg.norm(v) for v in mapping.anti.values())
+    return float(total)
 
 
 class ComposedMap(PluriharmonicMap):
@@ -270,10 +260,6 @@ class ComposedMap(PluriharmonicMap):
         # The automorphism acts coordinatewise, so it maps the grid's axes.
         axes = _check_axes(axes, self.n)
         return self.outer.eval_grid([self.inner.coordinate(j, a) for j, a in enumerate(axes)])
-
-
-def compose_with_automorphism(mapping: PluriharmonicMap, phi: PolydiskAutomorphism) -> ComposedMap:
-    return ComposedMap(phi, mapping)
 
 
 class ColonnaMap(PluriharmonicMap):
@@ -327,11 +313,6 @@ class ColonnaMap(PluriharmonicMap):
         return SeriesMap(1, 1, holo, anti, certified_sup=1.0)
 
 
-def make_extremal_colonna(gamma, a, lam) -> ColonnaMap:
-    """Extremal map of the planar harmonic Schwarz-Pick bound."""
-    return ColonnaMap(gamma, a, lam)
-
-
 class BlaschkeProduct(PluriharmonicMap):
     """Finite Blaschke product: rotation * prod (z - a_i)/(1 - conj(a_i) z).
 
@@ -373,12 +354,8 @@ def random_bounded_map(n: int, N: int, degree: int, seed: int, margin: float = 0
     for k in enumerate_indices(n, degree):
         holo[k] = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         anti[k] = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    total = sum(np.linalg.norm(v) for v in holo.values())
-    total += sum(np.linalg.norm(v) for v in anti.values())
-    scale = (1.0 - margin) / total
-    holo = {k: scale * v for k, v in holo.items()}
-    anti = {k: scale * v for k, v in anti.items()}
-    return SeriesMap(n, N, holo, anti)
+    raw = SeriesMap(n, N, holo, anti)
+    return raw.scaled((1.0 - margin) / sup_bound_l1(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +363,14 @@ def random_bounded_map(n: int, N: int, degree: int, seed: int, margin: float = 0
 # them to a SeriesMap first.
 # ---------------------------------------------------------------------------
 
-def _vec_to_pairs(v: np.ndarray) -> list[list[float]]:
+def to_pairs(v) -> list[list[float]]:
+    """Complex vector -> list of [re, im] pairs, the JSON form of complex values."""
     return [[float(c.real), float(c.imag)] for c in v]
+
+
+def from_pairs(pairs) -> np.ndarray:
+    """List of [re, im] pairs -> complex vector; the inverse of to_pairs."""
+    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
 
 
 def map_to_dict(mapping: SeriesMap) -> dict:
@@ -399,8 +382,8 @@ def map_to_dict(mapping: SeriesMap) -> dict:
     for k in keys:
         terms.append({
             "k": list(k),
-            "a": _vec_to_pairs(mapping.holo.get(k, zero)),
-            "b": _vec_to_pairs(mapping.anti.get(k, zero)),
+            "a": to_pairs(mapping.holo.get(k, zero)),
+            "b": to_pairs(mapping.anti.get(k, zero)),
         })
     out = {"n": mapping.n, "N": mapping.N, "terms": terms}
     if mapping.certified_sup is not None:
@@ -410,11 +393,13 @@ def map_to_dict(mapping: SeriesMap) -> dict:
 
 def _pairs_to_vec(pairs, N: int, where: str) -> np.ndarray:
     try:
-        vec = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+        vec = from_pairs(pairs)
     except (TypeError, ValueError) as exc:
         raise MapFormatError(f"{where}: coefficient entries must be [re, im] pairs ({exc})") from exc
     if vec.shape != (N,):
         raise MapFormatError(f"{where}: expected {N} coefficient entries, got {vec.shape[0]}")
+    if not np.all(np.isfinite(vec)):
+        raise MapFormatError(f"{where}: coefficient entries must be finite")
     return vec
 
 

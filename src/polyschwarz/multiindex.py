@@ -24,6 +24,15 @@ def as_index(k: Sequence[int]) -> MultiIndex:
     return idx
 
 
+def as_order(alpha: Sequence[int]) -> MultiIndex:
+    """Validate the derivative order of the polydisk bound: a multi-index
+    with every alpha_j >= 1."""
+    alpha = as_index(alpha)
+    if any(a < 1 for a in alpha):
+        raise ValueError(f"every derivative order component must be >= 1, got {alpha}")
+    return alpha
+
+
 def degree(k: Sequence[int]) -> int:
     """Total degree |k| = sum of components."""
     return sum(as_index(k))

@@ -22,6 +22,9 @@ DEFAULT_CAUCHY_NODES = 512
 # Series evaluation holds two such arrays at once and the FFT table a third,
 # so the cap keeps that under a GiB; 512 nodes per axis at n = 3 (2 GiB) is out.
 MAX_SAMPLE_BYTES = 256 * 2**20
+# Torus samples (with their FFTs) kept per map: two, so that comparing two
+# contour radii or node counts at one point does not rebuild each sample.
+QUAD_CACHE_ENTRIES = 2
 
 
 class QuadratureSpec:
@@ -85,6 +88,8 @@ def abs_cos_integral(m: int, gamma: float, nodes: int = 4096) -> float:
     # values and the trapezoid error grows by g^2; nudge the node count up to
     # the next integer coprime to m so the full grid is effective.
     M = int(nodes)
+    if M < 1:
+        raise ValueError(f"nodes must be a positive integer, got {M}")
     while math.gcd(m, M) != 1:
         M += 1
     mean = torus_trapezoid(lambda t: np.abs(np.cos(m * t + float(gamma))), 1, M)
@@ -93,7 +98,9 @@ def abs_cos_integral(m: int, gamma: float, nodes: int = 4096) -> float:
 
 # ---------------------------------------------------------------------------
 # Shared torus sampling.  Maps are immutable after construction, so grid
-# values and their FFTs are cached on the map object keyed by (radii, nodes).
+# values and their FFTs are cached on the map object keyed by (radii, nodes),
+# for the QUAD_CACHE_ENTRIES most recently used keys: consecutive orders at
+# one point and the n first-order derivatives of a Jacobian share one sample.
 # The grid is the tensor product of one circle per axis and is evaluated
 # through eval_grid, which series maps contract axis by axis.
 # ---------------------------------------------------------------------------
@@ -105,25 +112,24 @@ def _torus_samples(mapping: PluriharmonicMap, radii, nodes: int) -> np.ndarray:
             f"a torus sample of {nodes}^{mapping.n} x {mapping.N} complex values needs "
             f"{size / 2**20:.0f} MiB, over the {MAX_SAMPLE_BYTES // 2**20} MiB limit; "
             f"use fewer quadrature nodes per dimension (--nodes)")
-    cache = getattr(mapping, "_quad_cache", None)
-    if cache is None:
-        cache = {}
-        mapping._quad_cache = cache
-    key = ("samples", tuple(radii), nodes)
-    if key not in cache:
+    cache = mapping.__dict__.setdefault("_quad_cache", {})
+    key = (tuple(radii), nodes)
+    entry = cache.pop(key, None)
+    if entry is None:
+        if len(cache) >= QUAD_CACHE_ENTRIES:
+            del cache[next(iter(cache))]  # release the oldest sample before building the next
         theta = 2.0 * np.pi * np.arange(nodes) / nodes
-        cache[key] = mapping.eval_grid([r * np.exp(1j * theta) for r in radii])
-    return cache[key]
+        entry = {"samples": mapping.eval_grid([r * np.exp(1j * theta) for r in radii])}
+    cache[key] = entry  # the most recently used key goes last
+    return entry["samples"]
 
 
 def _fourier_table(mapping: PluriharmonicMap, radii, nodes: int) -> np.ndarray:
     vals = _torus_samples(mapping, radii, nodes)
-    cache = mapping._quad_cache
-    key = ("fft", tuple(radii), nodes)
-    if key not in cache:
-        axes = tuple(range(mapping.n))
-        cache[key] = np.fft.fftn(vals, axes=axes) / nodes**mapping.n
-    return cache[key]
+    entry = mapping._quad_cache[(tuple(radii), nodes)]
+    if "fft" not in entry:
+        entry["fft"] = np.fft.fftn(vals, axes=tuple(range(mapping.n))) / nodes**mapping.n
+    return entry["fft"]
 
 
 def _read_coefficient(F: np.ndarray, k, radii, nodes: int):
@@ -197,7 +203,7 @@ def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec: QuadratureSpec 
     if len(alpha) != mapping.n:
         raise ValueError(f"alpha length {len(alpha)} != map dimension {mapping.n}")
     if mi_degree(alpha) == 0:
-        raise ValueError("order-zero derivative: use evaluate(); the a_0/b_0 split "
+        raise ValueError("order-zero derivative: use f(z) for values; the a_0/b_0 split "
                          "is not recoverable from point values")
     z = check_point(z, mapping.n)
     z_inf = float(np.max(np.abs(z)))
@@ -227,13 +233,3 @@ def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec: QuadratureSpec 
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise ValueError("non-finite Cauchy quadrature result")
     return A, B
-
-
-def sup_bound_l1(mapping: PluriharmonicMap) -> float:
-    """Coefficient l1 norm: a certified upper bound for sup ||f|| over the
-    closed polydisk."""
-    if not mapping.is_series:
-        raise ValueError("the l1 sup bound requires a finite-series map")
-    total = sum(np.linalg.norm(v) for v in mapping.holo.values())
-    total += sum(np.linalg.norm(v) for v in mapping.anti.values())
-    return float(total)

@@ -1,5 +1,5 @@
-"""Sharpness probing: maximize LHS/RHS ratios over map families and over
-directions, with derivative-free (multistart + golden-section) refinement.
+"""Sharpness probing: maximize LHS/RHS ratios over map families, with
+derivative-free (multistart + golden-section) refinement.
 
 Search results are exploratory: the planar extremal family is known to be
 sharp for the first-order bound, but nothing is claimed beyond that and no
@@ -14,12 +14,12 @@ from itertools import product
 
 import numpy as np
 
-from .multiindex import as_index, degree as mi_degree
-from .mapping import (ColonnaMap, JacobianPair, PluriharmonicMap, SeriesMap,
-                      check_point, derivative_exact, random_bounded_map)
-from .quadrature import QuadratureSpec, cauchy_derivative, sup_bound_l1
-
-INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from .multiindex import as_order
+from .mapping import (ColonnaMap, PluriharmonicMap, SeriesMap, from_pairs, random_bounded_map,
+                      sup_bound_l1, to_pairs)
+from .quadrature import QuadratureSpec
+# direction_max stays bound here as well: perfbench/tracer.py wraps it as search.direction_max.
+from .bounds import direction_max, golden_max, verify_derivative_bound  # noqa: F401
 
 Z_SEARCH_CAP = 0.9       # quadrature degrades near the boundary
 A_SEARCH_CAP = 0.85
@@ -28,98 +28,13 @@ TENSOR_FACTOR_DEGREE = 16
 FAMILIES = ("colonna_tensor", "random_series")
 
 
-def golden_max(f, lo: float, hi: float, iters: int = 20):
-    """Golden-section maximization on [lo, hi] with a fixed probe count.
-
-    Returns the best probed (x, f(x)); the fixed iteration count keeps the
-    number of objective evaluations deterministic.
-    """
-    a, b = float(lo), float(hi)
-    c = b - INV_GOLDEN * (b - a)
-    d = a + INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - INV_GOLDEN * (b - a)
-            fc = f(c)
-            x, fx = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + INV_GOLDEN * (b - a)
-            fd = f(d)
-            x, fx = d, fd
-        if fx > best_f:
-            best_x, best_f = x, fx
-    return best_x, best_f
-
-
-def direction_max(jp: JacobianPair, samples: int = 512, refine_steps: int = 3):
-    """Maximize ||d theta + dbar conj(theta)|| over the direction torus
-    |theta_j| = 1 (the objective is convex in theta, so the polydisk max is
-    attained there).  Deterministic sampling plus coordinatewise phase
-    refinement; the value is a certified lower bound of the true max.
-    """
-    d = np.atleast_2d(np.asarray(jp.d, dtype=complex))
-    dbar = np.atleast_2d(np.asarray(jp.dbar, dtype=complex))
-    if d.shape != dbar.shape:
-        raise ValueError("jacobian matrices must share a shape")
-    n = d.shape[1]
-
-    def value(phi):
-        th = np.exp(1j * phi)
-        return float(np.linalg.norm(d @ th + dbar @ np.conj(th)))
-
-    rng = np.random.default_rng(20140113)  # fixed stream: results are reproducible
-    P = rng.uniform(0.0, 2.0 * np.pi, size=(max(8, int(samples)), n))
-    P[0] = 0.0
-    T = np.exp(1j * P)
-    V = T @ d.T + np.conj(T) @ dbar.T
-    norms = np.linalg.norm(V, axis=1)
-    order = np.argsort(-norms)
-
-    best_phi = P[order[0]].copy()
-    best_val = float(norms[order[0]])
-    for idx in order[: min(3, len(order))]:
-        phi = P[idx].copy()
-        cur = float(norms[idx])
-        window = np.pi / 2.0
-        for _ in range(max(1, int(refine_steps))):
-            for j in range(n):
-                def slice_obj(t, j=j):
-                    trial = phi.copy()
-                    trial[j] = t
-                    return value(trial)
-                x, fx = golden_max(slice_obj, phi[j] - window, phi[j] + window)
-                if fx >= cur:
-                    phi[j] = x
-                    cur = fx
-            window *= 0.3
-        if cur > best_val:
-            best_val = cur
-            best_phi = phi
-    return np.exp(1j * best_phi), best_val
-
-
 def sharpness_ratio(mapping: PluriharmonicMap, z, alpha,
                     spec: QuadratureSpec | None = None) -> float:
     """(|d^alpha f| + |dbar^alpha f|) / rhs_polydisk(alpha, ||z||_inf) for a
     certified scalar map; exact differentiation for series maps, Cauchy
     quadrature otherwise."""
-    from .bounds import require_certified, rhs_polydisk
-
-    require_certified(mapping, N=1)
-    alpha = as_index(alpha)
-    if any(a < 1 for a in alpha):
-        raise ValueError(f"every derivative order component must be >= 1, got {alpha}")
-    z = check_point(z, mapping.n)
-    if mapping.is_series:
-        A, B = derivative_exact(mapping, z, alpha)
-    else:
-        A, B = cauchy_derivative(mapping, z, alpha, spec)
-    lhs = abs(A[0]) + abs(B[0])
-    return float(lhs / rhs_polydisk(alpha, np.max(np.abs(z))))
+    report = verify_derivative_bound(mapping, z, alpha, spec=spec)
+    return report.lhs / report.rhs
 
 
 @dataclass
@@ -162,15 +77,13 @@ def _tensor_colonna_map(a_params) -> SeriesMap:
     out = SeriesMap(n, 1, holo, anti)
     l1 = sup_bound_l1(out)
     if l1 > 1.0:
-        scale = (1.0 - 1e-12) / l1
-        out = SeriesMap(n, 1, {k: scale * v for k, v in out.holo.items()},
-                        {k: scale * v for k, v in out.anti.items()})
+        out = out.scaled((1.0 - 1e-12) / l1)
     return out
 
 
 def _build_family_map(family: str, n: int, params: dict) -> PluriharmonicMap:
     if family == "colonna_tensor":
-        a = [complex(re, im) for re, im in params["a"]]
+        a = from_pairs(params["a"])
         if n == 1:
             return ColonnaMap(1.0, a[0], 1.0)
         return _tensor_colonna_map(a)
@@ -182,8 +95,7 @@ def _build_family_map(family: str, n: int, params: dict) -> PluriharmonicMap:
 def reevaluate(result: SharpnessResult) -> float:
     """Rebuild the map from the stored parameters and recompute the ratio."""
     mapping = _build_family_map(result.family, len(result.alpha), result.family_params)
-    z = np.array([complex(re, im) for re, im in result.z])
-    return sharpness_ratio(mapping, z, result.alpha)
+    return sharpness_ratio(mapping, from_pairs(result.z), result.alpha)
 
 
 class _BudgetExhausted(Exception):
@@ -200,11 +112,9 @@ def sharpness_search(n: int, alpha, family: str = "colonna_tensor",
     length), so enlarging the budget never decreases the best ratio for a
     fixed seed.  No global optimality is claimed.
     """
-    alpha = as_index(alpha)
+    alpha = as_order(alpha)
     if len(alpha) != n:
         raise ValueError(f"alpha length {len(alpha)} != n = {n}")
-    if any(a < 1 for a in alpha):
-        raise ValueError(f"every derivative order component must be >= 1, got {alpha}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if family not in FAMILIES:
@@ -281,7 +191,7 @@ def sharpness_search(n: int, alpha, family: str = "colonna_tensor",
     return SharpnessResult(
         family=family,
         family_params=state["best_params"],
-        z=[[float(c.real), float(c.imag)] for c in state["best_z"]],
+        z=to_pairs(state["best_z"]),
         alpha=alpha,
         ratio=float(state["best_ratio"]),
         evaluations=state["evals"],

@@ -7,10 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from polyschwarz import (BlaschkeProduct, PolydiskAutomorphism, QuadratureSpec,
-                         SeriesMap, abs_cos_integral, cauchy_derivative,
-                         compose_with_automorphism, derivative_exact, direction_max,
-                         extract_coefficients, jacobian_pair, make_extremal_colonna,
+from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, PolydiskAutomorphism,
+                         QuadratureSpec, SeriesMap, abs_cos_integral, cauchy_derivative,
+                         derivative_exact, direction_max, extract_coefficients, jacobian_pair,
                          random_bounded_map, rhs_colonna, rhs_gradient, rhs_growth,
                          rhs_polydisk, rhs_ruscheweyh, rhs_szasz, sharpness_ratio,
                          sharpness_search, verify_growth_bound)
@@ -67,7 +66,7 @@ def test_criterion_02_coefficient_bound_with_compositions(capsys):
         for _ in range(3):
             c = 0.5 * _random_z(rng, n, cap=1.0)
             rot = np.exp(2j * np.pi * rng.uniform(0, 1, n))
-            victims.append(compose_with_automorphism(f, PolydiskAutomorphism(c, rot)))
+            victims.append(ComposedMap(PolydiskAutomorphism(c, rot), f))
         for g in victims:
             for k, (a, b) in extract_coefficients(g, 6, spec).items():
                 worst = max(worst, abs(a[0]) + abs(b[0]))
@@ -127,7 +126,7 @@ def test_criterion_05_first_order_sharpness(capsys):
     start = time.perf_counter()
     worst = 0.0
     for t in np.linspace(0.0, 0.9, 11):
-        f = make_extremal_colonna(1, 1j * t, 1)
+        f = ColonnaMap(1, 1j * t, 1)
         worst = max(worst, abs(sharpness_ratio(f, [1j * t], (1,)) - 1.0))
     res = sharpness_search(1, (1,), budget=2000, seed=0)
     ok = worst <= 1e-6 and res.ratio >= 0.999
@@ -138,7 +137,7 @@ def test_criterion_05_first_order_sharpness(capsys):
 
 def test_criterion_06_growth_bound(capsys):
     start = time.perf_counter()
-    f = make_extremal_colonna(1, 0, 1)
+    f = ColonnaMap(1, 0, 1)
     worst_eq = 0.0
     for t in np.arange(0.1, 0.95, 0.1):
         lhs = float(np.linalg.norm(f([1j * t])))

@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from polyschwarz import (BlaschkeProduct, HypothesisError, PolydiskAutomorphism,
-                         QuadratureSpec, SeriesMap, cauchy_derivative,
-                         certified_sup_bound, compose_with_automorphism,
-                         make_extremal_colonna, make_report, random_bounded_map,
+from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, HypothesisError,
+                         PolydiskAutomorphism, QuadratureSpec, SeriesMap, cauchy_derivative,
+                         certified_sup_bound, make_report, random_bounded_map,
                          require_certified, rhs_colonna, rhs_gradient, rhs_growth,
                          rhs_polydisk, rhs_ruscheweyh, rhs_szasz,
                          verify_coefficient_bound, verify_derivative_bound,
@@ -109,14 +108,14 @@ def test_report_json_uses_pass_key():
 
 
 def test_certified_sup_bound_cases():
-    assert certified_sup_bound(make_extremal_colonna(1, 0, 1)) == 1.0
+    assert certified_sup_bound(ColonnaMap(1, 0, 1)) == 1.0
     assert certified_sup_bound(BlaschkeProduct([0.3])) == 1.0
     f = SeriesMap(1, 1, {(1,): [0.6]}, {(2,): [0.3]})
     assert certified_sup_bound(f) == pytest.approx(0.9)
-    T = compose_with_automorphism(f, PolydiskAutomorphism([0.2]))
+    T = ComposedMap(PolydiskAutomorphism([0.2]), f)
     assert certified_sup_bound(T) == pytest.approx(0.9)
     # the truncated extremal series carries a range certificate despite l1 > 1
-    s = make_extremal_colonna(1, 0, 1).to_series(32)
+    s = ColonnaMap(1, 0, 1).to_series(32)
     assert certified_sup_bound(s) == 1.0
 
 
@@ -126,6 +125,11 @@ def test_require_certified_refuses_unbounded_map():
         require_certified(big)
     with pytest.raises(HypothesisError, match="codomain"):
         require_certified(SeriesMap(1, 2, {(1,): [0.1, 0.1]}), N=1)
+
+
+def test_require_certified_refuses_nan_bound():
+    with pytest.raises(HypothesisError, match="certified"):
+        require_certified(SeriesMap(1, 1, {(1,): [math.nan]}))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +147,7 @@ def test_verify_derivative_bound_random_maps_pass():
 
 
 def test_verify_derivative_bound_equality_at_extremal():
-    f = make_extremal_colonna(1, 0, 1).to_series(40)
+    f = ColonnaMap(1, 0, 1).to_series(40)
     r = verify_derivative_bound(f, [0.0], (1,))
     assert r.passed
     assert r.lhs == pytest.approx(FOUR_OVER_PI, abs=1e-10)
@@ -169,7 +173,7 @@ def test_verify_derivative_bound_refusals():
 
 
 def test_verify_coefficient_bound_extremal_attains():
-    f = make_extremal_colonna(1, 0, 1).to_series(32)
+    f = ColonnaMap(1, 0, 1).to_series(32)
     reports = verify_coefficient_bound(f, 4, spec=QuadratureSpec(128, (0.5,)))
     assert all(r.passed for r in reports)
     first = next(r for r in reports if r.params["k"] == [1])
@@ -195,7 +199,7 @@ def test_verify_homogeneous_bound_example():
 
 
 def test_verify_homogeneous_bound_boundary_sweep():
-    f = make_extremal_colonna(1, 0, 1).to_series(32)
+    f = ColonnaMap(1, 0, 1).to_series(32)
     for t in np.linspace(0.1, 0.95, 9):
         for m in (1, 2, 3):
             assert verify_homogeneous_bound(f, m, [t * 1j]).passed
@@ -217,13 +221,13 @@ def test_verify_gradient_bound_random_and_extremal():
         z = 0.5 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) / math.sqrt(2)
         assert verify_gradient_bound(f, z, direction_samples=128).passed
     # planar extremal: the directional maximum at 0 attains 4/pi
-    r = verify_gradient_bound(make_extremal_colonna(1, 0, 1).to_series(40), [0.0])
+    r = verify_gradient_bound(ColonnaMap(1, 0, 1).to_series(40), [0.0])
     assert r.passed
     assert r.lhs == pytest.approx(FOUR_OVER_PI, abs=1e-9)
 
 
 def test_verify_growth_bound_equality_and_refusal():
-    f = make_extremal_colonna(1, 0, 1)
+    f = ColonnaMap(1, 0, 1)
     for t in np.arange(0.1, 0.95, 0.1):
         r = verify_growth_bound(f, [1j * t])
         assert r.passed

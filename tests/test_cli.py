@@ -146,3 +146,32 @@ def test_cauchy_sample_too_large_is_a_usage_error(tmp_path, capsys):
                  "--grid", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "512^3" in err and "MiB" in err
+
+
+@pytest.mark.parametrize("argv", [["lemma", "--m", "3", "--nodes", "0"],
+                                  ["extremal", "--nodes", "0", "--out", "e.json"]])
+def test_explicit_zero_nodes_is_refused(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "e.json").exists()
+
+
+def _write_terms(tmp_path, terms, **extra):
+    path = tmp_path / "declared.json"
+    # json.dumps writes float("nan") as the NaN literal, which json.load reads back.
+    path.write_text(json.dumps({"n": 2, "N": 1, "terms": terms, **extra}))
+    return path
+
+
+@pytest.mark.parametrize("certified_sup", [-1.0, float("nan"), float("inf")])
+def test_map_file_with_unsound_certificate_is_refused(tmp_path, capsys, certified_sup):
+    path = _write_terms(tmp_path, [{"k": [1, 0], "a": [[5.0, 0.0]]}], certified_sup=certified_sup)
+    assert main(["verify", "--map", str(path), "--alpha", "1,1", "--grid", "2"]) == 2
+    assert "certified_sup" in capsys.readouterr().err
+
+
+def test_map_file_with_nan_coefficient_is_refused_on_load(tmp_path, capsys):
+    path = _write_terms(tmp_path, [{"k": [1, 0], "a": [[float("nan"), 0.0]]}])
+    assert main(["verify", "--map", str(path), "--alpha", "1,1", "--grid", "2"]) == 2
+    assert "term 0" in capsys.readouterr().err

@@ -4,39 +4,38 @@ import math
 import numpy as np
 import pytest
 
-from polyschwarz import (BlaschkeProduct, ColonnaMap, MapFormatError, PolydiskAutomorphism,
-                         QuadratureSpec, SeriesMap, compose_with_automorphism, derivative_exact,
-                         evaluate, extract_coefficient, jacobian_pair, load_map,
-                         make_extremal_colonna, map_from_dict, map_to_dict, random_bounded_map,
-                         save_map, sup_bound_l1)
+from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, MapFormatError,
+                         PolydiskAutomorphism, QuadratureSpec, SeriesMap, derivative_exact,
+                         extract_coefficient, jacobian_pair, load_map, map_from_dict,
+                         map_to_dict, random_bounded_map, save_map, sup_bound_l1)
 
 FOUR_OVER_PI = 4.0 / math.pi
 
 
 def test_evaluate_monomial():
     f = SeriesMap(2, 1, {(1, 1): [1.0]})
-    assert evaluate(f, [0.5, 0.5])[0] == pytest.approx(0.25)
+    assert f([0.5, 0.5])[0] == pytest.approx(0.25)
 
 
 def test_evaluate_mixed_series():
     f = SeriesMap(2, 1, {(2, 0): [0.3]}, {(0, 1): [0.2]})
     # hand complex arithmetic: 0.3*(0.5i)^2 + 0.2*conj(0.4)
-    assert evaluate(f, [0.5j, 0.4])[0] == pytest.approx(0.005)
+    assert f([0.5j, 0.4])[0] == pytest.approx(0.005)
 
 
 def test_evaluate_colonna_closed_form():
-    f = make_extremal_colonna(1, 0, 1)
+    f = ColonnaMap(1, 0, 1)
     # (2/pi)*arg((1+0.5i)/(1-0.5i)) = (4/pi)*arctan(0.5)
-    assert evaluate(f, [0.5j])[0].real == pytest.approx(0.5903344706, abs=1e-9)
-    assert evaluate(f, [0.5j])[0].imag == pytest.approx(0.0, abs=1e-15)
+    assert f([0.5j])[0].real == pytest.approx(0.5903344706, abs=1e-9)
+    assert f([0.5j])[0].imag == pytest.approx(0.0, abs=1e-15)
 
 
 def test_evaluate_rejects_boundary_and_dimension():
     f = SeriesMap(2, 1, {(1, 0): [1.0]})
     with pytest.raises(ValueError):
-        evaluate(f, [1.0, 0.0])
+        f([1.0, 0.0])
     with pytest.raises(ValueError):
-        evaluate(f, [0.5])
+        f([0.5])
 
 
 def test_derivative_exact_examples():
@@ -53,7 +52,7 @@ def test_derivative_exact_examples():
 
 def test_derivative_exact_colonna_series_first_order():
     # h = g = -(i/pi) log((1+z)/(1-z)), so h'(0) = -2i/pi on both sides.
-    f = make_extremal_colonna(1, 0, 1).to_series(32)
+    f = ColonnaMap(1, 0, 1).to_series(32)
     A, B = derivative_exact(f, [0.0], (1,))
     assert abs(A[0]) == pytest.approx(2.0 / math.pi, abs=1e-10)
     assert abs(B[0]) == pytest.approx(2.0 / math.pi, abs=1e-10)
@@ -66,7 +65,7 @@ def test_derivative_exact_zero_order_reproduces_evaluate():
     for _ in range(10):
         z = 0.7 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) / math.sqrt(2)
         A, B = derivative_exact(f, z, (0, 0))
-        assert A[0] + B[0] == pytest.approx(evaluate(f, z)[0], abs=1e-14)
+        assert A[0] + B[0] == pytest.approx(f(z)[0], abs=1e-14)
 
 
 def test_derivative_exact_finite_differences():
@@ -81,8 +80,8 @@ def test_derivative_exact_finite_differences():
             e = np.zeros(2, complex)
             e[j] = 1.0
             # Wirtinger: df/dz = (d/dx - i d/dy)/2, df/dzbar = (d/dx + i d/dy)/2
-            fx = (evaluate(f, z + h * e) - evaluate(f, z - h * e)) / (2 * h)
-            fy = (evaluate(f, z + 1j * h * e) - evaluate(f, z - 1j * h * e)) / (2 * h)
+            fx = (f(z + h * e) - f(z - h * e)) / (2 * h)
+            fy = (f(z + 1j * h * e) - f(z - 1j * h * e)) / (2 * h)
             np.testing.assert_allclose(A, (fx - 1j * fy) / 2, rtol=1e-6, atol=1e-8)
             np.testing.assert_allclose(B, (fx + 1j * fy) / 2, rtol=1e-6, atol=1e-8)
 
@@ -101,22 +100,22 @@ def test_jacobian_pair_examples():
 
 
 def test_jacobian_pair_colonna_moduli():
-    jp = jacobian_pair(make_extremal_colonna(1, 0, 1), [0.0])
+    jp = jacobian_pair(ColonnaMap(1, 0, 1), [0.0])
     assert abs(jp.d[0, 0]) == pytest.approx(2.0 / math.pi, abs=1e-10)
     assert abs(jp.dbar[0, 0]) == pytest.approx(2.0 / math.pi, abs=1e-10)
 
 
 def test_colonna_parameter_validation():
     with pytest.raises(ValueError):
-        make_extremal_colonna(1.1, 0, 1)
+        ColonnaMap(1.1, 0, 1)
     with pytest.raises(ValueError):
-        make_extremal_colonna(1, 1.0, 1)
+        ColonnaMap(1, 1.0, 1)
     with pytest.raises(ValueError):
-        make_extremal_colonna(1, 0, 0.5)
+        ColonnaMap(1, 0, 0.5)
 
 
 def test_colonna_real_valued_and_bounded():
-    f = make_extremal_colonna(1, 0.3 + 0.2j, np.exp(0.7j))
+    f = ColonnaMap(1, 0.3 + 0.2j, np.exp(0.7j))
     rng = np.random.default_rng(2)
     z = 0.999 * rng.uniform(0, 1, 1000) * np.exp(2j * np.pi * rng.uniform(0, 1, 1000))
     vals = f.eval_points(z[:, None])[:, 0]
@@ -125,7 +124,7 @@ def test_colonna_real_valued_and_bounded():
 
 
 def test_colonna_sup_approaches_one():
-    f = make_extremal_colonna(1, 0, 1)
+    f = ColonnaMap(1, 0, 1)
     t = np.linspace(0.9, 1 - 1e-9, 50)
     vals = np.abs(f.eval_points((1j * t)[:, None])[:, 0])
     assert vals[-1] > 1 - 1e-8
@@ -134,24 +133,24 @@ def test_colonna_sup_approaches_one():
 
 def test_compose_identity():
     f = random_bounded_map(2, 1, 3, seed=1)
-    T = compose_with_automorphism(f, PolydiskAutomorphism([0.0, 0.0]))
+    T = ComposedMap(PolydiskAutomorphism([0.0, 0.0]), f)
     rng = np.random.default_rng(4)
     for _ in range(20):
         z = 0.8 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) / math.sqrt(2)
-        assert abs(evaluate(T, z)[0] - evaluate(f, z)[0]) < 1e-14
+        assert abs(T(z)[0] - f(z)[0]) < 1e-14
 
 
 def test_compose_center_is_image_of_origin():
     f = random_bounded_map(2, 1, 3, seed=8)
     phi = PolydiskAutomorphism([0.3 - 0.1j, 0.2j], [1.0, np.exp(0.5j)])
-    T = compose_with_automorphism(f, phi)
-    np.testing.assert_allclose(evaluate(T, [0, 0]), evaluate(f, phi.center), atol=1e-15)
+    T = ComposedMap(phi, f)
+    np.testing.assert_allclose(T([0, 0]), f(phi.center), atol=1e-15)
 
 
 def test_compose_coefficients_geometric_expansion():
     # f(zeta) = zeta composed with center 0.5: (0.5+zeta)/(1+0.5 zeta)
     f = SeriesMap(1, 1, {(1,): [1.0]})
-    T = compose_with_automorphism(f, PolydiskAutomorphism([0.5]))
+    T = ComposedMap(PolydiskAutomorphism([0.5]), f)
     spec = QuadratureSpec(64, (0.5,))
     expected = {(1,): 0.75, (2,): -0.375}
     for k, c in expected.items():
@@ -163,11 +162,11 @@ def test_compose_coefficients_geometric_expansion():
 def test_compose_pointwise_equals_evaluate_after_phi():
     f = random_bounded_map(3, 2, 3, seed=21)
     phi = PolydiskAutomorphism([0.4, -0.2j, 0.1 + 0.3j])
-    T = compose_with_automorphism(f, phi)
+    T = ComposedMap(phi, f)
     rng = np.random.default_rng(17)
     for _ in range(20):
         z = 0.8 * (rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)) / math.sqrt(2)
-        np.testing.assert_allclose(evaluate(T, z), evaluate(f, phi(z)), atol=1e-13)
+        np.testing.assert_allclose(T(z), f(phi(z)), atol=1e-13)
 
 
 def test_automorphism_derivative_at_zero():
@@ -195,7 +194,7 @@ def test_random_bounded_map_contract():
     for k in g1.holo:
         np.testing.assert_array_equal(g1.holo[k], g2.holo[k])
     const = random_bounded_map(2, 1, 0, seed=3, margin=0.1)
-    assert abs(evaluate(const, [0, 0])[0]) <= 0.9
+    assert abs(const([0, 0])[0]) <= 0.9
 
 
 def test_serialization_roundtrip(tmp_path):
@@ -207,7 +206,7 @@ def test_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
     for _ in range(10):
         z = 0.7 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) / math.sqrt(2)
-        np.testing.assert_allclose(evaluate(g, z), evaluate(f, z), atol=1e-15)
+        np.testing.assert_allclose(g(z), f(z), atol=1e-15)
 
 
 def test_serialization_json_shape():
@@ -232,9 +231,20 @@ def test_malformed_map_errors_name_term():
                                                  {"k": [1], "b": [[0.1, 0]]}]})
 
 
+def test_unsound_certificates_and_coefficients_are_rejected():
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(MapFormatError, match="certified_sup"):
+            SeriesMap(1, 1, {(1,): [0.5]}, certified_sup=bad)
+        with pytest.raises(MapFormatError, match="certified_sup"):
+            map_from_dict({"n": 1, "N": 1, "terms": [], "certified_sup": bad})
+    for pair in ([math.nan, 0.0], [0.0, math.inf]):
+        with pytest.raises(MapFormatError, match="term 0.*finite"):
+            map_from_dict({"n": 1, "N": 1, "terms": [{"k": [1], "b": [pair]}]})
+
+
 def test_composed_map_not_serializable():
     f = random_bounded_map(1, 1, 2, seed=0)
-    T = compose_with_automorphism(f, PolydiskAutomorphism([0.2]))
+    T = ComposedMap(PolydiskAutomorphism([0.2]), f)
     with pytest.raises(MapFormatError):
         map_to_dict(T)
 
@@ -268,7 +278,7 @@ def test_eval_grid_matches_meshgrid_series_and_composed(n, N):
     _assert_grid_matches(f, axes)
     c = 0.5 * rng.uniform(0, 1, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
     rot = np.exp(2j * np.pi * rng.uniform(0, 1, n))
-    _assert_grid_matches(compose_with_automorphism(f, PolydiskAutomorphism(c, rot)), axes)
+    _assert_grid_matches(ComposedMap(PolydiskAutomorphism(c, rot), f), axes)
 
 
 def test_eval_grid_partial_sparse_and_empty_tables():
@@ -285,10 +295,10 @@ def test_eval_grid_partial_sparse_and_empty_tables():
 def test_eval_grid_fallback_closed_forms():
     rng = np.random.default_rng(3)
     axes = _axes(rng, (9,))
-    for f in (make_extremal_colonna(1, 0.3 + 0.2j, np.exp(0.7j)),
+    for f in (ColonnaMap(1, 0.3 + 0.2j, np.exp(0.7j)),
               BlaschkeProduct([0.3, -0.2 + 0.4j], np.exp(0.2j))):
         _assert_grid_matches(f, axes)
-        _assert_grid_matches(compose_with_automorphism(f, PolydiskAutomorphism([0.4j])), axes)
+        _assert_grid_matches(ComposedMap(PolydiskAutomorphism([0.4j]), f), axes)
 
 
 def test_eval_grid_rejects_wrong_axes():

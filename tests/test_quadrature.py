@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from polyschwarz import (QuadratureSpec, SeriesMap, abs_cos_integral, cauchy_derivative,
-                         compose_with_automorphism, derivative_exact, extract_coefficient,
-                         extract_coefficients, make_extremal_colonna, random_bounded_map,
-                         sup_bound_l1, torus_trapezoid, PolydiskAutomorphism)
+from polyschwarz import (ColonnaMap, ComposedMap, QuadratureSpec, SeriesMap, abs_cos_integral,
+                         cauchy_derivative, derivative_exact, extract_coefficient,
+                         extract_coefficients, jacobian_pair, random_bounded_map, sup_bound_l1,
+                         torus_trapezoid, PolydiskAutomorphism)
 from polyschwarz.multiindex import degree as mi_degree, enumerate_indices
 
 
@@ -50,6 +50,12 @@ def test_abs_cos_integral_rejects_m_zero():
         abs_cos_integral(0, 0.3)
 
 
+def test_abs_cos_integral_rejects_no_nodes():
+    for nodes in (0, -4):
+        with pytest.raises(ValueError, match="nodes"):
+            abs_cos_integral(1, 0.3, nodes=nodes)
+
+
 def test_extract_simple_series():
     f = SeriesMap(2, 1, {(2, 0): [0.3]}, {(0, 1): [0.2]})
     spec = QuadratureSpec(32, (0.5, 0.5))
@@ -62,7 +68,7 @@ def test_extract_simple_series():
 
 
 def test_extract_colonna_first_coefficient():
-    f = make_extremal_colonna(1, 0, 1).to_series(32)
+    f = ColonnaMap(1, 0, 1).to_series(32)
     a, b = extract_coefficient(f, (1,), QuadratureSpec(128, (0.5,)))
     assert abs(a[0]) + abs(b[0]) == pytest.approx(4.0 / math.pi, abs=1e-8)
 
@@ -134,7 +140,7 @@ def test_cauchy_radius_independence():
 def test_cauchy_works_on_composed_maps():
     f = random_bounded_map(2, 1, 3, seed=2)
     phi = PolydiskAutomorphism([0.3, -0.2j])
-    T = compose_with_automorphism(f, phi)
+    T = ComposedMap(phi, f)
     # chain rule at 0 for first-order derivatives: D(f o phi)(0) = Df(phi(0)) Dphi(0)
     A, B = cauchy_derivative(T, [0.0, 0.0], (1, 0), QuadratureSpec(256, (0.7,)))
     Afz, _ = derivative_exact(f, phi.center, (1, 0))
@@ -157,13 +163,37 @@ def test_default_contour_radius_rule():
     assert A1[0] == pytest.approx(A2[0], abs=1e-9)
 
 
+def _count_grid_builds(mapping) -> list:
+    builds = []
+    grid = mapping.eval_grid
+    mapping.eval_grid = lambda axes: builds.append(axes) or grid(axes)
+    return builds
+
+
+def test_sample_cache_holds_only_the_latest_keys():
+    f = random_bounded_map(2, 1, 4, seed=3)
+    builds = _count_grid_builds(f)
+    ts = np.linspace(0.0, 0.85, 10)
+    for t in ts:
+        for alpha in ((1, 1), (3, 1)):  # consecutive orders at one point share a sample
+            cauchy_derivative(f, [t, 0.3j * t], alpha)
+    assert len(builds) == len(ts)
+    radii = [min(0.95, (t + 1.0) / 2.0) for t in ts[-2:]]
+    assert list(f._quad_cache) == [((r, r), 512) for r in radii]
+    # the n first-order derivatives of a Jacobian share one sample too
+    T = ComposedMap(PolydiskAutomorphism([0.2, 0.1j]), f)
+    builds = _count_grid_builds(T)
+    jacobian_pair(T, [0.3, -0.2j])
+    assert len(builds) == 1 and len(T._quad_cache) == 1
+
+
 def test_sup_bound_l1():
     f = SeriesMap(2, 1, {(1, 0): [0.6]}, {(0, 1): [0.3]})
     assert sup_bound_l1(f) == pytest.approx(0.9)
     const = SeriesMap(1, 1, {(0,): [0.25j]})
     assert sup_bound_l1(const) == pytest.approx(0.25)
     assert sup_bound_l1(random_bounded_map(2, 1, 3, seed=1, margin=0.05)) <= 0.95 + 1e-12
-    T = compose_with_automorphism(f, PolydiskAutomorphism([0.1, 0.1]))
+    T = ComposedMap(PolydiskAutomorphism([0.1, 0.1]), f)
     with pytest.raises(ValueError):
         sup_bound_l1(T)
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from polyschwarz import (JacobianPair, SeriesMap, direction_max, jacobian_pair,
-                         make_extremal_colonna, random_bounded_map, reevaluate,
+from polyschwarz import (ColonnaMap, JacobianPair, SeriesMap, direction_max, jacobian_pair,
+                         random_bounded_map, reevaluate,
                          sharpness_ratio, sharpness_search)
 from polyschwarz.search import FAMILIES, golden_max
 
@@ -76,9 +76,9 @@ def test_sharpness_ratio_examples():
     assert sharpness_ratio(half, [0.0], (1,)) == pytest.approx(0.5 * math.pi / 4.0, abs=1e-12)
     assert sharpness_ratio(half, [0.0], (1,)) == pytest.approx(0.3926990816987241, abs=1e-12)
     # planar extremal attains the bound at the origin, on both evaluation paths
-    series = make_extremal_colonna(1, 0, 1).to_series(40)
+    series = ColonnaMap(1, 0, 1).to_series(40)
     assert sharpness_ratio(series, [0.0], (1,)) == pytest.approx(1.0, abs=1e-9)
-    closed = make_extremal_colonna(1, 0, 1)
+    closed = ColonnaMap(1, 0, 1)
     assert sharpness_ratio(closed, [0.0], (1,)) == pytest.approx(1.0, abs=1e-7)
 
 
@@ -136,7 +136,7 @@ def test_reevaluate_reproduces_ratio():
 def test_gradient_ratio_extremal_along_imaginary_axis():
     # adapted extremal keeps the first-order ratio at 1 away from the origin
     for t in (0.0, 0.3, 0.6, 0.9):
-        f = make_extremal_colonna(1, 1j * t, 1)
+        f = ColonnaMap(1, 1j * t, 1)
         assert sharpness_ratio(f, [1j * t], (1,)) == pytest.approx(1.0, abs=1e-6)
 
 
