@@ -9,10 +9,10 @@ from .mapping import (BlaschkeProduct, ColonnaMap, ComposedMap, MapFormatError,
 from .quadrature import (QuadratureSpec, abs_cos_integral, cauchy_derivative,
                          extract_coefficient, extract_coefficients, torus_trapezoid)
 from .bounds import (BoundReport, HypothesisError, JacobianPair, certified_sup_bound,
-                     direction_max, jacobian_pair, make_report, require_certified, rhs_colonna,
-                     rhs_gradient, rhs_growth, rhs_polydisk, rhs_ruscheweyh, rhs_szasz,
-                     verify_coefficient_bound, verify_derivative_bound,
-                     verify_gradient_bound, verify_growth_bound,
+                     direction_max, direction_upper, jacobian_pair, make_report,
+                     require_certified, rhs_colonna, rhs_gradient, rhs_growth, rhs_polydisk,
+                     rhs_ruscheweyh, rhs_szasz, verify_coefficient_bound,
+                     verify_derivative_bound, verify_gradient_bound, verify_growth_bound,
                      verify_homogeneous_bound, verify_l2_bound)
 from .search import SharpnessResult, reevaluate, sharpness_ratio, sharpness_search
 

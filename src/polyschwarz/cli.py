@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -43,16 +44,11 @@ def _z_grid(n: int, points: int, cap: float):
     return flat.astype(complex)
 
 
-def _make_spec(args) -> quadrature.QuadratureSpec | None:
-    nodes, radius = args.nodes, args.radius
-    if nodes is None and radius is None:
-        return None
-    kwargs = {}
-    if nodes is not None:
-        kwargs["nodes_per_dim"] = nodes
-    if radius is not None:
-        kwargs["radii"] = (radius,)
-    return quadrature.QuadratureSpec(**kwargs)
+def _make_spec(args) -> quadrature.QuadratureSpec:
+    """The --nodes and --radius overrides; an omitted one keeps the default
+    of the operation that uses the spec."""
+    radii = None if args.radius is None else (args.radius,)
+    return quadrature.QuadratureSpec(args.nodes, radii)
 
 
 def _write_reports(reports, out_path, csv_path=None) -> None:
@@ -81,11 +77,25 @@ def _exit_for(reports) -> int:
 # Subcommand handlers.
 # ---------------------------------------------------------------------------
 
+def _summary(reports, seconds: float) -> str:
+    failed = sum(not r.passed for r in reports)
+    undecided = sum("upper" in r.params and r.params["upper"] is None for r in reports)
+    line = f"summary: {len(reports)} checks, {failed} failed, {undecided} undecided"
+    if reports:
+        worst = min(reports, key=lambda r: r.margin)
+        z = ", ".join(f"{complex(re, im):.6g}" for re, im in worst.params["z"])
+        line += f", worst margin {worst.margin:.6g} at z = ({z})"
+    return line + f", {seconds:.3f} s"
+
+
 def _sweep(args, check) -> int:
-    """Run check(mapping, z) at every point of the z grid and write the reports."""
+    """Run check(mapping, z) at every point of the z grid, write the reports
+    and end with a one-line summary on stderr."""
+    start = time.perf_counter()
     mapping = load_map(args.map)
     reports = [check(mapping, z) for z in _z_grid(mapping.n, args.grid, args.radius_cap)]
     _write_reports(reports, args.out, args.csv)
+    print(_summary(reports, time.perf_counter() - start), file=sys.stderr)
     return _exit_for(reports)
 
 
@@ -96,8 +106,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gradient(args) -> int:
-    return _sweep(args, lambda mapping, z: bounds.verify_gradient_bound(
-        mapping, z, direction_samples=args.samples, tol=args.tol))
+    return _sweep(args, lambda mapping, z: bounds.verify_gradient_bound(mapping, z, tol=args.tol))
 
 
 def cmd_growth(args) -> int:
@@ -194,7 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradient", parents=[tol, out, grid],
                        help="directional gradient bound on a z grid")
     p.add_argument("--map", required=True)
-    p.add_argument("--samples", type=int, default=512)
     p.set_defaults(func=cmd_gradient)
 
     p = sub.add_parser("growth", parents=[tol, out, grid],

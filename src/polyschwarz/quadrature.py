@@ -17,6 +17,7 @@ from .multiindex import as_index, degree as mi_degree, enumerate_indices, factor
 from .mapping import PluriharmonicMap, check_point
 
 DEFAULT_EXTRACTION_RADIUS = 0.5
+DEFAULT_EXTRACTION_NODES = 64
 DEFAULT_CAUCHY_NODES = 512
 # Largest torus sample (nodes**n * N complex values) a quadrature may build.
 # Series evaluation holds two such arrays at once and the FFT table a third,
@@ -30,13 +31,17 @@ QUAD_CACHE_ENTRIES = 2
 class QuadratureSpec:
     """Node count per dimension and contour/evaluation radii.
 
-    radii may be None, meaning each operation picks its documented default.
+    Either may be None, meaning each operation picks its documented default:
+    DEFAULT_EXTRACTION_NODES and DEFAULT_EXTRACTION_RADIUS for coefficient
+    extraction, DEFAULT_CAUCHY_NODES and a radius between ||z||_inf and 1
+    for Cauchy derivatives.
     """
 
-    def __init__(self, nodes_per_dim: int = 64, radii=None):
-        nodes_per_dim = int(nodes_per_dim)
-        if nodes_per_dim < 8:
-            raise ValueError("nodes_per_dim must be >= 8")
+    def __init__(self, nodes_per_dim: int | None = None, radii=None):
+        if nodes_per_dim is not None:
+            nodes_per_dim = int(nodes_per_dim)
+            if nodes_per_dim < 8:
+                raise ValueError("nodes_per_dim must be >= 8")
         self.nodes_per_dim = nodes_per_dim
         if radii is None:
             self.radii = None
@@ -45,6 +50,9 @@ class QuadratureSpec:
             if any(not 0.0 < r < 1.0 for r in rr):
                 raise ValueError("all radii must lie strictly in (0, 1)")
             self.radii = rr
+
+    def resolve_nodes(self, default: int) -> int:
+        return default if self.nodes_per_dim is None else self.nodes_per_dim
 
     def resolve_radii(self, n: int, default: float):
         if self.radii is None:
@@ -144,12 +152,12 @@ def _read_coefficient(F: np.ndarray, k, radii, nodes: int):
     return a, b
 
 
-def _check_extraction_spec(mapping, k, spec):
-    if any(2 * kj >= spec.nodes_per_dim for kj in k):
-        raise ValueError(f"nodes_per_dim={spec.nodes_per_dim} cannot resolve index {k}")
-    if mapping.is_series and spec.nodes_per_dim <= 2 * mapping.degree:
+def _check_extraction_nodes(mapping, k, nodes: int):
+    if any(2 * kj >= nodes for kj in k):
+        raise ValueError(f"nodes_per_dim={nodes} cannot resolve index {k}")
+    if mapping.is_series and nodes <= 2 * mapping.degree:
         warnings.warn(
-            f"node count {spec.nodes_per_dim} is at or below Nyquist for series degree "
+            f"node count {nodes} is at or below Nyquist for series degree "
             f"{mapping.degree}; extracted coefficients will alias",
             RuntimeWarning,
         )
@@ -169,12 +177,13 @@ def extract_coefficient(mapping: PluriharmonicMap, k, spec: QuadratureSpec | Non
         raise ValueError(f"index length {len(k)} != map dimension {mapping.n}")
     spec = spec or QuadratureSpec()
     radii = spec.resolve_radii(mapping.n, DEFAULT_EXTRACTION_RADIUS)
-    _check_extraction_spec(mapping, k, spec)
+    nodes = spec.resolve_nodes(DEFAULT_EXTRACTION_NODES)
+    _check_extraction_nodes(mapping, k, nodes)
     if mi_degree(k) == 0:
         warnings.warn("k = 0: the a_0/b_0 split is not observable; reporting the mean as a_0",
                       RuntimeWarning)
-    F = _fourier_table(mapping, radii, spec.nodes_per_dim)
-    return _read_coefficient(F, k, radii, spec.nodes_per_dim)
+    F = _fourier_table(mapping, radii, nodes)
+    return _read_coefficient(F, k, radii, nodes)
 
 
 def extract_coefficients(mapping: PluriharmonicMap, max_degree: int,
@@ -182,11 +191,12 @@ def extract_coefficients(mapping: PluriharmonicMap, max_degree: int,
     """All coefficient pairs with 1 <= |k| <= max_degree from a single FFT."""
     spec = spec or QuadratureSpec()
     radii = spec.resolve_radii(mapping.n, DEFAULT_EXTRACTION_RADIUS)
+    nodes = spec.resolve_nodes(DEFAULT_EXTRACTION_NODES)
     indices = [k for k in enumerate_indices(mapping.n, max_degree) if mi_degree(k) >= 1]
     if indices:
-        _check_extraction_spec(mapping, max(indices, key=mi_degree), spec)
-    F = _fourier_table(mapping, radii, spec.nodes_per_dim)
-    return {k: _read_coefficient(F, k, radii, spec.nodes_per_dim) for k in indices}
+        _check_extraction_nodes(mapping, max(indices, key=mi_degree), nodes)
+    F = _fourier_table(mapping, radii, nodes)
+    return {k: _read_coefficient(F, k, radii, nodes) for k in indices}
 
 
 def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec: QuadratureSpec | None = None):
@@ -207,11 +217,11 @@ def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec: QuadratureSpec 
                          "is not recoverable from point values")
     z = check_point(z, mapping.n)
     z_inf = float(np.max(np.abs(z)))
-    spec = spec or QuadratureSpec(nodes_per_dim=DEFAULT_CAUCHY_NODES)
+    spec = spec or QuadratureSpec()
     radii = spec.resolve_radii(mapping.n, min(0.95, (z_inf + 1.0) / 2.0))
     if min(radii) <= z_inf:
         raise ValueError(f"contour radius {min(radii)} must exceed ||z||_inf = {z_inf}")
-    M = spec.nodes_per_dim
+    M = spec.resolve_nodes(DEFAULT_CAUCHY_NODES)
     vals = _torus_samples(mapping, radii, M)
 
     theta = 2.0 * np.pi * np.arange(M) / M

@@ -19,11 +19,12 @@ from .mapping import (ColonnaMap, PluriharmonicMap, SeriesMap, from_pairs, rando
                       sup_bound_l1, to_pairs)
 from .quadrature import QuadratureSpec
 # direction_max stays bound here as well: perfbench/tracer.py wraps it as search.direction_max.
-from .bounds import direction_max, golden_max, verify_derivative_bound  # noqa: F401
+from .bounds import direction_max, verify_derivative_bound  # noqa: F401
 
 Z_SEARCH_CAP = 0.9       # quadrature degrades near the boundary
 A_SEARCH_CAP = 0.85
 TENSOR_FACTOR_DEGREE = 16
+INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 FAMILIES = ("colonna_tensor", "random_series")
 
@@ -96,6 +97,33 @@ def reevaluate(result: SharpnessResult) -> float:
     """Rebuild the map from the stored parameters and recompute the ratio."""
     mapping = _build_family_map(result.family, len(result.alpha), result.family_params)
     return sharpness_ratio(mapping, from_pairs(result.z), result.alpha)
+
+
+def golden_max(f, lo: float, hi: float, iters: int = 20):
+    """Golden-section maximization on [lo, hi] with a fixed probe count.
+
+    Returns the best probed (x, f(x)); the fixed iteration count keeps the
+    number of objective evaluations deterministic.
+    """
+    a, b = float(lo), float(hi)
+    c = b - INV_GOLDEN * (b - a)
+    d = a + INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - INV_GOLDEN * (b - a)
+            fc = f(c)
+            x, fx = c, fc
+        else:
+            a, c, fc = c, d, fd
+            d = a + INV_GOLDEN * (b - a)
+            fd = f(d)
+            x, fx = d, fd
+        if fx > best_f:
+            best_x, best_f = x, fx
+    return best_x, best_f
 
 
 class _BudgetExhausted(Exception):

@@ -9,8 +9,9 @@ import pytest
 
 from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, PolydiskAutomorphism,
                          QuadratureSpec, SeriesMap, abs_cos_integral, cauchy_derivative,
-                         derivative_exact, direction_max, extract_coefficients, jacobian_pair,
-                         random_bounded_map, rhs_colonna, rhs_gradient, rhs_growth,
+                         derivative_exact, direction_max, direction_upper,
+                         extract_coefficients, jacobian_pair, random_bounded_map, rhs_colonna,
+                         rhs_gradient, rhs_growth,
                          rhs_polydisk, rhs_ruscheweyh, rhs_szasz, sharpness_ratio,
                          sharpness_search, verify_growth_bound)
 from polyschwarz.multiindex import degree as mi_degree, enumerate_indices
@@ -166,6 +167,7 @@ def test_criterion_07_directional_gradient_bound(capsys):
     rng = np.random.default_rng(707)
     worst = -math.inf
     worst_bf = 0.0
+    uncertified = 0
     th = np.exp(1j * 2 * np.pi * np.arange(360) / 360)
     for seed in range(100):
         n = 1 + seed % 3
@@ -175,7 +177,10 @@ def test_criterion_07_directional_gradient_bound(capsys):
             z = _random_z(rng, n)
             jp = jacobian_pair(f, z)
             _, v = direction_max(jp)
-            worst = max(worst, v - rhs_gradient(float(np.max(np.abs(z)))))
+            rhs = rhs_gradient(float(np.max(np.abs(z))))
+            worst = max(worst, v - rhs)
+            upper, _ = direction_upper(jp, rhs + 1e-9)
+            uncertified += upper is None or not v <= upper <= rhs + 1e-9
             if n <= 2 and rep < 2:
                 d = np.atleast_2d(jp.d)
                 db = np.atleast_2d(jp.dbar)
@@ -187,9 +192,10 @@ def test_criterion_07_directional_gradient_bound(capsys):
                             + d[:, 1, None, None] * T2 + db[:, 1, None, None] * np.conj(T2))
                 bf = float(np.max(np.sqrt(np.sum(np.abs(vals) ** 2, axis=0))))
                 worst_bf = max(worst_bf, abs(v - bf))
-    ok = worst <= 1e-7 and worst_bf <= 1e-3
+    ok = worst <= 1e-7 and worst_bf <= 1e-3 and uncertified == 0
     _report(capsys, "07 directional gradient bound", ok,
-            f"max excess = {worst:.2e}, brute-force gap = {worst_bf:.2e}",
+            f"max excess = {worst:.2e}, brute-force gap = {worst_bf:.2e}, "
+            f"uncertified = {uncertified}",
             time.perf_counter() - start, 120.0)
 
 

@@ -82,8 +82,7 @@ def test_extremal_coeffs_pipeline(tmp_path):
 
 def test_gradient_and_growth_commands(tmp_path):
     path = _write_random(tmp_path, n=2, seed=3)
-    assert main(["gradient", "--map", str(path), "--grid", "2",
-                 "--samples", "64"]) == 0
+    assert main(["gradient", "--map", str(path), "--grid", "2"]) == 0
     # growth requires f(0) = 0; a zero-constant map passes
     zeromap = tmp_path / "zero.json"
     save_map(SeriesMap(1, 1, {(1,): [0.4]}, {(2,): [0.2]}), zeromap)
@@ -92,6 +91,59 @@ def test_gradient_and_growth_commands(tmp_path):
     shifted = tmp_path / "shifted.json"
     save_map(SeriesMap(1, 1, {(0,): [0.2], (1,): [0.3]}), shifted)
     assert main(["growth", "--map", str(shifted), "--grid", "3"]) == 2
+
+
+def test_gradient_rejects_the_removed_samples_flag(tmp_path, capsys):
+    path = _write_random(tmp_path, n=2, seed=3)
+    assert main(["gradient", "--map", str(path), "--grid", "2", "--samples", "64"]) == 2
+    assert "unrecognized arguments: --samples" in capsys.readouterr().err
+
+
+def test_gradient_reports_a_certified_upper_value(tmp_path, capsys):
+    path = _write_random(tmp_path, n=3, seed=5)
+    out_path = tmp_path / "gradient.jsonl"
+    assert main(["gradient", "--map", str(path), "--grid", "2", "--out", str(out_path)]) == 0
+    recs = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert len(recs) == 8
+    for r in recs:
+        assert r["pass"] and r["lhs"] <= r["params"]["upper"] <= r["rhs"] + r["tol"]
+        # far from equality the sum of the column maxima decides without boxes
+        assert r["params"]["boxes"] == 0
+    summary = capsys.readouterr().err.strip().splitlines()[-1]
+    assert summary.startswith("summary: 8 checks, 0 failed, 0 undecided, worst margin ")
+    assert summary.endswith(" s")
+
+
+def test_sweep_summary_names_failures_and_the_worst_point(tmp_path, capsys):
+    path = _write_random(tmp_path, n=1, seed=2)
+    capsys.readouterr()
+    assert main(["verify", "--map", str(path), "--alpha", "1", "--grid", "3",
+                 "--tol", "-10"]) == 1
+    captured = capsys.readouterr()
+    reports = [json.loads(line) for line in captured.out.splitlines()]
+    worst = min(reports, key=lambda r: r["margin"])
+    summary = captured.err.strip()
+    assert summary.startswith("summary: 3 checks, 3 failed, 0 undecided, ")
+    z = complex(*worst["params"]["z"][0])
+    assert f"worst margin {worst['margin']:.6g} at z = ({z:.6g})," in summary
+
+
+def test_cauchy_radius_alone_keeps_the_default_node_count(tmp_path):
+    # --radius without --nodes once fell back to a 64-node spec: lhs 17730 vs 0.2468.
+    # Points stop at 0.8: nearer the contour the 512-node default itself is off by
+    # more than tol (the near-boundary error of the Cauchy defaults).
+    path = _write_random(tmp_path, n=2, degree=4, seed=3)
+    lhs = {}
+    for method in ("cauchy", "exact"):
+        out_path = tmp_path / f"{method}.jsonl"
+        extra = ["--radius", "0.95"] if method == "cauchy" else []
+        assert main(["verify", "--map", str(path), "--alpha", "3,1", "--grid", "2",
+                     "--radius-cap", "0.8", "--method", method, "--out", str(out_path),
+                     *extra]) == 0
+        lhs[method] = [json.loads(line) for line in out_path.read_text().splitlines()]
+    for c, e in zip(lhs["cauchy"], lhs["exact"]):
+        assert c["params"]["z"] == e["params"]["z"]
+        assert abs(c["lhs"] - e["lhs"]) <= c["tol"]
 
 
 def test_uncertified_map_is_refused(tmp_path, capsys):

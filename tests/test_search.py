@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from polyschwarz import (ColonnaMap, JacobianPair, SeriesMap, direction_max, jacobian_pair,
-                         random_bounded_map, reevaluate,
-                         sharpness_ratio, sharpness_search)
+from polyschwarz import (ColonnaMap, JacobianPair, SeriesMap, direction_max, direction_upper,
+                         jacobian_pair, make_report, random_bounded_map, reevaluate,
+                         sharpness_ratio, sharpness_search, verify_gradient_bound)
 from polyschwarz.search import FAMILIES, golden_max
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -69,6 +69,94 @@ def test_direction_max_reparameterization_invariance():
 def test_direction_max_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         direction_max(JacobianPair(np.zeros((1, 2)), np.zeros((2, 2))))
+
+
+def _random_jacobian(rng, N, n):
+    return JacobianPair(rng.normal(size=(N, n)) + 1j * rng.normal(size=(N, n)),
+                        rng.normal(size=(N, n)) + 1j * rng.normal(size=(N, n)))
+
+
+def test_direction_max_closed_form_for_one_column_is_exact():
+    rng = np.random.default_rng(11)
+    phi = 2 * np.pi * np.arange(200000) / 200000
+    for N in (1, 2, 3):
+        jp = _random_jacobian(rng, N, 1)
+        d, dbar = jp.d[:, 0], jp.dbar[:, 0]
+        closed = math.sqrt(np.linalg.norm(d) ** 2 + np.linalg.norm(dbar) ** 2
+                           + 2 * abs(np.vdot(dbar, d)))
+        theta, v = direction_max(jp)
+        assert v == pytest.approx(closed, rel=1e-14)
+        attained = np.linalg.norm(d * theta[0] + dbar * np.conj(theta[0]))
+        assert attained == pytest.approx(v, rel=1e-15)
+        dense = np.linalg.norm(np.outer(np.exp(1j * phi), d)
+                               + np.outer(np.exp(-1j * phi), dbar), axis=1).max()
+        assert dense <= closed * (1 + 1e-14)
+        assert dense == pytest.approx(closed, rel=1e-9)
+        upper, boxes = direction_upper(jp, 0.0)
+        assert upper >= v and upper == pytest.approx(closed, rel=1e-14) and boxes == 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_direction_upper_is_sound_and_decides(n, N):
+    rng = np.random.default_rng(100 * n + N)
+    # first-order boxes need about 8x more per halving at n = 3, so its gap is wider
+    for _ in range(4):
+        jp = _random_jacobian(rng, N, n)
+        _, v = direction_max(jp)
+        for factor in ((1.02, 1.5) if n == 2 else (1.1, 1.5)):
+            upper, boxes = direction_upper(jp, factor * v)
+            assert upper is not None and (boxes == 0 or boxes >= 4 ** n)
+            assert v <= upper <= factor * v
+            if n == 2:
+                assert upper >= _brute_force_direction_max(jp.d, jp.dbar)
+
+
+def test_direction_upper_below_the_attained_value_fails():
+    rng = np.random.default_rng(21)
+    for n in (2, 3):
+        jp = _random_jacobian(rng, 2, n)
+        _, v = direction_max(jp)
+        upper, boxes = direction_upper(jp, 0.99 * v)
+        assert upper > 0.99 * v and upper >= v and boxes > 0
+    f = random_bounded_map(2, 2, 3, seed=4)
+    r = verify_gradient_bound(f, [0.3, 0.2j])
+    low = verify_gradient_bound(f, [0.3, 0.2j], tol=0.99 * r.lhs - r.rhs)
+    assert not low.passed and low.params["upper"] > low.rhs + low.tol
+
+
+def test_gradient_undecided_at_the_box_cap_is_never_a_pass():
+    f = random_bounded_map(2, 2, 3, seed=4)
+    z = [0.3, 0.2j]
+    decided = verify_gradient_bound(f, z)
+    assert decided.passed and decided.lhs <= decided.params["upper"] <= decided.rhs + decided.tol
+    # A threshold at the maximum itself: the boxes around the maximiser never drop.
+    tight = verify_gradient_bound(f, z, tol=decided.lhs - decided.rhs)
+    assert tight.params["upper"] is None and tight.params["boxes"] > 0
+    assert not tight.passed and tight.lhs == decided.lhs
+    assert '"upper": null' in tight.to_json() and '"pass": false' in tight.to_json()
+    assert not make_report("gradient_direction", {}, 0.5, 1.0, 0.0, upper=math.inf).passed
+
+
+def test_direction_upper_in_nine_variables_needs_no_boxes():
+    # 4^9 start boxes exceed the cap, so only the sum of the column maxima decides
+    jp = _random_jacobian(np.random.default_rng(9), 2, 9)
+    _, v = direction_max(jp)
+    columns = np.sqrt(np.sum(np.abs(jp.d) ** 2 + np.abs(jp.dbar) ** 2, axis=0)
+                      + 2 * np.abs(np.sum(np.conj(jp.dbar) * jp.d, axis=0))).sum()
+    assert v < columns
+    upper, boxes = direction_upper(jp, 1.01 * columns)
+    assert boxes == 0 and v <= columns <= upper <= 1.01 * columns
+    assert direction_upper(jp, 0.5 * (v + columns)) == (None, 0)
+    r = verify_gradient_bound(random_bounded_map(9, 2, 2, seed=1), [0.9] + [0.1j] * 8)
+    assert r.passed and r.params["boxes"] == 0 and r.lhs <= r.params["upper"] <= r.rhs
+
+
+def test_gradient_equality_case_with_one_variable_is_decided():
+    # the planar extremal map at 0 attains 4/pi; the closed form certifies it
+    r = verify_gradient_bound(ColonnaMap(1, 0, 1).to_series(40), [0.0])
+    assert r.passed and r.params["boxes"] == 0
+    assert r.params["upper"] == pytest.approx(4 / math.pi, abs=1e-9)
 
 
 def test_sharpness_ratio_examples():
