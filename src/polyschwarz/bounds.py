@@ -207,13 +207,13 @@ class JacobianPair:
     dbar: np.ndarray
 
 
-def jacobian_pair(mapping: PluriharmonicMap, z, spec=None) -> JacobianPair:
+def jacobian_pair(mapping: PluriharmonicMap, z) -> JacobianPair:
     """Df and Dbar-f at z; exact for series maps, Cauchy quadrature otherwise."""
     z = check_point(z, mapping.n)
     d = np.zeros((mapping.N, mapping.n), dtype=complex)
     dbar = np.zeros_like(d)
     for m in range(mapping.n):
-        d[:, m], dbar[:, m] = _derivative_pair(mapping, z, unit_index(mapping.n, m), spec=spec)
+        d[:, m], dbar[:, m] = _derivative_pair(mapping, z, unit_index(mapping.n, m))
     return JacobianPair(d, dbar)
 
 
@@ -393,21 +393,18 @@ def verify_derivative_bound(mapping: PluriharmonicMap, z, alpha, method: str | N
 
 def verify_coefficient_bound(mapping: PluriharmonicMap, max_degree: int,
                              spec: QuadratureSpec | None = None,
-                             tol: float = DEFAULT_TOL_QUAD) -> list[BoundReport]:
+                             tol: float | None = None) -> list[BoundReport]:
     """Coefficient bound |a_k| + |b_k| <= 4/pi for every 1 <= |k| <= max_degree,
-    coefficients extracted by torus quadrature."""
+    coefficients extracted by torus quadrature (tol None: DEFAULT_TOL_QUAD)."""
     require_certified(mapping, N=1)
-    coeffs = extract_coefficients(mapping, max_degree, spec)
-    reports = []
-    for k, (a, b) in coeffs.items():
-        lhs = abs(a[0]) + abs(b[0])
-        reports.append(make_report("coefficient_claim", {"k": list(k)}, lhs, FOUR_OVER_PI, tol))
-    return reports
+    return [make_report("coefficient_claim", {"k": list(k)}, abs(a[0]) + abs(b[0]), FOUR_OVER_PI,
+                        DEFAULT_TOL_QUAD if tol is None else tol)
+            for k, (a, b) in extract_coefficients(mapping, max_degree, spec).items()]
 
 
 def verify_homogeneous_bound(mapping: PluriharmonicMap, m: int, z,
-                             tol: float = DEFAULT_TOL_EXACT) -> BoundReport:
-    """Degree-m homogeneous part bound:
+                             tol: float | None = None) -> BoundReport:
+    """Degree-m homogeneous part bound (tol None: DEFAULT_TOL_EXACT):
     || sum_{|k|=m} a_k z^k + sum_{|k|=m} conj(b_k) conj(z)^k || <= 4/pi.
 
     The anti-holomorphic sum follows the circle-integral derivation (the
@@ -420,31 +417,25 @@ def verify_homogeneous_bound(mapping: PluriharmonicMap, m: int, z,
         raise ValueError("homogeneous-part check requires a finite-series map")
     require_certified(mapping)
     z = check_point(z, mapping.n)
-
-    def degree_m(table):
-        return {k: v for k, v in table.items() if mi_degree(k) == m}
-
-    part = SeriesMap(mapping.n, mapping.N, degree_m(mapping.holo), degree_m(mapping.anti))
-    lhs = np.linalg.norm(part(z))
-    return make_report("homogeneous_part", {"m": m, "z": to_pairs(z)}, lhs, FOUR_OVER_PI, tol)
+    mask = mapping.degrees == m
+    part = SeriesMap.from_tensors(mapping.a * mask, mapping.b * mask)
+    return make_report("homogeneous_part", {"m": m, "z": to_pairs(z)}, np.linalg.norm(part(z)),
+                       FOUR_OVER_PI, DEFAULT_TOL_EXACT if tol is None else tol)
 
 
-def verify_l2_bound(mapping: PluriharmonicMap, tol: float = DEFAULT_TOL_EXACT) -> BoundReport:
-    """Coefficient l2 bound ||f(0)||^2 + sum_{|k|>=1}(||a_k||^2 + ||b_k||^2) <= 1."""
+def verify_l2_bound(mapping: PluriharmonicMap, tol: float | None = None) -> BoundReport:
+    """Coefficient l2 bound ||f(0)||^2 + sum_{|k|>=1}(||a_k||^2 + ||b_k||^2) <= 1
+    (tol None: DEFAULT_TOL_EXACT)."""
     if not mapping.is_series:
         raise ValueError("the l2 coefficient check requires a finite-series map")
     require_certified(mapping)
-    f0 = mapping(np.zeros(mapping.n))
-    lhs = float(np.linalg.norm(f0) ** 2)
-    for table in (mapping.holo, mapping.anti):
-        for k, v in table.items():
-            if mi_degree(k) >= 1:
-                lhs += float(np.linalg.norm(v) ** 2)
-    return make_report("coefficient_l2", {}, lhs, 1.0, tol)
+    higher = mapping.degrees >= 1
+    lhs = (np.linalg.norm(mapping(np.zeros(mapping.n))) ** 2
+           + np.sum(np.abs(mapping.a[:, higher]) ** 2 + np.abs(mapping.b[:, higher]) ** 2))
+    return make_report("coefficient_l2", {}, lhs, 1.0, DEFAULT_TOL_EXACT if tol is None else tol)
 
 
-def verify_gradient_bound(mapping: PluriharmonicMap, z, tol: float | None = None,
-                          spec: QuadratureSpec | None = None) -> BoundReport:
+def verify_gradient_bound(mapping: PluriharmonicMap, z, tol: float | None = None) -> BoundReport:
     """Directional derivative bound max_theta ||Df theta + Dbarf conj(theta)||
     <= 4/(pi(1-||z||_inf^2)).
 
@@ -459,7 +450,7 @@ def verify_gradient_bound(mapping: PluriharmonicMap, z, tol: float | None = None
     """
     require_certified(mapping)
     z = check_point(z, mapping.n)
-    jp = jacobian_pair(mapping, z, spec)
+    jp = jacobian_pair(mapping, z)
     _, value = direction_max(jp)
     _, default_tol = _resolve_method(mapping)
     tol = default_tol if tol is None else tol
@@ -470,14 +461,13 @@ def verify_gradient_bound(mapping: PluriharmonicMap, z, tol: float | None = None
                        upper=math.inf if upper is None else upper)
 
 
-def verify_growth_bound(mapping: PluriharmonicMap, z,
-                        tol: float = DEFAULT_TOL_EXACT) -> BoundReport:
-    """Growth bound ||f(z)|| <= (4/pi) arctan ||z||_inf for maps with f(0) = 0."""
+def verify_growth_bound(mapping: PluriharmonicMap, z, tol: float | None = None) -> BoundReport:
+    """Growth bound ||f(z)|| <= (4/pi) arctan ||z||_inf for maps with f(0) = 0
+    (tol None: DEFAULT_TOL_EXACT)."""
     require_certified(mapping)
     z = check_point(z, mapping.n)
     f0 = mapping(np.zeros(mapping.n))
     if np.linalg.norm(f0) > 1e-12:
         raise HypothesisError(f"hypothesis: f(0) != 0 (||f(0)|| = {np.linalg.norm(f0):.3g})")
-    lhs = float(np.linalg.norm(mapping(z)))
-    rhs = rhs_growth(np.max(np.abs(z)))
-    return make_report("growth_arctan", {"z": to_pairs(z)}, lhs, rhs, tol)
+    return make_report("growth_arctan", {"z": to_pairs(z)}, np.linalg.norm(mapping(z)),
+                       rhs_growth(np.max(np.abs(z))), DEFAULT_TOL_EXACT if tol is None else tol)

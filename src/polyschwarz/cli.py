@@ -44,13 +44,6 @@ def _z_grid(n: int, points: int, cap: float):
     return flat.astype(complex)
 
 
-def _make_spec(args) -> quadrature.QuadratureSpec:
-    """The --nodes and --radius overrides; an omitted one keeps the default
-    of the operation that uses the spec."""
-    radii = None if args.radius is None else (args.radius,)
-    return quadrature.QuadratureSpec(args.nodes, radii)
-
-
 def _write_reports(reports, out_path, csv_path=None) -> None:
     lines = [r.to_json() for r in reports]
     if out_path:
@@ -100,7 +93,10 @@ def _sweep(args, check) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _make_spec(args)
+    given = [f for f, v in (("--nodes", args.nodes), ("--radius", args.radius)) if v is not None]
+    if args.method == "exact" and given:
+        raise ValueError(f"--method exact takes no {' or '.join(given)} (Cauchy quadrature only)")
+    spec = quadrature.QuadratureSpec(args.nodes, args.radius)
     return _sweep(args, lambda mapping, z: bounds.verify_derivative_bound(
         mapping, z, args.alpha, method=args.method, tol=args.tol, spec=spec))
 
@@ -110,19 +106,17 @@ def cmd_gradient(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    tol = bounds.DEFAULT_TOL_EXACT if args.tol is None else args.tol
-    return _sweep(args, lambda mapping, z: bounds.verify_growth_bound(mapping, z, tol=tol))
+    return _sweep(args, lambda mapping, z: bounds.verify_growth_bound(mapping, z, tol=args.tol))
 
 
 def cmd_coeffs(args) -> int:
     mapping = load_map(args.map)
-    spec = _make_spec(args)
-    tol = args.tol if args.tol is not None else bounds.DEFAULT_TOL_QUAD
-    reports = bounds.verify_coefficient_bound(mapping, args.max_degree, spec=spec, tol=tol)
-    for z in _z_grid(mapping.n, args.grid, args.radius_cap):
-        for m in range(1, args.max_degree + 1):
-            reports.append(bounds.verify_homogeneous_bound(mapping, m, z))
-    reports.append(bounds.verify_l2_bound(mapping))
+    spec = quadrature.QuadratureSpec(args.nodes, args.radius)
+    reports = bounds.verify_coefficient_bound(mapping, args.max_degree, spec=spec, tol=args.tol)
+    reports += [bounds.verify_homogeneous_bound(mapping, m, z, tol=args.tol)
+                for z in _z_grid(mapping.n, args.grid, args.radius_cap)
+                for m in range(1, args.max_degree + 1)]
+    reports.append(bounds.verify_l2_bound(mapping, tol=args.tol))
     _write_reports(reports, args.out, args.csv)
     return _exit_for(reports)
 

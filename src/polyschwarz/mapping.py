@@ -1,11 +1,12 @@
 """Pluriharmonic mappings on the unit polydisk.
 
-A pluriharmonic map f = h + conj(g) is represented either as a pair of
-finite coefficient tables (exactly evaluable and exactly differentiable),
-as a lazy composition with a coordinatewise Mobius automorphism, or in
-closed form (the planar extremal family, finite Blaschke products).
+A pluriharmonic map f = h + conj(g) is represented either as a finite
+series held in two dense coefficient tensors (exactly evaluable and exactly
+differentiable), as a lazy composition with a coordinatewise Mobius
+automorphism, or in closed form (the planar extremal family, finite
+Blaschke products).
 
-Coefficient convention: the anti-holomorphic table stores b_k unconjugated;
+Coefficient convention: the anti-holomorphic tensor stores b_k unconjugated;
 the series term it contributes is conj(b_k) * conj(z)**k.
 """
 
@@ -13,12 +14,17 @@ from __future__ import annotations
 
 import json
 import math
+from types import MappingProxyType
 
 import numpy as np
 
-from .multiindex import MultiIndex, as_index, degree as mi_degree, enumerate_indices
+from .multiindex import as_index, degree as mi_degree, enumerate_indices
 
 MODULUS_TOL = 1e-12
+# Largest coefficient tensor or torus sample (nodes**n * N complex values).
+# A quadrature holds two samples at once and the FFT table a third, so the cap
+# keeps that under a GiB; 512 nodes per axis at n = 3 (2 GiB) is out.
+MAX_SAMPLE_BYTES = 256 * 2**20
 
 
 class MapFormatError(ValueError):
@@ -117,6 +123,9 @@ class PluriharmonicMap:
 class SeriesMap(PluriharmonicMap):
     """Finite double power series: f(z) = sum a_k z^k + sum conj(b_k) conj(z)^k.
 
+    Its coefficients are two dense read-only tensors a and b of shape (N, D_1, ..., D_n),
+    at most MAX_SAMPLE_BYTES each; holo and anti are read-only views of their nonzero entries.
+
     certified_sup, when set, declares a sup-norm bound known from closed-form
     range information (e.g. a truncation of an extremal whose coefficients
     below the truncation degree are exact); the coefficient l1 norm is always
@@ -128,18 +137,28 @@ class SeriesMap(PluriharmonicMap):
     def __init__(self, n: int, N: int, holo=None, anti=None, certified_sup=None):
         if n < 1 or N < 1:
             raise ValueError("dimensions must be >= 1")
-        self.n = int(n)
-        self.N = int(N)
-        self.holo = self._clean_table(holo)
-        self.anti = self._clean_table(anti)
+        self.n, self.N = int(n), int(N)
+        (hk, hv), (ak, av) = self._clean_table(holo), self._clean_table(anti)
+        top = np.max(np.vstack([hk, ak]), axis=0, initial=0)
+        shape = (self.N,) + tuple(int(d) + 1 for d in top)
+        size = math.prod(shape) * np.dtype(complex).itemsize
+        if size > MAX_SAMPLE_BYTES:
+            raise MapFormatError(
+                f"a coefficient tensor of shape {shape} needs {size / 2**20:.0f} MiB, "
+                f"over the {MAX_SAMPLE_BYTES // 2**20} MiB limit")
+        self.a, self.b = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+        self.a[(slice(None),) + tuple(hk.T)] = hv.T
+        self.b[(slice(None),) + tuple(ak.T)] = av.T
+        self.a.flags.writeable = self.b.flags.writeable = False
         if certified_sup is not None:
             certified_sup = float(certified_sup)
             if not 0.0 <= certified_sup < math.inf:
                 raise MapFormatError(f"certified_sup must be finite and nonnegative, got {certified_sup}")
         self.certified_sup = certified_sup
 
-    def _clean_table(self, table) -> dict[MultiIndex, np.ndarray]:
-        out: dict[MultiIndex, np.ndarray] = {}
+    def _clean_table(self, table) -> tuple[np.ndarray, np.ndarray]:
+        """Indices (T, n) and values (T, N) of the validated table's nonzero terms."""
+        keys, values = [], []
         for k, v in (table or {}).items():
             kk = as_index(k)
             if len(kk) != self.n:
@@ -147,61 +166,89 @@ class SeriesMap(PluriharmonicMap):
             vv = np.atleast_1d(np.asarray(v, dtype=complex))
             if vv.shape != (self.N,):
                 raise MapFormatError(f"coefficient for {kk} has shape {vv.shape}, expected ({self.N},)")
-            out[kk] = vv
+            if vv.any():
+                keys.append(kk)
+                values.append(vv)
+        try:
+            keys = np.array(keys, dtype=int).reshape(-1, self.n)
+        except OverflowError as exc:
+            raise MapFormatError(f"an index component exceeds 64 bits ({exc})") from exc
+        return keys, np.array(values, dtype=complex).reshape(-1, self.N)
+
+    @classmethod
+    def from_tensors(cls, a: np.ndarray, b: np.ndarray) -> SeriesMap:
+        """The series with complex tensors a and b (made read-only) and an empty quadrature cache."""
+        out = cls(a.ndim - 1, a.shape[0])
+        out.a, out.b = a, b
+        a.flags.writeable = b.flags.writeable = False
         return out
+
+    # Read-only {k: a_k} and {k: b_k} over the nonzero terms, for map files and term readers.
+    holo = property(lambda self: _table_view(self.a))
+    anti = property(lambda self: _table_view(self.b))
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """|k| at each index k of the coefficient tensors, shape (D_1, ..., D_n)."""
+        return np.indices(self.a.shape[1:]).sum(axis=0)
 
     @property
     def degree(self) -> int:
-        degs = [mi_degree(k) for k in self.holo] + [mi_degree(k) for k in self.anti]
-        return max(degs) if degs else 0
+        return int(self.degrees[np.any(self.a, axis=0) | np.any(self.b, axis=0)].max(initial=0))
 
     def scaled(self, factor: float) -> SeriesMap:
-        """The series times a real factor (no certified_sup is carried over).
-        The tables are already validated, so they are not cleaned again."""
-        out = SeriesMap(self.n, self.N)
-        out.holo = {k: factor * v for k, v in self.holo.items()}
-        out.anti = {k: factor * v for k, v in self.anti.items()}
-        return out
+        """The series times a real factor (no certified_sup is carried over)."""
+        return SeriesMap.from_tensors(factor * self.a, factor * self.b)
+
+    def _power_tables(self, axes) -> list[np.ndarray]:
+        """Per coordinate j, the table x**k_j of its values x, shape (len(x), D_j)."""
+        return [x[:, None] ** np.arange(d) for x, d in zip(axes, self.a.shape[1:])]
 
     def eval_points(self, Z) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex)
-        out = np.zeros(Z.shape[:-1] + (self.N,), dtype=complex)
-        for k, a in self.holo.items():
-            out += np.prod(Z ** np.asarray(k), axis=-1)[..., None] * a
-        if self.anti:
-            Zc = np.conj(Z)
-            for k, b in self.anti.items():
-                out += np.prod(Zc ** np.asarray(k), axis=-1)[..., None] * np.conj(b)
-        return out
+        tables = self._power_tables(Z.reshape(-1, self.n).T)
+        # conj(b_k) conj(z)^k = conj(b_k z^k): both parts use the powers of z.
+        out = _contract_points(self.a, tables)
+        out += np.conj(_contract_points(self.b, tables))
+        return out.reshape(Z.shape[:-1] + (self.N,))
 
     def eval_grid(self, axes) -> np.ndarray:
-        """Separable evaluation: each table, as a dense coefficient tensor, is
-        contracted axis by axis with per-axis power tables."""
-        axes = _check_axes(axes, self.n)
-        out = np.zeros(tuple(a.size for a in axes) + (self.N,), dtype=complex)
-        if self.holo:
-            out += self._contract_grid(self.holo, axes)
-        if self.anti:
-            out += self._contract_grid({k: np.conj(b) for k, b in self.anti.items()},
-                                       [np.conj(a) for a in axes])
+        """Separable evaluation: each tensor is contracted axis by axis with power tables."""
+        tables = self._power_tables(_check_axes(axes, self.n))
+        # The anti-holomorphic part is added in place: no third grid-sized array.
+        out = _contract_grid(self.a, tables)
+        out += _contract_grid(np.conj(self.b), [np.conj(T) for T in tables])
         return out
 
-    def _contract_grid(self, table, axes) -> np.ndarray:
-        """sum_k c_k prod_j axes[j]**k_j on the tensor grid, shape (M_1, ..., M_n, N)."""
-        shape = np.max(np.array(list(table)), axis=0) + 1
-        res = np.zeros((self.N,) + tuple(shape), dtype=complex)
-        for k, c in table.items():
-            res[(slice(None),) + k] = c
-        for a in axes:
-            # Contracting axis 1 (the exponents of the next coordinate) appends
-            # that coordinate's grid axis, so the result ends as (N, M_1, ..., M_n).
-            res = np.tensordot(res, a[:, None] ** np.arange(res.shape[1]), axes=(1, 1))
-        return np.moveaxis(res, 0, -1)
+
+def _table_view(t: np.ndarray) -> MappingProxyType:
+    """{k: t[:, k]} over the nonzero entries of a coefficient tensor, read-only."""
+    keys = np.argwhere(np.any(t, axis=0))
+    values = np.moveaxis(t, 0, -1)[tuple(keys.T)]
+    values.flags.writeable = False
+    return MappingProxyType(dict(zip(map(tuple, keys.tolist()), values)))
+
+
+def _contract_points(t: np.ndarray, tables) -> np.ndarray:
+    """sum_k t[:, k] prod_j tables[j][p, k_j] for each row p, shape (P, N)."""
+    res = t @ tables[-1].T  # shape (N, D_1, ..., D_{n-1}, P)
+    for T in reversed(tables[:-1]):
+        res = np.einsum("...kp,pk->...p", res, T)
+    return res.T
+
+
+def _contract_grid(t: np.ndarray, tables) -> np.ndarray:
+    """sum_k t[:, k] prod_j tables[j][m_j, k_j] on the tensor grid, shape (M_1, ..., M_n, N)."""
+    for T in tables:
+        # Contracting axis 1 (the exponents of the next coordinate) appends
+        # that coordinate's grid axis, so the result ends as (N, M_1, ..., M_n).
+        t = np.tensordot(t, T, axes=(1, 1))
+    return np.moveaxis(t, 0, -1)
 
 
 def derivative_exact(mapping: PluriharmonicMap, z, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """Term-by-term mixed Wirtinger derivatives of a finite series.
-
+    """Mixed Wirtinger derivatives of a finite series: its tensors cut to k_j >= alpha_j,
+    weighted per axis by k_j!/(k_j - alpha_j)! * z_j**(k_j - alpha_j) and summed.
     Returns the pair (d^alpha f / dz^alpha, d^alpha f / dzbar^alpha) as
     complex N-vectors.  Mixed z/zbar derivatives of a pluriharmonic scalar
     vanish identically and are not represented.
@@ -212,21 +259,14 @@ def derivative_exact(mapping: PluriharmonicMap, z, alpha) -> tuple[np.ndarray, n
     if len(alpha) != mapping.n:
         raise ValueError(f"alpha has length {len(alpha)}, expected {mapping.n}")
     z = check_point(z, mapping.n)
-
-    def _part(table, base):
-        acc = np.zeros(mapping.N, dtype=complex)
-        for k, coeff in table.items():
-            if all(kj >= aj for kj, aj in zip(k, alpha)):
-                fall = 1
-                for kj, aj in zip(k, alpha):
-                    fall *= math.perm(kj, aj)
-                shifted = tuple(kj - aj for kj, aj in zip(k, alpha))
-                acc += coeff * fall * np.prod(base ** np.asarray(shifted))
-        return acc
-
-    A = _part(mapping.holo, z)
-    B = _part({k: np.conj(v) for k, v in mapping.anti.items()}, np.conj(z))
-    return A, B
+    tables = []
+    for zj, aj, dj in zip(z, alpha, mapping.a.shape[1:]):
+        falling = np.array([math.perm(k, aj) for k in range(aj, dj)], dtype=float)
+        tables.append((falling * zj ** np.arange(len(falling)))[None])
+    part = (slice(None),) + tuple(slice(aj, None) for aj in alpha)
+    # The anti-holomorphic sum is conj(sum b_k (falling factorial) z^(k - alpha)).
+    return (_contract_points(mapping.a[part], tables)[0],
+            np.conj(_contract_points(mapping.b[part], tables)[0]))
 
 
 def sup_bound_l1(mapping: PluriharmonicMap) -> float:
@@ -234,9 +274,7 @@ def sup_bound_l1(mapping: PluriharmonicMap) -> float:
     closed polydisk."""
     if not mapping.is_series:
         raise ValueError("the l1 sup bound requires a finite-series map")
-    total = sum(np.linalg.norm(v) for v in mapping.holo.values())
-    total += sum(np.linalg.norm(v) for v in mapping.anti.values())
-    return float(total)
+    return float(np.linalg.norm(mapping.a, axis=0).sum() + np.linalg.norm(mapping.b, axis=0).sum())
 
 
 class ComposedMap(PluriharmonicMap):
@@ -302,15 +340,14 @@ class ColonnaMap(PluriharmonicMap):
         zz = radius * np.exp(1j * theta)
         vals = self.eval_points(zz[:, None])[:, 0]
         F = np.fft.fft(vals) / nodes
-        holo = {(0,): [F[0]]}
-        anti = {}
-        for m in range(1, max_degree + 1):
-            holo[(m,)] = [F[m] / radius**m]
-            anti[(m,)] = [np.conj(F[-m]) / radius**m]
+        m = np.arange(max_degree + 1)
+        b = np.where(m > 0, np.conj(F[-m]), 0.0) / radius**m
+        series = SeriesMap.from_tensors((F[m] / radius**m)[None], b[None])
         # The closed form maps into the disk and the extracted coefficients
         # below the truncation degree are exact, so the range certificate is
         # inherited by the truncation.
-        return SeriesMap(1, 1, holo, anti, certified_sup=1.0)
+        series.certified_sup = 1.0
+        return series
 
 
 class BlaschkeProduct(PluriharmonicMap):
@@ -348,13 +385,12 @@ def random_bounded_map(n: int, N: int, degree: int, seed: int, margin: float = 0
         raise ValueError("degree must be >= 0")
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
-    holo = {}
-    anti = {}
-    for k in enumerate_indices(n, degree):
-        holo[k] = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        anti[k] = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    raw = SeriesMap(n, N, holo, anti)
+    indices = enumerate_indices(n, degree)
+    # One draw fills the arrays in the order of four standard_normal(N) calls
+    # per index: re a_k, im a_k, re b_k, im b_k, indices in graded-lex order.
+    x = np.random.default_rng(seed).standard_normal((len(indices), 4, N))
+    raw = SeriesMap(n, N, dict(zip(indices, x[:, 0] + 1j * x[:, 1])),
+                    dict(zip(indices, x[:, 2] + 1j * x[:, 3])))
     return raw.scaled((1.0 - margin) / sup_bound_l1(raw))
 
 
@@ -376,15 +412,11 @@ def from_pairs(pairs) -> np.ndarray:
 def map_to_dict(mapping: SeriesMap) -> dict:
     if not mapping.is_series:
         raise MapFormatError("only finite-series maps are serializable")
-    keys = sorted(set(mapping.holo) | set(mapping.anti), key=lambda k: (mi_degree(k), k))
+    holo, anti = mapping.holo, mapping.anti
+    keys = sorted(set(holo) | set(anti), key=lambda k: (mi_degree(k), k))
     zero = np.zeros(mapping.N, dtype=complex)
-    terms = []
-    for k in keys:
-        terms.append({
-            "k": list(k),
-            "a": to_pairs(mapping.holo.get(k, zero)),
-            "b": to_pairs(mapping.anti.get(k, zero)),
-        })
+    terms = [{"k": list(k), "a": to_pairs(holo.get(k, zero)), "b": to_pairs(anti.get(k, zero))}
+             for k in keys]
     out = {"n": mapping.n, "N": mapping.N, "terms": terms}
     if mapping.certified_sup is not None:
         out["certified_sup"] = mapping.certified_sup

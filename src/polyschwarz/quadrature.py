@@ -14,15 +14,11 @@ import warnings
 import numpy as np
 
 from .multiindex import as_index, degree as mi_degree, enumerate_indices, factorial as mi_factorial
-from .mapping import PluriharmonicMap, check_point
+from .mapping import MAX_SAMPLE_BYTES, PluriharmonicMap, check_point
 
 DEFAULT_EXTRACTION_RADIUS = 0.5
 DEFAULT_EXTRACTION_NODES = 64
 DEFAULT_CAUCHY_NODES = 512
-# Largest torus sample (nodes**n * N complex values) a quadrature may build.
-# Series evaluation holds two such arrays at once and the FFT table a third,
-# so the cap keeps that under a GiB; 512 nodes per axis at n = 3 (2 GiB) is out.
-MAX_SAMPLE_BYTES = 256 * 2**20
 # Torus samples (with their FFTs) kept per map: two, so that comparing two
 # contour radii or node counts at one point does not rebuild each sample.
 QUAD_CACHE_ENTRIES = 2

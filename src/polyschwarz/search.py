@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from itertools import product
 
 import numpy as np
 
 from .multiindex import as_order
 from .mapping import (ColonnaMap, PluriharmonicMap, SeriesMap, from_pairs, random_bounded_map,
                       sup_bound_l1, to_pairs)
-from .quadrature import QuadratureSpec
 # direction_max stays bound here as well: perfbench/tracer.py wraps it as search.direction_max.
 from .bounds import direction_max, verify_derivative_bound  # noqa: F401
 
@@ -29,12 +27,11 @@ INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 FAMILIES = ("colonna_tensor", "random_series")
 
 
-def sharpness_ratio(mapping: PluriharmonicMap, z, alpha,
-                    spec: QuadratureSpec | None = None) -> float:
+def sharpness_ratio(mapping: PluriharmonicMap, z, alpha) -> float:
     """(|d^alpha f| + |dbar^alpha f|) / rhs_polydisk(alpha, ||z||_inf) for a
     certified scalar map; exact differentiation for series maps, Cauchy
     quadrature otherwise."""
-    report = verify_derivative_bound(mapping, z, alpha, spec=spec)
+    report = verify_derivative_bound(mapping, z, alpha)
     return report.lhs / report.rhs
 
 
@@ -59,23 +56,12 @@ class SharpnessResult:
 def _tensor_colonna_map(a_params) -> SeriesMap:
     """Heuristic n > 1 candidate: tensor products of per-coordinate extremal
     series parts, l1-renormalized into the unit ball.  Not claimed extremal."""
-    factors = [ColonnaMap(1.0, aj, 1.0).to_series(TENSOR_FACTOR_DEGREE) for aj in a_params]
-    n = len(factors)
-    holo = {}
-    anti = {}
-    for ks in product(range(TENSOR_FACTOR_DEGREE + 1), repeat=n):
-        av = 1.0 + 0.0j
-        for fac, kj in zip(factors, ks):
-            av *= fac.holo[(kj,)][0]
-        if abs(av) > 1e-14:
-            holo[ks] = [av]
-    for ks in product(range(1, TENSOR_FACTOR_DEGREE + 1), repeat=n):
-        bv = 1.0 + 0.0j
-        for fac, kj in zip(factors, ks):
-            bv *= fac.anti[(kj,)][0]
-        if abs(bv) > 1e-14:
-            anti[ks] = [bv]
-    out = SeriesMap(n, 1, holo, anti)
+    a = b = np.ones(1, dtype=complex)  # the N = 1 axis
+    for aj in a_params:
+        factor = ColonnaMap(1.0, aj, 1.0).to_series(TENSOR_FACTOR_DEGREE)
+        a = np.multiply.outer(a, factor.a[0])
+        b = np.multiply.outer(b, factor.b[0])
+    out = SeriesMap.from_tensors(a, b)
     l1 = sup_bound_l1(out)
     if l1 > 1.0:
         out = out.scaled((1.0 - 1e-12) / l1)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -227,3 +228,44 @@ def test_map_file_with_nan_coefficient_is_refused_on_load(tmp_path, capsys):
     path = _write_terms(tmp_path, [{"k": [1, 0], "a": [[float("nan"), 0.0]]}])
     assert main(["verify", "--map", str(path), "--alpha", "1,1", "--grid", "2"]) == 2
     assert "term 0" in capsys.readouterr().err
+
+
+def test_oversized_coefficient_tensor_is_refused_by_every_subcommand(tmp_path, capsys):
+    # One term k = (600, 600, 600) means a dense 601^3 tensor (3.3 GiB).
+    path = _write_terms(tmp_path, [{"k": [600, 600, 600], "a": [[0.1, 0.0]]}], n=3)
+    tracemalloc.start()
+    try:
+        for argv in (["coeffs", "--max-degree", "1", "--nodes", "8", "--grid", "1"],
+                     ["verify", "--alpha", "1,1,1", "--grid", "1", "--method", "exact"],
+                     ["gradient", "--grid", "1"], ["growth", "--grid", "1"]):
+            assert main([argv[0], "--map", str(path), *argv[1:]]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "(1, 601, 601, 601)" in err and "MiB" in err
+        assert tracemalloc.get_traced_memory()[1] < 32 * 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("flags", [["--nodes", "9999"], ["--radius", "0.3"],
+                                   ["--nodes", "64", "--radius", "0.3"]])
+def test_exact_verify_refuses_cauchy_flags(tmp_path, capsys, flags):
+    path = _write_random(tmp_path, n=2, degree=4, seed=3)
+    capsys.readouterr()
+    assert main(["verify", "--map", str(path), "--alpha", "1,1", "--grid", "1",
+                 "--method", "exact", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+    # --method exact is the default, so leaving it out is refused the same way
+    assert main(["verify", "--map", str(path), "--alpha", "1,1", "--grid", "1", *flags]) == 2
+
+
+def test_coeffs_tol_reaches_every_report(tmp_path):
+    path = _write_random(tmp_path, n=2, degree=3, seed=4)
+    out_path = tmp_path / "coeffs.jsonl"
+    assert main(["coeffs", "--map", str(path), "--max-degree", "2", "--grid", "2",
+                 "--tol", "0.5", "--out", str(out_path)]) == 0
+    recs = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert {r["check_id"] for r in recs} == {"coefficient_claim", "homogeneous_part",
+                                             "coefficient_l2"}
+    assert all(r["tol"] == 0.5 for r in recs)

@@ -1,6 +1,8 @@
 import json
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -307,3 +309,132 @@ def test_eval_grid_rejects_wrong_axes():
         f.eval_grid([np.zeros(3)])
     with pytest.raises(ValueError):
         f.eval_grid([np.zeros((2, 2)), np.zeros(2)])
+
+
+# The per-term loops that evaluated and differentiated series before their
+# coefficients were held as dense tensors, kept as the reference.
+
+def _reference_eval(holo, anti, Z, N):
+    Z = np.asarray(Z, dtype=complex)
+    out = np.zeros(Z.shape[:-1] + (N,), dtype=complex)
+    for k, a in holo.items():
+        out += np.prod(Z ** np.asarray(k), axis=-1)[..., None] * a
+    Zc = np.conj(Z)
+    for k, b in anti.items():
+        out += np.prod(Zc ** np.asarray(k), axis=-1)[..., None] * np.conj(b)
+    return out
+
+
+def _reference_derivative(holo, anti, z, alpha, N):
+    def part(table, base):
+        acc = np.zeros(N, dtype=complex)
+        for k, coeff in table.items():
+            if all(kj >= aj for kj, aj in zip(k, alpha)):
+                fall = 1
+                for kj, aj in zip(k, alpha):
+                    fall *= math.perm(kj, aj)
+                shifted = tuple(kj - aj for kj, aj in zip(k, alpha))
+                acc += coeff * fall * np.prod(base ** np.asarray(shifted))
+        return acc
+
+    return part(holo, z), part({k: np.conj(v) for k, v in anti.items()}, np.conj(z))
+
+
+def _absolute(table):
+    return {k: np.abs(v) for k, v in table.items()}
+
+
+def _reference_tables(n, N, rng):
+    """Dense random, holo-only, anti-only, empty and sparse high-degree tables."""
+    f = random_bounded_map(n, N, 3, seed=10 * n + N)
+    sparse_keys = {tuple(int(c) for c in rng.integers(0, 7, n)) for _ in range(4)}
+    sparse = {k: rng.standard_normal(N) + 1j * rng.standard_normal(N) for k in sparse_keys}
+    half = dict(list(sparse.items())[:2])
+    return [(dict(f.holo), dict(f.anti)), (dict(f.holo), {}), ({}, dict(f.anti)), ({}, {}),
+            (sparse, half), (half, sparse)]
+
+
+def _assert_close(value, reference, scale):
+    """|value - reference| <= 1e-13 times the sum of the terms' moduli."""
+    assert np.all(np.abs(value - reference) <= 1e-13 * scale + 1e-300)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2])
+def test_tensor_evaluation_and_derivatives_match_the_term_loops(n, N):
+    rng = np.random.default_rng(100 * n + N)
+    points = 0.95 * rng.uniform(0, 1, (6, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, (6, n)))
+    alphas = [(0,) * n, (1,) * n, tuple(int(c) for c in rng.integers(0, 4, n)), (9,) + (0,) * (n - 1)]
+    axes = _axes(rng, (7, 5, 3)[:n])
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    for holo, anti in _reference_tables(n, N, rng):
+        f = SeriesMap(n, N, holo, anti)
+        absolute = (_absolute(holo), _absolute(anti))
+        _assert_close(f.eval_points(points), _reference_eval(holo, anti, points, N),
+                      _reference_eval(*absolute, np.abs(points), N))
+        _assert_close(f.eval_grid(axes), _reference_eval(holo, anti, grid, N),
+                      _reference_eval(*absolute, np.abs(grid), N))
+        for z in points:
+            for alpha in alphas:
+                A, B = derivative_exact(f, z, alpha)
+                ref_A, ref_B = _reference_derivative(holo, anti, z, alpha, N)
+                scale_A, scale_B = _reference_derivative(*absolute, np.abs(z), alpha, N)
+                _assert_close(A, ref_A, np.abs(scale_A))
+                _assert_close(B, ref_B, np.abs(scale_B))
+
+
+def test_table_views_rebuild_the_tensors_and_are_read_only():
+    for n, N in ((1, 1), (2, 2), (3, 1)):
+        f = random_bounded_map(n, N, 3, seed=n + N)
+        g = SeriesMap(n, N, f.holo, f.anti)
+        np.testing.assert_array_equal(g.a, f.a)
+        np.testing.assert_array_equal(g.b, f.b)
+        k = next(iter(f.holo))
+        with pytest.raises(TypeError):
+            f.holo[k] = np.zeros(N)
+        with pytest.raises(ValueError):
+            f.holo[k][0] = 0.0
+        with pytest.raises(ValueError):
+            f.b[(0,) * (n + 1)] = 0.0
+
+
+def test_zero_valued_terms_are_not_kept():
+    f = SeriesMap(2, 1, {(5, 0): [0.0], (1, 0): [0.5]}, {(0, 7): [0.0]})
+    assert f.a.shape == f.b.shape == (1, 2, 1)
+    assert list(f.holo) == [(1, 0)] and not f.anti and f.degree == 1
+
+
+def test_oversized_coefficient_tensor_is_refused_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(MapFormatError, match=r"\(1, 601, 601, 601\).* MiB"):
+            SeriesMap(3, 1, {(600, 600, 600): [0.1]})
+        with pytest.raises(MapFormatError, match="64 bits"):
+            SeriesMap(1, 1, {(10**19,): [0.1]})
+        assert tracemalloc.get_traced_memory()[1] < 32 * 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_derived_series_start_with_an_empty_quadrature_cache():
+    f = random_bounded_map(1, 1, 3, seed=2)
+    extract_coefficient(f, (1,))
+    assert f._quad_cache
+    g = f.scaled(0.5)
+    part = SeriesMap.from_tensors(f.a * (f.degrees == 2), f.b * (f.degrees == 2))
+    for derived in (g, part):
+        assert "_quad_cache" not in vars(derived)
+        extract_coefficient(derived, (1,))
+        assert derived._quad_cache is not f._quad_cache
+    np.testing.assert_allclose(g.a, 0.5 * f.a)
+
+
+def test_derivative_of_an_order_above_the_degree_is_zero_and_allocates_nothing():
+    f = random_bounded_map(2, 2, 3, seed=1)
+    tracemalloc.start()
+    try:
+        A, B = derivative_exact(f, [0.1, 0.2j], (10**9, 1))
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    assert not np.any(A) and not np.any(B)
