@@ -177,14 +177,12 @@ def require_certified(mapping: PluriharmonicMap, N: int | None = None) -> None:
 # Left-hand sides: derivatives, Jacobians and the directional maximum.
 # ---------------------------------------------------------------------------
 
-def _resolve_method(mapping: PluriharmonicMap, method: str | None = None) -> tuple[str, float]:
-    """The derivative method and its default tolerance: `method` when given,
-    else exact differentiation for finite series and Cauchy quadrature for
-    every other map."""
-    if method is None:
-        method = "exact" if mapping.is_series else "cauchy"
-    if method == "exact":
-        return method, DEFAULT_TOL_EXACT
+def _resolve_method(method: str | None = None) -> tuple[str, float]:
+    """The derivative method and its default tolerance: exact differentiation
+    (derivative_exact, every map class) unless `method` is "cauchy", which
+    asks for Cauchy quadrature."""
+    if method is None or method == "exact":
+        return "exact", DEFAULT_TOL_EXACT
     if method == "cauchy":
         return method, DEFAULT_TOL_QUAD
     raise ValueError(f"unknown method {method!r}; expected 'exact' or 'cauchy'")
@@ -193,7 +191,7 @@ def _resolve_method(mapping: PluriharmonicMap, method: str | None = None) -> tup
 def _derivative_pair(mapping: PluriharmonicMap, z, alpha, method: str | None = None,
                      spec: QuadratureSpec | None = None):
     """(d^alpha f, dbar^alpha f) at z by the method _resolve_method picks."""
-    method, _ = _resolve_method(mapping, method)
+    method, _ = _resolve_method(method)
     if method == "exact":
         return derivative_exact(mapping, z, alpha)
     return cauchy_derivative(mapping, z, alpha, spec)
@@ -208,7 +206,7 @@ class JacobianPair:
 
 
 def jacobian_pair(mapping: PluriharmonicMap, z) -> JacobianPair:
-    """Df and Dbar-f at z; exact for series maps, Cauchy quadrature otherwise."""
+    """Df and Dbar-f at z, by derivative_exact for every map class."""
     z = check_point(z, mapping.n)
     d = np.zeros((mapping.N, mapping.n), dtype=complex)
     dbar = np.zeros_like(d)
@@ -376,13 +374,13 @@ def verify_derivative_bound(mapping: PluriharmonicMap, z, alpha, method: str | N
     """Order-alpha derivative bound for a certified scalar map into the disk:
     |d^alpha f| + |dbar^alpha f| <= rhs_polydisk(alpha, ||z||_inf).
 
-    method is "exact" or "cauchy"; None picks exact differentiation for
-    series maps and Cauchy quadrature otherwise.
+    method is "exact" (also when None; every map class) or "cauchy", which
+    uses Cauchy quadrature with `spec`.
     """
     require_certified(mapping, N=1)
     alpha = as_order(alpha)
     z = check_point(z, mapping.n)
-    method, default_tol = _resolve_method(mapping, method)
+    method, default_tol = _resolve_method(method)
     A, B = _derivative_pair(mapping, z, alpha, method, spec)
     lhs = abs(A[0]) + abs(B[0])
     rhs = rhs_polydisk(alpha, np.max(np.abs(z)))
@@ -452,8 +450,7 @@ def verify_gradient_bound(mapping: PluriharmonicMap, z, tol: float | None = None
     z = check_point(z, mapping.n)
     jp = jacobian_pair(mapping, z)
     _, value = direction_max(jp)
-    _, default_tol = _resolve_method(mapping)
-    tol = default_tol if tol is None else tol
+    tol = DEFAULT_TOL_EXACT if tol is None else tol
     rhs = rhs_gradient(np.max(np.abs(z)))
     upper, boxes = direction_upper(jp, rhs + tol)
     params = {"z": to_pairs(z), "upper": upper, "boxes": boxes}

@@ -1,10 +1,10 @@
 """Pluriharmonic mappings on the unit polydisk.
 
 A pluriharmonic map f = h + conj(g) is represented either as a finite
-series held in two dense coefficient tensors (exactly evaluable and exactly
-differentiable), as a lazy composition with a coordinatewise Mobius
-automorphism, or in closed form (the planar extremal family, finite
-Blaschke products).
+series held in two dense coefficient tensors, as a lazy composition with a
+coordinatewise Mobius automorphism, or in closed form (the planar extremal
+family, finite Blaschke products).  Every class is exactly evaluable and
+exactly differentiable (derivative_exact).
 
 Coefficient convention: the anti-holomorphic tensor stores b_k unconjugated;
 the series term it contributes is conj(b_k) * conj(z)**k.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import product
 from types import MappingProxyType
 
 import numpy as np
@@ -25,6 +26,9 @@ MODULUS_TOL = 1e-12
 # A quadrature holds two samples at once and the FFT table a third, so the cap
 # keeps that under a GiB; 512 nodes per axis at n = 3 (2 GiB) is out.
 MAX_SAMPLE_BYTES = 256 * 2**20
+# Highest derivative order per coordinate taken of a map that is not a finite
+# series: such derivatives grow like the order's factorial, and 171! overflows a double.
+MAX_CLOSED_FORM_ORDER = 170
 
 
 class MapFormatError(ValueError):
@@ -39,6 +43,15 @@ def check_point(z, n: int) -> np.ndarray:
     if np.max(np.abs(zz)) >= 1.0:
         raise ValueError("point lies on or outside the unit polydisk")
     return zz
+
+
+def check_tensor_size(shape) -> None:
+    """Refuse, before allocating it, a complex tensor of this shape above MAX_SAMPLE_BYTES."""
+    size = math.prod(shape) * np.dtype(complex).itemsize
+    if size > MAX_SAMPLE_BYTES:
+        raise MapFormatError(
+            f"a coefficient tensor of shape {tuple(shape)} needs {size / 2**20:.0f} MiB, "
+            f"over the {MAX_SAMPLE_BYTES // 2**20} MiB limit")
 
 
 def _check_unimodular(w: complex, name: str) -> complex:
@@ -91,6 +104,14 @@ class PolydiskAutomorphism:
         return np.diag(self.rotations * (1.0 - np.abs(self.center) ** 2))
 
 
+def _mobius_jet(c: complex, lam: complex, zeta: complex) -> tuple[complex, complex, complex]:
+    """(phi(zeta), phi'(zeta), r) for phi(w) = (c + lam*w) / (1 + conj(c)*lam*w):
+    the Taylor series at zeta is phi(zeta + t) = phi(zeta) + phi'(zeta) * t / (1 - r*t),
+    with r = -conj(c)*lam / (1 + conj(c)*lam*zeta)."""
+    q = 1.0 + np.conj(c) * lam * zeta
+    return (c + lam * zeta) / q, lam * (1.0 - abs(c) ** 2) / q**2, -np.conj(c) * lam / q
+
+
 def _check_axes(axes, n: int) -> list[np.ndarray]:
     axes = [np.asarray(a, dtype=complex) for a in axes]
     if len(axes) != n or any(a.ndim != 1 for a in axes):
@@ -108,6 +129,10 @@ class PluriharmonicMap:
     def eval_points(self, Z) -> np.ndarray:
         """Evaluate on an array of points, shape (..., n) -> (..., N)."""
         raise NotImplementedError
+
+    def _derivative(self, z: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
+        """(d^alpha f, dbar^alpha f) at a checked point; see derivative_exact."""
+        raise ValueError(f"{type(self).__name__} has no exact derivatives; use cauchy_derivative")
 
     def eval_grid(self, axes) -> np.ndarray:
         """Evaluate on the tensor grid of n per-axis point arrays,
@@ -141,11 +166,7 @@ class SeriesMap(PluriharmonicMap):
         (hk, hv), (ak, av) = self._clean_table(holo), self._clean_table(anti)
         top = np.max(np.vstack([hk, ak]), axis=0, initial=0)
         shape = (self.N,) + tuple(int(d) + 1 for d in top)
-        size = math.prod(shape) * np.dtype(complex).itemsize
-        if size > MAX_SAMPLE_BYTES:
-            raise MapFormatError(
-                f"a coefficient tensor of shape {shape} needs {size / 2**20:.0f} MiB, "
-                f"over the {MAX_SAMPLE_BYTES // 2**20} MiB limit")
+        check_tensor_size(shape)
         self.a, self.b = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
         self.a[(slice(None),) + tuple(hk.T)] = hv.T
         self.b[(slice(None),) + tuple(ak.T)] = av.T
@@ -220,6 +241,16 @@ class SeriesMap(PluriharmonicMap):
         out += _contract_grid(np.conj(self.b), [np.conj(T) for T in tables])
         return out
 
+    def _derivative(self, z, alpha):
+        tables = []
+        for zj, aj, dj in zip(z, alpha, self.a.shape[1:]):
+            falling = np.array([math.perm(k, aj) for k in range(aj, dj)], dtype=float)
+            tables.append((falling * zj ** np.arange(len(falling)))[None])
+        part = (slice(None),) + tuple(slice(aj, None) for aj in alpha)
+        # The anti-holomorphic sum is conj(sum b_k (falling factorial) z^(k - alpha)).
+        return (_contract_points(self.a[part], tables)[0],
+                np.conj(_contract_points(self.b[part], tables)[0]))
+
 
 def _table_view(t: np.ndarray) -> MappingProxyType:
     """{k: t[:, k]} over the nonzero entries of a coefficient tensor, read-only."""
@@ -247,26 +278,25 @@ def _contract_grid(t: np.ndarray, tables) -> np.ndarray:
 
 
 def derivative_exact(mapping: PluriharmonicMap, z, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """Mixed Wirtinger derivatives of a finite series: its tensors cut to k_j >= alpha_j,
-    weighted per axis by k_j!/(k_j - alpha_j)! * z_j**(k_j - alpha_j) and summed.
-    Returns the pair (d^alpha f / dz^alpha, d^alpha f / dzbar^alpha) as
-    complex N-vectors.  Mixed z/zbar derivatives of a pluriharmonic scalar
-    vanish identically and are not represented.
+    """Mixed Wirtinger derivatives (d^alpha f / dz^alpha, d^alpha f / dzbar^alpha)
+    at z as complex N-vectors, exact up to rounding for every map class:
+    - SeriesMap: the tensors cut to k_j >= alpha_j, weighted per axis by
+      k_j!/(k_j - alpha_j)! * z_j**(k_j - alpha_j) and summed;
+    - ColonnaMap: the closed-form derivatives of log((1+psi)/(1-psi));
+    - BlaschkeProduct: the product of its Mobius factors' truncated Taylor series;
+    - ComposedMap: Faa di Bruno through the per-coordinate Mobius factors,
+      on the outer map's derivatives of orders beta <= alpha.
+    Mixed z/zbar derivatives of a pluriharmonic scalar vanish identically and
+    are not represented.  Cauchy quadrature (quadrature.cauchy_derivative)
+    is the independent cross-check.
     """
-    if not mapping.is_series:
-        raise ValueError("exact differentiation requires a finite-series map; use cauchy_derivative")
     alpha = as_index(alpha)
     if len(alpha) != mapping.n:
         raise ValueError(f"alpha has length {len(alpha)}, expected {mapping.n}")
-    z = check_point(z, mapping.n)
-    tables = []
-    for zj, aj, dj in zip(z, alpha, mapping.a.shape[1:]):
-        falling = np.array([math.perm(k, aj) for k in range(aj, dj)], dtype=float)
-        tables.append((falling * zj ** np.arange(len(falling)))[None])
-    part = (slice(None),) + tuple(slice(aj, None) for aj in alpha)
-    # The anti-holomorphic sum is conj(sum b_k (falling factorial) z^(k - alpha)).
-    return (_contract_points(mapping.a[part], tables)[0],
-            np.conj(_contract_points(mapping.b[part], tables)[0]))
+    if not mapping.is_series and max(alpha) > MAX_CLOSED_FORM_ORDER:
+        raise ValueError(f"derivative orders above {MAX_CLOSED_FORM_ORDER} are only "
+                         f"taken of finite series, got {alpha}")
+    return mapping._derivative(check_point(z, mapping.n), alpha)
 
 
 def sup_bound_l1(mapping: PluriharmonicMap) -> float:
@@ -299,6 +329,28 @@ class ComposedMap(PluriharmonicMap):
         axes = _check_axes(axes, self.n)
         return self.outer.eval_grid([self.inner.coordinate(j, a) for j, a in enumerate(axes)])
 
+    def _derivative(self, z, alpha):
+        # Faa di Bruno per coordinate: d^m/dz^m u(phi(z)) = sum_k u^(k)(phi(z)) * weight_k,
+        # and for a Mobius phi the weight is the Lah number L(m, k) * phi'^k * r^(m - k)
+        # (the t^m coefficient of (phi'(z) t / (1 - r t))^k, times m!/k!).  The factors act
+        # on separate coordinates, so the weight of an outer order beta is a product.
+        w = np.empty(self.n, dtype=complex)
+        weights = []
+        for j, m in enumerate(alpha):
+            w[j], d1, r = _mobius_jet(self.inner.center[j], self.inner.rotations[j], z[j])
+            weights.append({0: 1.0} if m == 0 else
+                           {k: math.comb(m - 1, k - 1) * math.factorial(m) // math.factorial(k)
+                            * d1**k * r ** (m - k) for k in range(1, m + 1)})
+        A = np.zeros(self.N, dtype=complex)
+        B = np.zeros(self.N, dtype=complex)
+        for beta in product(*weights):
+            weight = math.prod(wj[bj] for wj, bj in zip(weights, beta))
+            dA, dB = self.outer._derivative(w, beta)
+            # dbar^alpha (conj(g) o phi) = conj(d^alpha (g o phi)): the weights conjugate.
+            A += weight * dA
+            B += np.conj(weight) * dB
+        return A, B
+
 
 class ColonnaMap(PluriharmonicMap):
     """Planar extremal family f(z) = (2*gamma/pi) * arg((1+psi(z)) / (1-psi(z)))
@@ -325,6 +377,23 @@ class ColonnaMap(PluriharmonicMap):
         w = self.lam * (zz - self.a) / (1.0 - np.conj(self.a) * zz)
         vals = (2.0 * self.gamma / np.pi) * np.angle((1.0 + w) / (1.0 - w))
         return np.asarray(vals, dtype=complex)[..., None]
+
+    def _derivative(self, z, alpha):
+        # 1 + psi = (u0 + u1 z)/(1 - conj(a) z) and 1 - psi = (v0 + v1 z)/(1 - conj(a) z),
+        # so L(psi(z)) = log(u0 + u1 z) - log(v0 + v1 z) up to a constant, and
+        # d^m L = (-1)^(m-1) (m-1)! ((u1/u)^m - (v1/v)^m) for m >= 1.
+        (m,) = alpha
+        zz, lam, a = z[0], self.lam, self.a
+        if m == 0:
+            psi = lam * (zz - a) / (1.0 - np.conj(a) * zz)
+            dL = np.log((1.0 + psi) / (1.0 - psi))
+        else:
+            u1, v1 = lam - np.conj(a), -(lam + np.conj(a))
+            u, v = 1.0 - lam * a + u1 * zz, 1.0 + lam * a + v1 * zz
+            dL = (-1) ** (m - 1) * math.factorial(m - 1) * ((u1 / u) ** m - (v1 / v) ** m)
+        # h = -(i gamma/pi) L(psi) and conj(g) = (i gamma/pi) conj(L(psi)).
+        c = 1j * self.gamma / np.pi
+        return np.array([-c * dL]), np.array([c * np.conj(dL)])
 
     def to_series(self, max_degree: int = 32, nodes: int = 512, radius: float = 0.9) -> SeriesMap:
         """Truncated coefficient tables recovered by circle quadrature.
@@ -373,6 +442,16 @@ class BlaschkeProduct(PluriharmonicMap):
             out = out * (zz - a) / (1.0 - np.conj(a) * zz)
         return out[..., None]
 
+    def _derivative(self, z, alpha):
+        # Each factor (z - a)/(1 - conj(a) z) is the Mobius map with c = -a and lam = 1.
+        (m,) = alpha
+        series = np.zeros(m + 1, dtype=complex)  # Taylor coefficients at z, to t^m
+        series[0] = self.rotation
+        for a in self.zeros:
+            value, d1, r = _mobius_jet(-a, 1.0, z[0])
+            series = np.convolve(series, np.concatenate([[value], d1 * r ** np.arange(m)]))[: m + 1]
+        return np.array([math.factorial(m) * series[m]]), np.zeros(1, dtype=complex)
+
 
 def random_bounded_map(n: int, N: int, degree: int, seed: int, margin: float = 0.05) -> SeriesMap:
     """Random finite series with coefficient l1 norm exactly 1 - margin.
@@ -385,12 +464,16 @@ def random_bounded_map(n: int, N: int, degree: int, seed: int, margin: float = 0
         raise ValueError("degree must be >= 0")
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
-    indices = enumerate_indices(n, degree)
+    shape = (N,) + (degree + 1,) * n
+    check_tensor_size(shape)
+    where = (slice(None),) + tuple(np.array(enumerate_indices(n, degree)).reshape(-1, n).T)
     # One draw fills the arrays in the order of four standard_normal(N) calls
     # per index: re a_k, im a_k, re b_k, im b_k, indices in graded-lex order.
-    x = np.random.default_rng(seed).standard_normal((len(indices), 4, N))
-    raw = SeriesMap(n, N, dict(zip(indices, x[:, 0] + 1j * x[:, 1])),
-                    dict(zip(indices, x[:, 2] + 1j * x[:, 3])))
+    x = np.random.default_rng(seed).standard_normal((len(where[1]), 4, N))
+    a, b = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    a[where] = (x[:, 0] + 1j * x[:, 1]).T
+    b[where] = (x[:, 2] + 1j * x[:, 3]).T
+    raw = SeriesMap.from_tensors(a, b)
     return raw.scaled((1.0 - margin) / sup_bound_l1(raw))
 
 

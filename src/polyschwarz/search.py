@@ -14,12 +14,14 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .multiindex import as_order
-from .mapping import (ColonnaMap, PluriharmonicMap, SeriesMap, from_pairs, random_bounded_map,
-                      sup_bound_l1, to_pairs)
+from .mapping import (ColonnaMap, PluriharmonicMap, SeriesMap, check_tensor_size, from_pairs,
+                      random_bounded_map, sup_bound_l1, to_pairs)
 # direction_max stays bound here as well: perfbench/tracer.py wraps it as search.direction_max.
 from .bounds import direction_max, verify_derivative_bound  # noqa: F401
 
-Z_SEARCH_CAP = 0.9       # quadrature degrades near the boundary
+# Largest |z_j| and |a_j| searched.  Derivatives are exact for every family,
+# so the caps bound the search box, not a quadrature error.
+Z_SEARCH_CAP = 0.9
 A_SEARCH_CAP = 0.85
 TENSOR_FACTOR_DEGREE = 16
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -29,8 +31,7 @@ FAMILIES = ("colonna_tensor", "random_series")
 
 def sharpness_ratio(mapping: PluriharmonicMap, z, alpha) -> float:
     """(|d^alpha f| + |dbar^alpha f|) / rhs_polydisk(alpha, ||z||_inf) for a
-    certified scalar map; exact differentiation for series maps, Cauchy
-    quadrature otherwise."""
+    certified scalar map, by exact differentiation (derivative_exact)."""
     report = verify_derivative_bound(mapping, z, alpha)
     return report.lhs / report.rhs
 
@@ -55,7 +56,9 @@ class SharpnessResult:
 
 def _tensor_colonna_map(a_params) -> SeriesMap:
     """Heuristic n > 1 candidate: tensor products of per-coordinate extremal
-    series parts, l1-renormalized into the unit ball.  Not claimed extremal."""
+    series parts, l1-renormalized into the unit ball.  Not claimed extremal.
+    Refused before anything is built when a tensor would exceed MAX_SAMPLE_BYTES."""
+    check_tensor_size((1,) + (TENSOR_FACTOR_DEGREE + 1,) * len(a_params))
     a = b = np.ones(1, dtype=complex)  # the N = 1 axis
     for aj in a_params:
         factor = ColonnaMap(1.0, aj, 1.0).to_series(TENSOR_FACTOR_DEGREE)
@@ -136,6 +139,9 @@ def sharpness_search(n: int, alpha, family: str = "colonna_tensor",
 
     rng = np.random.default_rng(seed)
     state = {"evals": 0, "best_ratio": -math.inf, "best_params": None, "best_z": None}
+    # The map of the latest evaluation: a refine step that moves only z reuses it.
+    # One entry, so memory does not grow with the budget.
+    last = {"params": None, "map": None}
 
     # Parameter vector layout: radial/angular pairs, all box-constrained.
     if family == "colonna_tensor":
@@ -159,8 +165,9 @@ def sharpness_search(n: int, alpha, family: str = "colonna_tensor",
         if state["evals"] >= budget:
             raise _BudgetExhausted
         params, z = decode(x, extra)
-        mapping = _build_family_map(family, n, params)
-        ratio = sharpness_ratio(mapping, z, alpha)
+        if params != last["params"]:
+            last["params"], last["map"] = params, _build_family_map(family, n, params)
+        ratio = sharpness_ratio(last["map"], z, alpha)
         state["evals"] += 1
         if ratio > state["best_ratio"]:
             state["best_ratio"] = ratio

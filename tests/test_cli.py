@@ -174,6 +174,20 @@ def test_sharpness_command(tmp_path, capsys):
     assert rec["evaluations"] <= 30
 
 
+def test_sharpness_too_large_a_family_map_is_a_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "sharp.json"
+    tracemalloc.start()
+    try:
+        assert main(["sharpness", "--n", "6", "--alpha", "1,1,1,1,1,1",
+                     "--out", str(out_path)]) == 2
+        assert tracemalloc.get_traced_memory()[1] < 4 * 2**20
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "368 MiB" in err
+    assert not out_path.exists()
+
+
 def test_growth_honours_tol_zero(tmp_path):
     zeromap = tmp_path / "zero.json"
     save_map(SeriesMap(1, 1, {(1,): [0.4]}), zeromap)

@@ -1,0 +1,147 @@
+"""Exact derivatives of every map class against Cauchy quadrature.
+
+derivative_exact uses a closed form (ColonnaMap), truncated Taylor products
+(BlaschkeProduct) or Faa di Bruno through the Mobius factors (ComposedMap);
+cauchy_derivative only samples the map's values on a torus, so neither side
+is derived from the other.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, PluriharmonicMap,
+                         PolydiskAutomorphism, cauchy_derivative, derivative_exact,
+                         jacobian_pair, random_bounded_map, verify_derivative_bound,
+                         verify_gradient_bound)
+from polyschwarz.multiindex import degree as mi_degree, enumerate_indices
+
+REL_TOL = 1e-9
+
+
+def _disk(rng, cap, size=None):
+    """Points of modulus at most cap, uniform in area."""
+    return cap * np.sqrt(rng.uniform(size=size)) * np.exp(2j * np.pi * rng.uniform(size=size))
+
+
+def _unimodular(rng, size=None):
+    return np.exp(2j * np.pi * rng.uniform(size=size))
+
+
+def _assert_matches_cauchy(f, z, alpha):
+    A, B = derivative_exact(f, z, alpha)
+    Ac, Bc = cauchy_derivative(f, z, alpha)
+    scale = max(np.max(np.abs(A)), np.max(np.abs(B)))
+    assert scale > 0
+    error = max(np.max(np.abs(A - Ac)), np.max(np.abs(B - Bc)))
+    assert error <= REL_TOL * scale, (alpha, error / scale)
+
+
+def test_colonna_closed_form_matches_cauchy():
+    rng = np.random.default_rng(1)
+    for _ in range(40):
+        f = ColonnaMap(_unimodular(rng), _disk(rng, 0.8), _unimodular(rng))
+        z = [_disk(rng, 0.6)]
+        for m in (1, 2, 3):
+            _assert_matches_cauchy(f, z, (m,))
+
+
+def test_blaschke_taylor_products_match_cauchy():
+    rng = np.random.default_rng(2)
+    for count in (2, 3, 2, 3, 3):
+        f = BlaschkeProduct(_disk(rng, 0.7, count), _unimodular(rng))
+        z = [_disk(rng, 0.6)]
+        for m in (1, 2, 3, 4):
+            _assert_matches_cauchy(f, z, (m,))
+            assert not derivative_exact(f, z, (m,))[1].any()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("N", [1, 2])
+def test_composed_series_matches_cauchy(n, N):
+    rng = np.random.default_rng(10 * n + N)
+    for seed in range(3):
+        outer = random_bounded_map(n, N, 3, seed=seed)
+        f = ComposedMap(PolydiskAutomorphism(_disk(rng, 0.5, n), _unimodular(rng, n)), outer)
+        z = _disk(rng, 0.6, n)
+        for alpha in enumerate_indices(n, 3):
+            if mi_degree(alpha):
+                _assert_matches_cauchy(f, z, alpha)
+
+
+def test_composed_colonna_matches_cauchy():
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        outer = ColonnaMap(_unimodular(rng), _disk(rng, 0.6), _unimodular(rng))
+        f = ComposedMap(PolydiskAutomorphism([_disk(rng, 0.5)], [_unimodular(rng)]), outer)
+        z = [_disk(rng, 0.6)]
+        for m in (1, 2, 3):
+            _assert_matches_cauchy(f, z, (m,))
+
+
+def test_order_zero_is_the_value():
+    rng = np.random.default_rng(5)
+    maps = [ColonnaMap(_unimodular(rng), 0.3 - 0.2j, _unimodular(rng)),
+            BlaschkeProduct([0.2, -0.5j], _unimodular(rng)),
+            ComposedMap(PolydiskAutomorphism([0.3, 0.1j]), random_bounded_map(2, 2, 3, seed=1))]
+    for f in maps:
+        z = _disk(rng, 0.7, f.n)
+        A, B = derivative_exact(f, z, (0,) * f.n)
+        np.testing.assert_allclose(A + B, f(z), rtol=0, atol=1e-14)
+
+
+def test_composed_first_order_is_the_chain_rule():
+    phi = PolydiskAutomorphism([0.3, -0.2j], [1j, -1.0])
+    outer = random_bounded_map(2, 1, 3, seed=2)
+    jp = jacobian_pair(ComposedMap(phi, outer), [0.0, 0.0])
+    inner = jacobian_pair(outer, phi.center)
+    scale = np.diag(phi.derivative_at_zero())
+    np.testing.assert_allclose(jp.d, inner.d * scale, rtol=1e-14)
+    np.testing.assert_allclose(jp.dbar, inner.dbar * np.conj(scale), rtol=1e-14)
+
+
+def _closed_form_maps():
+    return [ColonnaMap(np.exp(0.4j), 0.3 + 0.1j, np.exp(1.1j)),
+            BlaschkeProduct([0.4, -0.3j, 0.1 + 0.5j], np.exp(0.3j)),
+            ComposedMap(PolydiskAutomorphism([0.3, 0.2j]), random_bounded_map(2, 1, 3, seed=6)),
+            ComposedMap(PolydiskAutomorphism([0.4j]), ColonnaMap(1.0, 0.2, 1.0))]
+
+
+@pytest.mark.parametrize("f", _closed_form_maps(), ids=["colonna", "blaschke", "composed",
+                                                        "composed-colonna"])
+def test_verify_derivative_bound_is_exact_by_default(f):
+    z = [0.4j] + [0.3] * (f.n - 1)
+    alpha = (2,) * f.n
+    exact = verify_derivative_bound(f, z, alpha)
+    assert exact.params["method"] == "exact" and exact.tol == 1e-9 and exact.passed
+    cauchy = verify_derivative_bound(f, z, alpha, method="cauchy")
+    assert cauchy.params["method"] == "cauchy" and cauchy.tol == 1e-7 and cauchy.passed
+    assert cauchy.lhs == pytest.approx(exact.lhs, rel=REL_TOL)
+    gradient = verify_gradient_bound(f, z)
+    assert gradient.passed and gradient.tol == 1e-9
+
+
+def test_high_orders_of_closed_forms():
+    # L(z) = log((1+z)/(1-z)) has L^(m)(0) = 2 (m-1)! for odd m, so |h^(m)(0)| = 2 (m-1)!/pi
+    A, B = derivative_exact(ColonnaMap(1, 0, 1), [0.0], (21,))
+    assert abs(A[0]) == pytest.approx(2 * math.factorial(20) / math.pi, rel=1e-14)
+    assert abs(B[0]) == pytest.approx(abs(A[0]), rel=1e-15)
+    # beyond 170 (171! overflows a double) only finite series are differentiated
+    with pytest.raises(ValueError, match="finite series"):
+        derivative_exact(ColonnaMap(1, 0, 1), [0.1], (171,))
+    assert not derivative_exact(random_bounded_map(1, 1, 3, seed=0), [0.1], (171,))[0].any()
+
+
+def test_a_map_without_exact_derivatives_asks_for_cauchy():
+    class Values(PluriharmonicMap):
+        n = N = 1
+
+        def eval_points(self, Z):
+            return np.asarray(Z, dtype=complex) ** 2
+
+    f = Values()
+    with pytest.raises(ValueError, match="cauchy"):
+        derivative_exact(f, [0.2], (1,))
+    A, _ = cauchy_derivative(f, [0.2], (1,))
+    assert A[0] == pytest.approx(0.4, abs=1e-12)

@@ -10,6 +10,7 @@ from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, MapFormatErro
                          PolydiskAutomorphism, QuadratureSpec, SeriesMap, derivative_exact,
                          extract_coefficient, jacobian_pair, load_map, map_from_dict,
                          map_to_dict, random_bounded_map, save_map, sup_bound_l1)
+from polyschwarz.multiindex import enumerate_indices
 
 FOUR_OVER_PI = 4.0 / math.pi
 
@@ -103,8 +104,8 @@ def test_jacobian_pair_examples():
 
 def test_jacobian_pair_colonna_moduli():
     jp = jacobian_pair(ColonnaMap(1, 0, 1), [0.0])
-    assert abs(jp.d[0, 0]) == pytest.approx(2.0 / math.pi, abs=1e-10)
-    assert abs(jp.dbar[0, 0]) == pytest.approx(2.0 / math.pi, abs=1e-10)
+    assert abs(jp.d[0, 0]) == pytest.approx(2.0 / math.pi, abs=1e-12)
+    assert abs(jp.dbar[0, 0]) == pytest.approx(2.0 / math.pi, abs=1e-12)
 
 
 def test_colonna_parameter_validation():
@@ -197,6 +198,36 @@ def test_random_bounded_map_contract():
         np.testing.assert_array_equal(g1.holo[k], g2.holo[k])
     const = random_bounded_map(2, 1, 0, seed=3, margin=0.1)
     assert abs(const([0, 0])[0]) <= 0.9
+
+
+def _random_map_through_dicts(n, N, degree, seed, margin=0.05):
+    """random_bounded_map's draw, built through coefficient dicts."""
+    indices = enumerate_indices(n, degree)
+    x = np.random.default_rng(seed).standard_normal((len(indices), 4, N))
+    raw = SeriesMap(n, N, dict(zip(indices, x[:, 0] + 1j * x[:, 1])),
+                    dict(zip(indices, x[:, 2] + 1j * x[:, 3])))
+    return raw.scaled((1.0 - margin) / sup_bound_l1(raw))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2])
+def test_random_bounded_map_equals_the_dict_built_series(n, N):
+    for seed in range(5):
+        for degree in (0, 3):
+            direct = json.dumps(map_to_dict(random_bounded_map(n, N, degree, seed)), sort_keys=True)
+            via_dicts = map_to_dict(_random_map_through_dicts(n, N, degree, seed))
+            assert direct == json.dumps(via_dicts, sort_keys=True)
+
+
+def test_oversized_random_map_is_refused_before_allocation():
+    tracemalloc.start()
+    try:
+        # 1820 terms, but a dense tensor of 5^12 entries (3725 MiB)
+        with pytest.raises(MapFormatError, match=r"3725 MiB"):
+            random_bounded_map(12, 1, 4, seed=0)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_serialization_roundtrip(tmp_path):

@@ -180,11 +180,15 @@ def test_sample_cache_holds_only_the_latest_keys():
     assert len(builds) == len(ts)
     radii = [min(0.95, (t + 1.0) / 2.0) for t in ts[-2:]]
     assert list(f._quad_cache) == [((r, r), 512) for r in radii]
-    # the n first-order derivatives of a Jacobian share one sample too
+    # the n first-order Cauchy derivatives of a Jacobian share one sample too
     T = ComposedMap(PolydiskAutomorphism([0.2, 0.1j]), f)
     builds = _count_grid_builds(T)
-    jacobian_pair(T, [0.3, -0.2j])
+    for alpha in ((1, 0), (0, 1)):
+        cauchy_derivative(T, [0.3, -0.2j], alpha)
     assert len(builds) == 1 and len(T._quad_cache) == 1
+    # jacobian_pair is exact for composed maps and samples nothing
+    jacobian_pair(T, [0.3, -0.2j])
+    assert len(builds) == 1
 
 
 def test_sup_bound_l1():

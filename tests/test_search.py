@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from polyschwarz import (ColonnaMap, JacobianPair, SeriesMap, direction_max, direction_upper,
                          jacobian_pair, make_report, random_bounded_map, reevaluate,
                          sharpness_ratio, sharpness_search, verify_gradient_bound)
+from polyschwarz import search
 from polyschwarz.search import FAMILIES, golden_max
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -167,7 +169,7 @@ def test_sharpness_ratio_examples():
     series = ColonnaMap(1, 0, 1).to_series(40)
     assert sharpness_ratio(series, [0.0], (1,)) == pytest.approx(1.0, abs=1e-9)
     closed = ColonnaMap(1, 0, 1)
-    assert sharpness_ratio(closed, [0.0], (1,)) == pytest.approx(1.0, abs=1e-7)
+    assert sharpness_ratio(closed, [0.0], (1,)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sharpness_ratio_validation():
@@ -225,7 +227,7 @@ def test_gradient_ratio_extremal_along_imaginary_axis():
     # adapted extremal keeps the first-order ratio at 1 away from the origin
     for t in (0.0, 0.3, 0.6, 0.9):
         f = ColonnaMap(1, 1j * t, 1)
-        assert sharpness_ratio(f, [1j * t], (1,)) == pytest.approx(1.0, abs=1e-6)
+        assert sharpness_ratio(f, [1j * t], (1,)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_jacobian_pair_feeds_direction_max():
@@ -234,3 +236,47 @@ def test_jacobian_pair_feeds_direction_max():
     _, v = direction_max(jp)
     bf = _brute_force_direction_max(np.atleast_2d(jp.d), np.atleast_2d(jp.dbar))
     assert v == pytest.approx(bf, abs=1e-3)
+
+
+@pytest.mark.parametrize("family, n, alpha", [("random_series", 2, (2, 1)),
+                                              ("colonna_tensor", 1, (1,)),
+                                              ("colonna_tensor", 2, (1, 1))])
+def test_sharpness_search_builds_each_candidate_once(monkeypatch, family, n, alpha):
+    builds, evaluated = [], []
+    build, ratio = search._build_family_map, search.sharpness_ratio
+
+    def counting_build(family, n, params):
+        builds.append((params, build(family, n, params)))
+        return builds[-1][1]
+
+    def recording_ratio(mapping, z, alpha):
+        evaluated.append(mapping)
+        return ratio(mapping, z, alpha)
+
+    monkeypatch.setattr(search, "_build_family_map", counting_build)
+    monkeypatch.setattr(search, "sharpness_ratio", recording_ratio)
+    res = sharpness_search(n, alpha, family, budget=80, seed=2)
+    assert len(evaluated) == res.evaluations == 80
+    # every evaluation uses the latest build, and a build happens only when
+    # the parameters differ from the previous evaluation's
+    order = {id(m): i for i, (_, m) in enumerate(builds)}
+    used = [order[id(m)] for m in evaluated]
+    assert used == sorted(used) and set(used) == set(range(len(builds)))
+    assert all(p != q for (p, _), (q, _) in zip(builds, builds[1:]))
+    assert len(builds) < res.evaluations
+    if family == "random_series":
+        # one parameter set per start: each is built exactly once
+        seeds = [p["seed"] for p, _ in builds]
+        assert len(seeds) == len(set(seeds))
+    assert reevaluate(res) == pytest.approx(res.ratio, rel=1e-12)
+
+
+def test_tensor_colonna_size_guard():
+    assert search._tensor_colonna_map([0.1, 0.2j, 0.0, 0.3, -0.1]).a.shape == (1,) + (17,) * 5
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"\(1(, 17){6}\) needs 368 MiB"):
+            search._tensor_colonna_map([0.0] * 6)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
