@@ -177,26 +177,6 @@ def require_certified(mapping: PluriharmonicMap, N: int | None = None) -> None:
 # Left-hand sides: derivatives, Jacobians and the directional maximum.
 # ---------------------------------------------------------------------------
 
-def _resolve_method(method: str | None = None) -> tuple[str, float]:
-    """The derivative method and its default tolerance: exact differentiation
-    (derivative_exact, every map class) unless `method` is "cauchy", which
-    asks for Cauchy quadrature."""
-    if method is None or method == "exact":
-        return "exact", DEFAULT_TOL_EXACT
-    if method == "cauchy":
-        return method, DEFAULT_TOL_QUAD
-    raise ValueError(f"unknown method {method!r}; expected 'exact' or 'cauchy'")
-
-
-def _derivative_pair(mapping: PluriharmonicMap, z, alpha, method: str | None = None,
-                     spec: QuadratureSpec | None = None):
-    """(d^alpha f, dbar^alpha f) at z by the method _resolve_method picks."""
-    method, _ = _resolve_method(method)
-    if method == "exact":
-        return derivative_exact(mapping, z, alpha)
-    return cauchy_derivative(mapping, z, alpha, spec)
-
-
 @dataclass
 class JacobianPair:
     """First-order Wirtinger derivative matrices, both N x n."""
@@ -211,7 +191,7 @@ def jacobian_pair(mapping: PluriharmonicMap, z) -> JacobianPair:
     d = np.zeros((mapping.N, mapping.n), dtype=complex)
     dbar = np.zeros_like(d)
     for m in range(mapping.n):
-        d[:, m], dbar[:, m] = _derivative_pair(mapping, z, unit_index(mapping.n, m))
+        d[:, m], dbar[:, m] = derivative_exact(mapping, z, unit_index(mapping.n, m))
     return JacobianPair(d, dbar)
 
 
@@ -374,14 +354,21 @@ def verify_derivative_bound(mapping: PluriharmonicMap, z, alpha, method: str | N
     """Order-alpha derivative bound for a certified scalar map into the disk:
     |d^alpha f| + |dbar^alpha f| <= rhs_polydisk(alpha, ||z||_inf).
 
-    method is "exact" (also when None; every map class) or "cauchy", which
-    uses Cauchy quadrature with `spec`.
+    method is "exact" (also when None; derivative_exact, every map class,
+    tol None: DEFAULT_TOL_EXACT) or "cauchy" (cauchy_derivative with `spec`,
+    tol None: DEFAULT_TOL_QUAD).
     """
     require_certified(mapping, N=1)
     alpha = as_order(alpha)
     z = check_point(z, mapping.n)
-    method, default_tol = _resolve_method(method)
-    A, B = _derivative_pair(mapping, z, alpha, method, spec)
+    if method is None or method == "exact":
+        method, default_tol = "exact", DEFAULT_TOL_EXACT
+        A, B = derivative_exact(mapping, z, alpha)
+    elif method == "cauchy":
+        default_tol = DEFAULT_TOL_QUAD
+        A, B = cauchy_derivative(mapping, z, alpha, spec)
+    else:
+        raise ValueError(f"unknown method {method!r}; expected 'exact' or 'cauchy'")
     lhs = abs(A[0]) + abs(B[0])
     rhs = rhs_polydisk(alpha, np.max(np.abs(z)))
     params = {"z": to_pairs(z), "alpha": list(alpha), "method": method}

@@ -122,7 +122,7 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_lemma(args) -> int:
-    nodes = 4096 if args.nodes is None else args.nodes
+    nodes = quadrature.abs_cos_nodes(args.m, args.nodes)
     value = quadrature.abs_cos_integral(args.m, args.gamma, nodes=nodes)
     tol = args.tol if args.tol is not None else 1e-5
     print(f"abs-cos integral: m={args.m} gamma={args.gamma} nodes={nodes} "
@@ -132,7 +132,7 @@ def cmd_lemma(args) -> int:
 
 def cmd_extremal(args) -> int:
     mapping = ColonnaMap(args.gamma, args.a, args.lam)
-    series = mapping.to_series(args.degree, nodes=512 if args.nodes is None else args.nodes)
+    series = mapping.to_series(args.degree)
     save_map(series, args.out)
     print(f"wrote extremal map (degree {args.degree}) to {args.out}")
     return 0
@@ -215,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=0.0)
     p.set_defaults(func=cmd_lemma)
 
-    p = sub.add_parser("extremal", parents=[nodes, out_required],
+    p = sub.add_parser("extremal", parents=[out_required],
                        help="emit a planar extremal map file")
     p.add_argument("--gamma", type=_parse_complex, default=complex(1.0))
     p.add_argument("--a", type=_parse_complex, default=complex(0.0))

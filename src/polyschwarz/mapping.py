@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 from itertools import product
 from types import MappingProxyType
 
@@ -204,9 +205,9 @@ class SeriesMap(PluriharmonicMap):
         a.flags.writeable = b.flags.writeable = False
         return out
 
-    # Read-only {k: a_k} and {k: b_k} over the nonzero terms, for map files and term readers.
-    holo = property(lambda self: _table_view(self.a))
-    anti = property(lambda self: _table_view(self.b))
+    # Read-only {k: a_k} and {k: b_k} over the nonzero terms, built once, on first read.
+    holo = cached_property(lambda self: _table_view(self.a))
+    anti = cached_property(lambda self: _table_view(self.b))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -378,43 +379,44 @@ class ColonnaMap(PluriharmonicMap):
         vals = (2.0 * self.gamma / np.pi) * np.angle((1.0 + w) / (1.0 - w))
         return np.asarray(vals, dtype=complex)[..., None]
 
+    def _log_taylor(self, z, m):
+        """Taylor coefficients of L(psi) at z, L(psi(z + t)) = L(psi(z)) + sum_{m>=1} c_m t^m,
+        at an order m >= 1 or at each order of an integer array of them:
+        c_m = (-1)^(m-1)/m ((u1/u)^m - (v1/v)^m)."""
+        # 1 + psi and 1 - psi at z + t are u + u1 t and v + v1 t over one common
+        # denominator, so L(psi(z + t)) = log(u + u1 t) - log(v + v1 t) up to a constant.
+        lam, a, ca = self.lam, self.a, self.a.conjugate()
+        u1, v1 = lam - ca, -(lam + ca)
+        u, v = 1.0 - lam * a + u1 * z, 1.0 + lam * a + v1 * z
+        return (-1) ** (m - 1) / m * ((u1 / u) ** m - (v1 / v) ** m)
+
     def _derivative(self, z, alpha):
-        # 1 + psi = (u0 + u1 z)/(1 - conj(a) z) and 1 - psi = (v0 + v1 z)/(1 - conj(a) z),
-        # so L(psi(z)) = log(u0 + u1 z) - log(v0 + v1 z) up to a constant, and
-        # d^m L = (-1)^(m-1) (m-1)! ((u1/u)^m - (v1/v)^m) for m >= 1.
         (m,) = alpha
-        zz, lam, a = z[0], self.lam, self.a
         if m == 0:
-            psi = lam * (zz - a) / (1.0 - np.conj(a) * zz)
+            psi = self.lam * (z[0] - self.a) / (1.0 - np.conj(self.a) * z[0])
             dL = np.log((1.0 + psi) / (1.0 - psi))
         else:
-            u1, v1 = lam - np.conj(a), -(lam + np.conj(a))
-            u, v = 1.0 - lam * a + u1 * zz, 1.0 + lam * a + v1 * zz
-            dL = (-1) ** (m - 1) * math.factorial(m - 1) * ((u1 / u) ** m - (v1 / v) ** m)
+            dL = math.factorial(m) * self._log_taylor(z[0], m)
         # h = -(i gamma/pi) L(psi) and conj(g) = (i gamma/pi) conj(L(psi)).
         c = 1j * self.gamma / np.pi
         return np.array([-c * dL]), np.array([c * np.conj(dL)])
 
-    def to_series(self, max_degree: int = 32, nodes: int = 512, radius: float = 0.9) -> SeriesMap:
-        """Truncated coefficient tables recovered by circle quadrature.
-
-        The constant split between a_0 and b_0 is not observable from values;
-        the full constant is stored in a_0.
-        """
-        if not 0 < radius < 1:
-            raise ValueError("expansion radius must lie in (0, 1)")
-        if nodes <= 2 * max_degree:
-            raise ValueError("node count must exceed twice the expansion degree")
-        theta = 2.0 * np.pi * np.arange(nodes) / nodes
-        zz = radius * np.exp(1j * theta)
-        vals = self.eval_points(zz[:, None])[:, 0]
-        F = np.fft.fft(vals) / nodes
-        m = np.arange(max_degree + 1)
-        b = np.where(m > 0, np.conj(F[-m]), 0.0) / radius**m
-        series = SeriesMap.from_tensors((F[m] / radius**m)[None], b[None])
-        # The closed form maps into the disk and the extracted coefficients
-        # below the truncation degree are exact, so the range certificate is
-        # inherited by the truncation.
+    def to_series(self, max_degree: int = 32) -> SeriesMap:
+        """The Taylor series at 0 cut at max_degree: a_m = -(i gamma/pi) c_m and
+        b_m = -(i conj(gamma)/pi) c_m exactly, with c_m from _log_taylor; a_0 holds all
+        of f(0) and b_0 = 0, since values cannot split the constant between them.  An
+        oversized degree is refused by check_tensor_size before anything is built."""
+        if max_degree < 0:
+            raise ValueError(f"expansion degree must be >= 0, got {max_degree}")
+        check_tensor_size((1, max_degree + 1))
+        c = np.zeros(max_degree + 1, dtype=complex)
+        c[1:] = self._log_taylor(0.0, np.arange(1, max_degree + 1))
+        a, b = -1j * self.gamma / np.pi * c, -1j * np.conj(self.gamma) / np.pi * c
+        a[0] = self(0.0)[0]
+        series = SeriesMap.from_tensors(a[None], b[None])
+        # Declared, not checked: the truncation itself reaches |f| = 1.1665 on
+        # |z| = 0.999 (the FOUND on this stamp in CHANGES.md), so this bound is
+        # unsound; ROADMAP item 3 removes the stamp.
         series.certified_sup = 1.0
         return series
 

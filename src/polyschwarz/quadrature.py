@@ -19,6 +19,7 @@ from .mapping import MAX_SAMPLE_BYTES, PluriharmonicMap, check_point
 DEFAULT_EXTRACTION_RADIUS = 0.5
 DEFAULT_EXTRACTION_NODES = 64
 DEFAULT_CAUCHY_NODES = 512
+DEFAULT_LEMMA_NODES = 4096
 # Torus samples (with their FFTs) kept per map: two, so that comparing two
 # contour radii or node counts at one point does not rebuild each sample.
 QUAD_CACHE_ENTRIES = 2
@@ -79,24 +80,29 @@ def torus_trapezoid(integrand, n: int, nodes_per_dim: int) -> complex:
     return complex(vals.mean())
 
 
-def abs_cos_integral(m: int, gamma: float, nodes: int = 4096) -> float:
-    """Numerical value of the full-period integral of |cos(m*theta + gamma)|.
+def abs_cos_nodes(m: int, nodes: int | None = None) -> int:
+    """The node count of abs_cos_integral for order m: `nodes` (None: DEFAULT_LEMMA_NODES)
+    raised to the next integer coprime to m.  With gcd(m, nodes) = g > 1 the node phases
+    collapse onto nodes/g distinct values and the trapezoid error grows by g^2."""
+    if int(m) < 1:
+        raise ValueError("m must be a positive integer")
+    M = DEFAULT_LEMMA_NODES if nodes is None else int(nodes)
+    if M < 1:
+        raise ValueError(f"nodes must be a positive integer, got {M}")
+    while math.gcd(int(m), M) != 1:
+        M += 1
+    return M
+
+
+def abs_cos_integral(m: int, gamma: float, nodes: int | None = None) -> float:
+    """Numerical value of the full-period integral of |cos(m*theta + gamma)|
+    on abs_cos_nodes(m, nodes) nodes.
 
     Converges to 4 independently of m >= 1 and the phase gamma.  m = 0 is
     rejected: the constant case integrates to 2*pi*|cos(gamma)| instead.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    # With gcd(m, nodes) = g > 1 the node phases collapse onto nodes/g distinct
-    # values and the trapezoid error grows by g^2; nudge the node count up to
-    # the next integer coprime to m so the full grid is effective.
-    M = int(nodes)
-    if M < 1:
-        raise ValueError(f"nodes must be a positive integer, got {M}")
-    while math.gcd(m, M) != 1:
-        M += 1
-    mean = torus_trapezoid(lambda t: np.abs(np.cos(m * t + float(gamma))), 1, M)
+    M = abs_cos_nodes(m, nodes)
+    mean = torus_trapezoid(lambda t: np.abs(np.cos(int(m) * t + float(gamma))), 1, M)
     return 2.0 * np.pi * mean.real
 
 

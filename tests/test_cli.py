@@ -25,6 +25,14 @@ def test_lemma_exit_codes(capsys):
     assert main(["lemma", "--m", "3", "--gamma", "0.7", "--tol", "1e-16"]) == 1
 
 
+def test_lemma_prints_the_node_count_it_uses(capsys):
+    # The node count is raised until it is coprime to m.
+    assert main(["lemma", "--m", "2"]) == 0
+    assert " nodes=4097 " in capsys.readouterr().out
+    assert main(["lemma", "--m", "6", "--nodes", "64"]) == 1  # 65 nodes: 3.9e-4 off
+    assert " nodes=65 " in capsys.readouterr().out
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["verify"]) == 2  # missing required arguments
     assert main(["no-such-command"]) == 2
@@ -79,6 +87,20 @@ def test_extremal_coeffs_pipeline(tmp_path):
     assert all(r["pass"] for r in recs)
     assert any(r["check_id"] == "homogeneous_part" for r in recs)
     assert any(r["check_id"] == "coefficient_l2" for r in recs)
+
+
+def test_extremal_takes_any_degree_within_the_size_limit(tmp_path, capsys):
+    path = tmp_path / "e.json"
+    assert main(["extremal", "--degree", "300", "--out", str(path)]) == 0
+    assert max(t["k"][0] for t in json.loads(path.read_text())["terms"]) == 300
+    capsys.readouterr()
+    assert main(["extremal", "--degree", "100000000", "--out", str(tmp_path / "big.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MiB" in err
+    # the coefficients are exact, so there is no quadrature node count to set
+    assert main(["extremal", "--nodes", "512", "--out", str(tmp_path / "n.json")]) == 2
+    assert "unrecognized arguments: --nodes 512" in capsys.readouterr().err
+    assert not (tmp_path / "big.json").exists() and not (tmp_path / "n.json").exists()
 
 
 def test_gradient_and_growth_commands(tmp_path):
@@ -215,8 +237,7 @@ def test_cauchy_sample_too_large_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error:") and "512^3" in err and "MiB" in err
 
 
-@pytest.mark.parametrize("argv", [["lemma", "--m", "3", "--nodes", "0"],
-                                  ["extremal", "--nodes", "0", "--out", "e.json"]])
+@pytest.mark.parametrize("argv", [["lemma", "--m", "3", "--nodes", "0"]])
 def test_explicit_zero_nodes_is_refused(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2

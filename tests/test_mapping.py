@@ -134,6 +134,57 @@ def test_colonna_sup_approaches_one():
     assert np.all(np.diff(vals) > 0)
 
 
+# The circle quadrature that to_series used before it read the coefficients
+# from the closed form, kept as the reference.
+def _reference_fft_series(f, max_degree, nodes=512, radius=0.9):
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    vals = f.eval_points((radius * np.exp(1j * theta))[:, None])[:, 0]
+    F = np.fft.fft(vals) / nodes
+    m = np.arange(max_degree + 1)
+    b = np.where(m > 0, np.conj(F[-m]), 0.0) / radius**m
+    return F[m] / radius**m, b
+
+
+def test_colonna_series_matches_the_circle_quadrature():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        gamma, lam = np.exp(2j * np.pi * rng.uniform(size=2))
+        a = 0.85 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        f = ColonnaMap(gamma, a, lam)
+        for degree in (0, 16, 40):
+            s = f.to_series(degree)
+            ref_a, ref_b = _reference_fft_series(f, degree)
+            assert s.a.shape == s.b.shape == (1, degree + 1)
+            assert np.max(np.abs(s.a[0] - ref_a)) < 1e-13
+            assert np.max(np.abs(s.b[0] - ref_b)) < 1e-13
+
+
+def test_colonna_series_of_high_degree_follows_the_closed_form():
+    gamma, a, lam = np.exp(0.4j), 0.6 - 0.3j, np.exp(-1.1j)
+    s = ColonnaMap(gamma, a, lam).to_series(300)
+    # L(psi(t)) = log(u + u1 t) - log(v + v1 t) at 0: c_m = (-1)^(m-1)/m ((u1/u)^m - (v1/v)^m).
+    u, u1 = 1 - lam * a, lam - np.conj(a)
+    v, v1 = 1 + lam * a, -(lam + np.conj(a))
+    c = np.array([(-1) ** (m - 1) / m * ((u1 / u) ** m - (v1 / v) ** m) for m in range(1, 301)])
+    np.testing.assert_allclose(s.a[0, 1:], -1j * gamma / math.pi * c, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(s.b[0, 1:], -1j * np.conj(gamma) / math.pi * c, rtol=0, atol=1e-12)
+    assert s.a[0, 0] == pytest.approx(ColonnaMap(gamma, a, lam)([0.0])[0], abs=1e-15)
+    assert s.b[0, 0] == 0
+
+
+def test_colonna_series_of_oversized_or_negative_degree_is_refused():
+    f = ColonnaMap(1, 0.2, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MapFormatError, match=r"\(1, 100000001\).* MiB"):
+            f.to_series(10**8)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(ValueError, match="degree"):
+        f.to_series(-1)
+
+
 def test_compose_identity():
     f = random_bounded_map(2, 1, 3, seed=1)
     T = ComposedMap(PolydiskAutomorphism([0.0, 0.0]), f)
@@ -421,6 +472,8 @@ def test_table_views_rebuild_the_tensors_and_are_read_only():
         np.testing.assert_array_equal(g.a, f.a)
         np.testing.assert_array_equal(g.b, f.b)
         k = next(iter(f.holo))
+        # each view is built once per map; repeated reads share it
+        assert f.holo is f.holo and f.anti is f.anti
         with pytest.raises(TypeError):
             f.holo[k] = np.zeros(N)
         with pytest.raises(ValueError):
