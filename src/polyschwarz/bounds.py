@@ -10,9 +10,10 @@ reserved for genuine violations on in-class inputs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -41,6 +42,8 @@ DIRECTION_STARTS = 5
 DIRECTION_NEWTON_STEPS = 30
 DIRECTION_STEP_TOL = 1e-7
 DIRECTION_MAX_BOXES = 1 << 16
+# Working memory of one chunk of a direction_max stack (see _direction_chunk).
+DIRECTION_CHUNK_BYTES = 16 << 20
 
 
 class HypothesisError(Exception):
@@ -65,7 +68,7 @@ class BoundReport:
     passed: bool
 
     def to_json(self) -> str:
-        d = asdict(self)
+        d = dict(vars(self))
         d["pass"] = d.pop("passed")
         return json.dumps(d, sort_keys=True)
 
@@ -200,13 +203,17 @@ def _jacobian_arrays(jp: JacobianPair):
     dbar = np.atleast_2d(np.asarray(jp.dbar, dtype=complex))
     if d.shape != dbar.shape:
         raise ValueError("jacobian matrices must share a shape")
+    if d.ndim > 3:
+        raise ValueError(f"expected an (N, n) Jacobian or a (P, N, n) stack, got shape {d.shape}")
     return d, dbar
 
 
 def _direction_values(d, dbar, phi) -> np.ndarray:
-    """||d theta + dbar conj(theta)|| at theta = e^{i phi}, one value per row of phi."""
+    """||d theta + dbar conj(theta)|| at theta = e^{i phi}, one value per row
+    of phi; for a stack d of shape (P, N, n), one row of values per Jacobian."""
     theta = np.exp(1j * phi)
-    return np.linalg.norm(theta @ d.T + np.conj(theta) @ dbar.T, axis=-1)
+    return np.linalg.norm(theta @ np.swapaxes(d, -1, -2)
+                          + np.conj(theta) @ np.swapaxes(dbar, -1, -2), axis=-1)
 
 
 def _column_max(d, dbar) -> np.ndarray:
@@ -223,44 +230,100 @@ def _phase_grid(n: int, per_axis: int) -> np.ndarray:
     return np.stack([g.ravel() for g in np.meshgrid(*([axis] * n), indexing="ij")], axis=-1)
 
 
-def _newton_ascent(d, dbar, phi: np.ndarray):
-    """Saddle-free Newton ascent of ||d theta + dbar conj(theta)||^2 from
-    every row of phi at once; returns the final phases and their values.
+@functools.cache
+def _start_grid(n: int) -> np.ndarray:
+    """The ascent's starting grid: 8 phases per axis, fewer once that
+    exceeds DIRECTION_GRID_POINTS.  Built once per n, and read-only."""
+    per_axis = 8
+    while per_axis ** n > DIRECTION_GRID_POINTS:
+        per_axis -= 1
+    grid = _phase_grid(n, per_axis)
+    grid.flags.writeable = False
+    return grid
+
+
+def _newton_ascent(d, dbar):
+    """Saddle-free Newton ascent of ||d theta + dbar conj(theta)||^2 for a
+    stack of P Jacobians (d, dbar: (P, N, n)), from the best DIRECTION_STARTS
+    points of each one's _start_grid, all rows at once.  Returns (theta,
+    value) per Jacobian: the best final phases and the value there.
 
     The step is |H|^-1 g, with the Hessian's eigenvalues taken in absolute
     value so that it always points uphill, cut to a trust radius.  A step is
     taken only when the evaluated value rises; otherwise the radius halves.
+    A Jacobian's rows stop together, once each of them has a step or a
+    radius below DIRECTION_STEP_TOL.
     """
-    n = d.shape[1]
-    diag = np.arange(n)
+    P, _, n = d.shape
+    grid = _start_grid(n)
+    order = np.argsort(-_direction_values(d, dbar, grid), axis=1, kind="stable")
+    k = min(DIRECTION_STARTS, len(grid))
+    phi = grid[order[:, :k]].reshape(-1, n)
+    d, dbar = np.repeat(d, k, axis=0), np.repeat(dbar, k, axis=0)
+    eye = np.eye(n)
 
-    def columns(phi):
+    def columns(phi, d, dbar):
         theta = np.exp(1j * phi)[:, None, :]
         hol, anti = d * theta, dbar * np.conj(theta)
         U = hol + anti  # column j of v, per start
         return U, 1j * (hol - anti), np.linalg.norm(U.sum(axis=2), axis=1)
 
-    phi = phi.copy()
-    U, W, value = columns(phi)  # W: the derivative of U's column j in phi_j
+    U, W, value = columns(phi, d, dbar)  # W: the derivative of U's column j in phi_j
     radius = np.ones(len(phi))
+    every = np.arange(len(phi))
+    rows = slice(None)  # the rows still ascending: all, until a Jacobian stops
     for _ in range(DIRECTION_NEWTON_STEPS):
-        vc = np.conj(U.sum(axis=2))
-        g = 2.0 * np.einsum("br,brj->bj", vc, W).real
-        H = 2.0 * np.einsum("brj,brl->bjl", np.conj(W), W).real
-        H[:, diag, diag] -= 2.0 * np.einsum("br,brj->bj", vc, U).real
+        u, w, r = U[rows], W[rows], radius[rows]
+        vc = np.conj(u.sum(axis=2))[:, None, :]
+        g = 2.0 * (vc @ w)[:, 0].real
+        H = 2.0 * np.einsum("brj,brl->bjl", np.conj(w), w).real
+        H -= 2.0 * (vc @ u)[:, 0].real[:, :, None] * eye
         lam, Q = np.linalg.eigh(H)
         scale = np.maximum(np.abs(lam), 1e-6 * np.abs(lam).max(axis=1, keepdims=True)) + 1e-300
-        step = np.einsum("bjk,bk->bj", Q, np.einsum("bjk,bj->bk", Q, g) / scale)
-        length = np.linalg.norm(step, axis=1)
-        if np.all(np.minimum(length, radius) < DIRECTION_STEP_TOL):
-            break
-        trial = phi + step * np.minimum(1.0, radius / np.maximum(length, 1e-300))[:, None]
-        U_t, W_t, value_t = columns(trial)
-        rises = value_t > value
-        phi[rises], U[rises], W[rises], value[rises] = (
-            trial[rises], U_t[rises], W_t[rises], value_t[rises])
-        radius = np.where(rises, radius, 0.5 * np.minimum(radius, length))
-    return phi, value
+        c = (g[:, None, :] @ Q)[:, 0] / scale  # g in the eigenbasis, divided by |lam|
+        step = (Q @ c[:, :, None])[:, :, 0]
+        length = np.sqrt((step * step).sum(axis=1))
+        done = (np.minimum(length, r) < DIRECTION_STEP_TOL).reshape(-1, k).all(axis=1)
+        if done.any():
+            if done.all():
+                break
+            keep = np.repeat(~done, k)
+            rows, step, length, r = every[rows][keep], step[keep], length[keep], r[keep]
+        trial = phi[rows] + step * np.minimum(1.0, r / np.maximum(length, 1e-300))[:, None]
+        U_t, W_t, value_t = columns(trial, d[rows], dbar[rows])
+        rises = value_t > value[rows]
+        up = every[rows][rises]
+        phi[up], U[up], W[up], value[up] = trial[rises], U_t[rises], W_t[rises], value_t[rises]
+        radius[rows] = np.where(rises, r, 0.5 * np.minimum(r, length))
+    best = every[::k] + np.argmax(value.reshape(P, k), axis=1)
+    return np.exp(1j * phi[best]), value[best]
+
+
+def _direction_chunk(N: int, n: int) -> int:
+    """Jacobians per chunk of a direction_max stack, so that a chunk's
+    working set stays within DIRECTION_CHUNK_BYTES.  Per Jacobian it holds
+    at most eight complex arrays of max(DIRECTION_GRID_POINTS,
+    DIRECTION_STARTS * n) x max(N, n) entries at once: the start grid's
+    values, then the ascent's rows."""
+    per_point = 8 * 16 * max(DIRECTION_GRID_POINTS, DIRECTION_STARTS * n) * max(N, n)
+    return max(1, DIRECTION_CHUNK_BYTES // per_point)
+
+
+def _direction_max_stack(d, dbar):
+    """direction_max of one chunk, d and dbar of shape (P, N, n)."""
+    _, N, n = d.shape
+    if n == 1:
+        theta = np.exp(-0.5j * np.angle(np.sum(np.conj(dbar) * d, axis=1)))
+    elif N <= 2 * n:
+        return _newton_ascent(d, dbar)
+    else:
+        # ||d theta + dbar conj(theta)|| = ||R [theta; conj(theta)]|| for the
+        # 2n x 2n factor R of [d dbar] = QR, so the ascent needs no row beyond
+        # 2n; the value is then evaluated on d and dbar themselves.
+        r = np.linalg.qr(np.concatenate((d, dbar), axis=2), mode="r")
+        theta, _ = _newton_ascent(r[..., :n], r[..., n:])
+    v = np.sum(d * theta[:, None, :] + dbar * np.conj(theta)[:, None, :], axis=2)
+    return theta, np.linalg.norm(v, axis=1)
 
 
 def direction_max(jp: JacobianPair):
@@ -269,25 +332,31 @@ def direction_max(jp: JacobianPair):
     attained there).  Returns (theta, value), value being the objective
     evaluated at theta: an attained value, never above the maximum.
 
+    jp.d and jp.dbar hold one N x n Jacobian (a 1-D array is one row), or a
+    stack of P of them, shape (P, N, n), for which theta has shape (P, n)
+    and value shape (P,); each Jacobian of a stack gets the value it would
+    get alone.  A stack is worked in chunks whose working set stays within
+    DIRECTION_CHUNK_BYTES (16 MiB); a Jacobian with N > 2n rows is first
+    replaced by the 2n x 2n R factor of [d dbar], which keeps every value
+    of the objective, so a large N adds no more than the factorisation.
+
     n = 1 is the closed form of _column_max.  For n >= 2 a saddle-free Newton
     ascent runs from the best DIRECTION_STARTS points of a fixed phase grid
-    (8 points per axis, fewer once that exceeds DIRECTION_GRID_POINTS).
-    Deterministic; direction_upper gives the certified side.
+    (8 points per axis, fewer once that exceeds DIRECTION_GRID_POINTS), for
+    every Jacobian of a chunk at once.  Deterministic; direction_upper gives
+    the certified side.
     """
     d, dbar = _jacobian_arrays(jp)
-    n = d.shape[1]
-    if n == 1:
-        phi = np.array([[-0.5 * np.angle(np.vdot(dbar, d))]])
-        values = _direction_values(d, dbar, phi)
-    else:
-        per_axis = 8
-        while per_axis ** n > DIRECTION_GRID_POINTS:
-            per_axis -= 1
-        phi = _phase_grid(n, per_axis)
-        starts = np.argsort(-_direction_values(d, dbar, phi), kind="stable")[:DIRECTION_STARTS]
-        phi, values = _newton_ascent(d, dbar, phi[starts])
-    best = int(np.argmax(values))
-    return np.exp(1j * phi[best]), float(values[best])
+    if d.ndim == 2:
+        theta, value = _direction_max_stack(d[None], dbar[None])
+        return theta[0], float(value[0])
+    P, N, n = d.shape
+    step = _direction_chunk(N, n)
+    chunks = [_direction_max_stack(d[i:i + step], dbar[i:i + step]) for i in range(0, P, step)]
+    if not chunks:
+        return np.zeros((0, n), dtype=complex), np.zeros(0)
+    theta, value = zip(*chunks)
+    return np.concatenate(theta), np.concatenate(value)
 
 
 def direction_upper(jp: JacobianPair, threshold: float) -> tuple[float | None, int]:
@@ -420,9 +489,38 @@ def verify_l2_bound(mapping: PluriharmonicMap, tol: float | None = None) -> Boun
     return make_report("coefficient_l2", {}, lhs, 1.0, DEFAULT_TOL_EXACT if tol is None else tol)
 
 
+def verify_gradient_grid(mapping: PluriharmonicMap, points,
+                         tol: float | None = None) -> list[BoundReport]:
+    """verify_gradient_bound at every point of `points` (tol None:
+    DEFAULT_TOL_EXACT), in order; no points give no reports.
+
+    The map is certified once, and the points' Jacobians go to direction_max
+    as one stack per chunk (_direction_chunk, DIRECTION_CHUNK_BYTES), so the
+    ascent runs for a whole chunk at once; direction_upper then decides each
+    point.  Each report is the one the point would get alone.
+    """
+    require_certified(mapping)
+    points = [check_point(z, mapping.n) for z in points]
+    tol = DEFAULT_TOL_EXACT if tol is None else tol
+    step = _direction_chunk(mapping.N, mapping.n)
+    reports = []
+    for start in range(0, len(points), step):
+        chunk = points[start:start + step]
+        jps = [jacobian_pair(mapping, z) for z in chunk]
+        _, values = direction_max(JacobianPair(np.stack([jp.d for jp in jps]),
+                                               np.stack([jp.dbar for jp in jps])))
+        for z, jp, value in zip(chunk, jps, values):
+            rhs = rhs_gradient(np.max(np.abs(z)))
+            upper, boxes = direction_upper(jp, rhs + tol)
+            params = {"z": to_pairs(z), "upper": upper, "boxes": boxes}
+            reports.append(make_report("gradient_direction", params, value, rhs, tol,
+                                       upper=math.inf if upper is None else upper))
+    return reports
+
+
 def verify_gradient_bound(mapping: PluriharmonicMap, z, tol: float | None = None) -> BoundReport:
     """Directional derivative bound max_theta ||Df theta + Dbarf conj(theta)||
-    <= 4/(pi(1-||z||_inf^2)).
+    <= 4/(pi(1-||z||_inf^2)) at one point: verify_gradient_grid of [z].
 
     lhs is an attained value of the directional maximum (direction_max).
     pass means the certified upper value of direction_upper is at most
@@ -433,16 +531,7 @@ def verify_gradient_bound(mapping: PluriharmonicMap, z, tol: float | None = None
     touches the bound, and for n >= 9 so does every case that the sum of
     the column maxima does not decide.
     """
-    require_certified(mapping)
-    z = check_point(z, mapping.n)
-    jp = jacobian_pair(mapping, z)
-    _, value = direction_max(jp)
-    tol = DEFAULT_TOL_EXACT if tol is None else tol
-    rhs = rhs_gradient(np.max(np.abs(z)))
-    upper, boxes = direction_upper(jp, rhs + tol)
-    params = {"z": to_pairs(z), "upper": upper, "boxes": boxes}
-    return make_report("gradient_direction", params, value, rhs, tol,
-                       upper=math.inf if upper is None else upper)
+    return verify_gradient_grid(mapping, [z], tol)[0]
 
 
 def verify_growth_bound(mapping: PluriharmonicMap, z, tol: float | None = None) -> BoundReport:

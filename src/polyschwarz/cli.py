@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -34,6 +35,13 @@ def _parse_alpha(text: str) -> tuple:
         return as_order(tuple(int(p) for p in text.split(",")))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"alpha must be comma-separated integers >= 1 ({exc})") from exc
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _z_grid(n: int, points: int, cap: float):
@@ -82,11 +90,11 @@ def _summary(reports, seconds: float) -> str:
 
 
 def _sweep(args, check) -> int:
-    """Run check(mapping, z) at every point of the z grid, write the reports
-    and end with a one-line summary on stderr."""
+    """Run check(mapping, points) on the z grid, which gives one report per
+    point, write the reports and end with a one-line summary on stderr."""
     start = time.perf_counter()
     mapping = load_map(args.map)
-    reports = [check(mapping, z) for z in _z_grid(mapping.n, args.grid, args.radius_cap)]
+    reports = check(mapping, _z_grid(mapping.n, args.grid, args.radius_cap))
     _write_reports(reports, args.out, args.csv)
     print(_summary(reports, time.perf_counter() - start), file=sys.stderr)
     return _exit_for(reports)
@@ -97,16 +105,18 @@ def cmd_verify(args) -> int:
     if args.method == "exact" and given:
         raise ValueError(f"--method exact takes no {' or '.join(given)} (Cauchy quadrature only)")
     spec = quadrature.QuadratureSpec(args.nodes, args.radius)
-    return _sweep(args, lambda mapping, z: bounds.verify_derivative_bound(
-        mapping, z, args.alpha, method=args.method, tol=args.tol, spec=spec))
+    return _sweep(args, lambda mapping, points: [bounds.verify_derivative_bound(
+        mapping, z, args.alpha, method=args.method, tol=args.tol, spec=spec) for z in points])
 
 
 def cmd_gradient(args) -> int:
-    return _sweep(args, lambda mapping, z: bounds.verify_gradient_bound(mapping, z, tol=args.tol))
+    return _sweep(args, lambda mapping, points: bounds.verify_gradient_grid(
+        mapping, points, tol=args.tol))
 
 
 def cmd_growth(args) -> int:
-    return _sweep(args, lambda mapping, z: bounds.verify_growth_bound(mapping, z, tol=args.tol))
+    return _sweep(args, lambda mapping, points: [bounds.verify_growth_bound(
+        mapping, z, tol=args.tol) for z in points])
 
 
 def cmd_coeffs(args) -> int:
@@ -162,7 +172,9 @@ def cmd_sharpness(args) -> int:
 # Parser.
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="polyschwarz",
         description="Numerical verification of Schwarz-Pick type bounds for "
@@ -182,7 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     out_required = flag("--out", required=True, help="output file path")
 
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--grid", type=int, default=5, help="points per axis for the z grid")
+    grid.add_argument("--grid", type=_positive_int, default=5,
+                      help="points per axis for the z grid (at least 1)")
     grid.add_argument("--radius-cap", type=float, default=0.9,
                       help="largest |z_j| sampled on the grid")
     grid.add_argument("--csv", default=None, help="also export the reports as CSV")

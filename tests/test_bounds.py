@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -105,6 +106,25 @@ def test_report_json_uses_pass_key():
     assert d["pass"] is True
     assert "passed" not in d
     assert d["check_id"] == "demo"
+
+
+def _asdict_json(report) -> str:
+    # The former BoundReport.to_json, kept as the reference: a deep copy by asdict.
+    d = dataclasses.asdict(report)
+    d["pass"] = d.pop("passed")
+    return json.dumps(d, sort_keys=True)
+
+
+def test_report_json_matches_the_asdict_form_byte_for_byte():
+    f = random_bounded_map(2, 1, 3, seed=6)
+    decided = verify_gradient_bound(f, [0.3, 0.2j])
+    undecided = verify_gradient_bound(f, [0.3, 0.2j], tol=decided.lhs - decided.rhs)
+    assert isinstance(decided.params["upper"], float) and undecided.params["upper"] is None
+    reports = [verify_derivative_bound(f, [0.5, -0.25j], (2, 1)), decided, undecided,
+               *verify_coefficient_bound(f, 2, spec=QuadratureSpec(16)), verify_l2_bound(f)]
+    assert reports[-1].params == {} and reports[3].params == {"k": [0, 1]}
+    for r in reports:
+        assert r.to_json() == _asdict_json(r)
 
 
 def test_certified_sup_bound_cases():

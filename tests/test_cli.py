@@ -304,3 +304,36 @@ def test_coeffs_tol_reaches_every_report(tmp_path):
     assert {r["check_id"] for r in recs} == {"coefficient_claim", "homogeneous_part",
                                              "coefficient_l2"}
     assert all(r["tol"] == 0.5 for r in recs)
+
+
+@pytest.mark.parametrize("command", [["verify", "--alpha", "1,1"], ["gradient"], ["growth"],
+                                     ["coeffs", "--max-degree", "2"]])
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_grid_below_one_is_a_usage_error(tmp_path, capsys, command, grid):
+    # --grid 0 once gave a vacuous "0 checks" pass, and --grid -1 numpy's message.
+    path = _write_random(tmp_path, n=2, degree=3, seed=4)
+    capsys.readouterr()
+    out_path = tmp_path / "reports.jsonl"
+    argv = [command[0], "--map", str(path), *command[1:], "--grid", grid, "--out", str(out_path)]
+    assert main(argv) == 2
+    assert f"argument --grid: must be at least 1, got {grid}" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    path = _write_random(tmp_path, n=2, degree=3, seed=4)
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    verify = ["verify", "--map", str(path), "--alpha", "1,1", "--grid", "2"]
+    assert main([*verify, "--tol", "0.5", "--out", str(first)]) == 0
+    assert main([*verify, "--out", str(second)]) == 0
+    assert {json.loads(line)["tol"] for line in first.read_text().splitlines()} == {0.5}
+    assert {json.loads(line)["tol"] for line in second.read_text().splitlines()} == {1e-9}
+    # Cauchy flags from one call must not reach the next, which --method exact refuses.
+    assert main([*verify, "--method", "cauchy", "--nodes", "64", "--out", str(first)]) == 0
+    assert main([*verify, "--out", str(second)]) == 0
+    assert {json.loads(line)["params"]["method"] for line in second.read_text().splitlines()} \
+        == {"exact"}
+    capsys.readouterr()
+    assert main([*verify, "--grid", "0"]) == 2
+    assert main(["gradient", "--map", str(path), "--grid", "2", "--out", str(second)]) == 0
+    assert len(second.read_text().splitlines()) == 4

@@ -6,8 +6,9 @@ import pytest
 
 from polyschwarz import (ColonnaMap, JacobianPair, SeriesMap, direction_max, direction_upper,
                          jacobian_pair, make_report, random_bounded_map, reevaluate,
-                         sharpness_ratio, sharpness_search, verify_gradient_bound)
-from polyschwarz import search
+                         sharpness_ratio, sharpness_search, verify_gradient_bound,
+                         verify_gradient_grid)
+from polyschwarz import bounds, search
 from polyschwarz.search import FAMILIES, golden_max
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -73,9 +74,10 @@ def test_direction_max_rejects_mismatched_shapes():
         direction_max(JacobianPair(np.zeros((1, 2)), np.zeros((2, 2))))
 
 
-def _random_jacobian(rng, N, n):
-    return JacobianPair(rng.normal(size=(N, n)) + 1j * rng.normal(size=(N, n)),
-                        rng.normal(size=(N, n)) + 1j * rng.normal(size=(N, n)))
+def _random_jacobian(rng, *shape):
+    # shape (N, n) for one Jacobian, (P, N, n) for a stack
+    return JacobianPair(rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                        rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
 def test_direction_max_closed_form_for_one_column_is_exact():
@@ -152,6 +154,92 @@ def test_direction_upper_in_nine_variables_needs_no_boxes():
     assert direction_upper(jp, 0.5 * (v + columns)) == (None, 0)
     r = verify_gradient_bound(random_bounded_map(9, 2, 2, seed=1), [0.9] + [0.1j] * 8)
     assert r.passed and r.params["boxes"] == 0 and r.lhs <= r.params["upper"] <= r.rhs
+
+
+def _attained(jp, theta):
+    return np.linalg.norm(np.sum(jp.d * theta[..., None, :]
+                                 + jp.dbar * np.conj(theta)[..., None, :], axis=-1), axis=-1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_direction_max_of_a_stack_equals_one_at_a_time(n):
+    rng = np.random.default_rng(40 + n)
+    shapes = [(42, N, n) for N in (1, 2, 3)] + ([(6, 2, 9)] if n == 4 else [])
+    for shape in shapes:
+        jp = _random_jacobian(rng, *shape)
+        theta, values = direction_max(jp)
+        assert theta.shape == (shape[0], shape[2]) and values.shape == (shape[0],)
+        alone = np.array([direction_max(JacobianPair(d, dbar))[1] for d, dbar in zip(jp.d, jp.dbar)])
+        assert np.all(np.abs(values - alone) <= 1e-12 * alone)
+        # each theta lies on the torus and attains its value
+        assert np.allclose(np.abs(theta), 1.0, rtol=0, atol=1e-15)
+        assert np.all(np.abs(_attained(jp, theta) - values) <= 1e-12 * values)
+
+
+@pytest.mark.parametrize("N, n", [(3, 2), (40, 2)])
+def test_direction_max_of_a_stack_larger_than_a_chunk_equals_its_chunks(N, n):
+    chunk = bounds._direction_chunk(N, n)
+    jp = _random_jacobian(np.random.default_rng(N), 2 * chunk + 3, N, n)
+    theta, values = direction_max(jp)
+    for start in range(0, len(values), chunk):
+        part = JacobianPair(jp.d[start:start + chunk], jp.dbar[start:start + chunk])
+        t, v = direction_max(part)
+        assert np.array_equal(t, theta[start:start + chunk])
+        assert np.array_equal(v, values[start:start + chunk])
+
+
+@pytest.mark.parametrize("P, N, n", [(500, 6, 3), (20, 3000, 3)])
+def test_direction_max_of_a_large_stack_stays_within_the_chunk_budget(P, N, n):
+    # At n = 3 the start grid has 512 points, so one array of grid values for the
+    # whole stack would take P * 512 * N * 16 bytes (24.6 MiB here); the
+    # (20, 3000, 3) stack also needs the R factor, since one such Jacobian alone
+    # is over the budget.
+    jp = _random_jacobian(np.random.default_rng(P), P, N, n)
+    tracemalloc.start()
+    try:
+        _, values = direction_max(jp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert P * bounds.DIRECTION_GRID_POINTS * N * 16 > bounds.DIRECTION_CHUNK_BYTES
+    assert peak < bounds.DIRECTION_CHUNK_BYTES
+    assert values.shape == (P,) and np.all(values > 0)
+
+
+def test_direction_max_of_a_tall_jacobian_matches_brute_force():
+    # N > 2n: the ascent runs on the R factor of [d dbar], the value on d and dbar
+    rng = np.random.default_rng(13)
+    jp = _random_jacobian(rng, 4, 12, 2)
+    theta, values = direction_max(jp)
+    assert np.array_equal(values, _attained(jp, theta))
+    for d, dbar, v in zip(jp.d, jp.dbar, values):
+        assert v == pytest.approx(_brute_force_direction_max(d, dbar), abs=1e-3)
+
+
+def test_direction_max_of_an_empty_stack():
+    theta, values = direction_max(JacobianPair(np.zeros((0, 2, 3)), np.zeros((0, 2, 3))))
+    assert theta.shape == (0, 3) and values.shape == (0,)
+    with pytest.raises(ValueError):
+        direction_max(JacobianPair(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2, 2))))
+
+
+def test_gradient_grid_gives_each_point_its_own_report(monkeypatch):
+    f = random_bounded_map(2, 2, 3, seed=12)
+    rng = np.random.default_rng(12)
+    points = 0.9 * rng.uniform(size=(25, 2)) * np.exp(2j * np.pi * rng.uniform(size=(25, 2)))
+    calls = []
+    monkeypatch.setattr(bounds, "direction_max", lambda jp: calls.append(jp) or direction_max(jp))
+    reports = verify_gradient_grid(f, points)
+    assert len(calls) == 1 and calls[0].d.shape == (25, 2, 2)
+    monkeypatch.undo()
+    assert len(reports) == 25
+    for z, r in zip(points, reports):
+        alone = verify_gradient_bound(f, z)
+        assert r.lhs == pytest.approx(alone.lhs, rel=1e-12, abs=0)
+        assert (r.rhs, r.tol, r.passed, r.params) == (alone.rhs, alone.tol, alone.passed,
+                                                       alone.params)
+    assert verify_gradient_grid(f, []) == []
+    assert verify_gradient_grid(f, np.zeros((0, 2))) == []
 
 
 def test_gradient_equality_case_with_one_variable_is_decided():
