@@ -311,17 +311,9 @@ def _direction_chunk(N: int, n: int) -> int:
 
 def _direction_max_stack(d, dbar):
     """direction_max of one chunk, d and dbar of shape (P, N, n)."""
-    _, N, n = d.shape
-    if n == 1:
-        theta = np.exp(-0.5j * np.angle(np.sum(np.conj(dbar) * d, axis=1)))
-    elif N <= 2 * n:
+    if d.shape[2] > 1:
         return _newton_ascent(d, dbar)
-    else:
-        # ||d theta + dbar conj(theta)|| = ||R [theta; conj(theta)]|| for the
-        # 2n x 2n factor R of [d dbar] = QR, so the ascent needs no row beyond
-        # 2n; the value is then evaluated on d and dbar themselves.
-        r = np.linalg.qr(np.concatenate((d, dbar), axis=2), mode="r")
-        theta, _ = _newton_ascent(r[..., :n], r[..., n:])
+    theta = np.exp(-0.5j * np.angle(np.sum(np.conj(dbar) * d, axis=1)))
     v = np.sum(d * theta[:, None, :] + dbar * np.conj(theta)[:, None, :], axis=2)
     return theta, np.linalg.norm(v, axis=1)
 
@@ -336,9 +328,9 @@ def direction_max(jp: JacobianPair):
     stack of P of them, shape (P, N, n), for which theta has shape (P, n)
     and value shape (P,); each Jacobian of a stack gets the value it would
     get alone.  A stack is worked in chunks whose working set stays within
-    DIRECTION_CHUNK_BYTES (16 MiB); a Jacobian with N > 2n rows is first
-    replaced by the 2n x 2n R factor of [d dbar], which keeps every value
-    of the objective, so a large N adds no more than the factorisation.
+    DIRECTION_CHUNK_BYTES (16 MiB), so a long stack costs no more memory
+    than one chunk.  A Jacobian whose own working set exceeds the budget
+    (at n = 3, one with N > 256 rows) is worked alone, as a chunk of one.
 
     n = 1 is the closed form of _column_max.  For n >= 2 a saddle-free Newton
     ascent runs from the best DIRECTION_STARTS points of a fixed phase grid
@@ -495,26 +487,25 @@ def verify_gradient_grid(mapping: PluriharmonicMap, points,
     DEFAULT_TOL_EXACT), in order; no points give no reports.
 
     The map is certified once, and the points' Jacobians go to direction_max
-    as one stack per chunk (_direction_chunk, DIRECTION_CHUNK_BYTES), so the
-    ascent runs for a whole chunk at once; direction_upper then decides each
-    point.  Each report is the one the point would get alone.
+    as one stack, so the ascent runs for a whole chunk of points at once;
+    direction_upper then decides each point.  Each report is the one the
+    point would get alone.
     """
     require_certified(mapping)
     points = [check_point(z, mapping.n) for z in points]
+    if not points:
+        return []
     tol = DEFAULT_TOL_EXACT if tol is None else tol
-    step = _direction_chunk(mapping.N, mapping.n)
+    jps = [jacobian_pair(mapping, z) for z in points]
+    _, values = direction_max(JacobianPair(np.stack([jp.d for jp in jps]),
+                                           np.stack([jp.dbar for jp in jps])))
     reports = []
-    for start in range(0, len(points), step):
-        chunk = points[start:start + step]
-        jps = [jacobian_pair(mapping, z) for z in chunk]
-        _, values = direction_max(JacobianPair(np.stack([jp.d for jp in jps]),
-                                               np.stack([jp.dbar for jp in jps])))
-        for z, jp, value in zip(chunk, jps, values):
-            rhs = rhs_gradient(np.max(np.abs(z)))
-            upper, boxes = direction_upper(jp, rhs + tol)
-            params = {"z": to_pairs(z), "upper": upper, "boxes": boxes}
-            reports.append(make_report("gradient_direction", params, value, rhs, tol,
-                                       upper=math.inf if upper is None else upper))
+    for z, jp, value in zip(points, jps, values):
+        rhs = rhs_gradient(np.max(np.abs(z)))
+        upper, boxes = direction_upper(jp, rhs + tol)
+        params = {"z": to_pairs(z), "upper": upper, "boxes": boxes}
+        reports.append(make_report("gradient_direction", params, value, rhs, tol,
+                                   upper=math.inf if upper is None else upper))
     return reports
 
 

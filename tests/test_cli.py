@@ -308,15 +308,17 @@ def test_coeffs_tol_reaches_every_report(tmp_path):
 
 @pytest.mark.parametrize("command", [["verify", "--alpha", "1,1"], ["gradient"], ["growth"],
                                      ["coeffs", "--max-degree", "2"]])
-@pytest.mark.parametrize("grid", ["0", "-1"])
-def test_grid_below_one_is_a_usage_error(tmp_path, capsys, command, grid):
+@pytest.mark.parametrize("grid, message", [("0", "must be at least 1, got 0"),
+                                           ("-1", "must be at least 1, got -1"),
+                                           ("abc", "must be an integer, got 'abc'")])
+def test_grid_below_one_is_a_usage_error(tmp_path, capsys, command, grid, message):
     # --grid 0 once gave a vacuous "0 checks" pass, and --grid -1 numpy's message.
     path = _write_random(tmp_path, n=2, degree=3, seed=4)
     capsys.readouterr()
     out_path = tmp_path / "reports.jsonl"
     argv = [command[0], "--map", str(path), *command[1:], "--grid", grid, "--out", str(out_path)]
     assert main(argv) == 2
-    assert f"argument --grid: must be at least 1, got {grid}" in capsys.readouterr().err
+    assert f"argument --grid: {message}" in capsys.readouterr().err
     assert not out_path.exists()
 
 

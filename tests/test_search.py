@@ -188,12 +188,11 @@ def test_direction_max_of_a_stack_larger_than_a_chunk_equals_its_chunks(N, n):
         assert np.array_equal(v, values[start:start + chunk])
 
 
-@pytest.mark.parametrize("P, N, n", [(500, 6, 3), (20, 3000, 3)])
+@pytest.mark.parametrize("P, N, n", [(500, 6, 3), (20, 150, 3)])
 def test_direction_max_of_a_large_stack_stays_within_the_chunk_budget(P, N, n):
     # At n = 3 the start grid has 512 points, so one array of grid values for the
-    # whole stack would take P * 512 * N * 16 bytes (24.6 MiB here); the
-    # (20, 3000, 3) stack also needs the R factor, since one such Jacobian alone
-    # is over the budget.
+    # whole stack would take P * 512 * N * 16 bytes (24.6 MiB here); a chunk of
+    # (20, 150, 3) holds one Jacobian.
     jp = _random_jacobian(np.random.default_rng(P), P, N, n)
     tracemalloc.start()
     try:
@@ -207,7 +206,7 @@ def test_direction_max_of_a_large_stack_stays_within_the_chunk_budget(P, N, n):
 
 
 def test_direction_max_of_a_tall_jacobian_matches_brute_force():
-    # N > 2n: the ascent runs on the R factor of [d dbar], the value on d and dbar
+    # tall Jacobians, N = 12 > 2n rows, against a brute-force grid
     rng = np.random.default_rng(13)
     jp = _random_jacobian(rng, 4, 12, 2)
     theta, values = direction_max(jp)
