@@ -6,8 +6,8 @@ from .mapping import (BlaschkeProduct, ColonnaMap, ComposedMap, MapFormatError,
                       PluriharmonicMap, PolydiskAutomorphism, SeriesMap, derivative_exact,
                       load_map, map_from_dict, map_to_dict, random_bounded_map, save_map,
                       sup_bound_l1)
-from .quadrature import (QuadratureSpec, abs_cos_integral, cauchy_derivative,
-                         extract_coefficient, extract_coefficients, torus_trapezoid)
+from .quadrature import (CauchyRule, QuadratureSpec, abs_cos_integral, cauchy_derivative,
+                         cauchy_rule, extract_coefficient, extract_coefficients, torus_trapezoid)
 from .bounds import (BoundReport, HypothesisError, JacobianPair, certified_sup_bound,
                      direction_max, direction_upper, jacobian_pair, make_report,
                      require_certified, rhs_colonna, rhs_gradient, rhs_growth, rhs_polydisk,

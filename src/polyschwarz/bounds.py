@@ -18,10 +18,11 @@ from itertools import product
 
 import numpy as np
 
-from .multiindex import as_order, degree as mi_degree, factorial as mi_factorial, unit_index
+from .multiindex import (as_order, degree as mi_degree, factorial as mi_factorial, grid_rows,
+                         unit_index)
 from .mapping import (BlaschkeProduct, ColonnaMap, ComposedMap, PluriharmonicMap, SeriesMap,
                       check_point, derivative_exact, sup_bound_l1, to_pairs)
-from .quadrature import QuadratureSpec, cauchy_derivative, extract_coefficients
+from .quadrature import QuadratureSpec, cauchy_derivative, cauchy_rule, extract_coefficients
 
 FOUR_OVER_PI = 4.0 / math.pi
 
@@ -54,7 +55,8 @@ class HypothesisError(Exception):
 @dataclass
 class BoundReport:
     """One certified inequality instance; pass means lhs <= rhs + tol, or,
-    for a numerically maximised lhs, that its certified upper value is.
+    for a numerically maximised lhs or one with an error bound, that its
+    certified upper value is.
 
     Margins are never clamped, so equality cases remain visible.
     """
@@ -76,8 +78,8 @@ class BoundReport:
 def make_report(check_id: str, params: dict, lhs: float, rhs: float, tol: float,
                 upper: float | None = None) -> BoundReport:
     """The report of lhs <= rhs.  `upper` is a certified upper value of an
-    lhs that is only an attained value (math.inf when none could be
-    certified); pass then requires upper <= rhs + tol."""
+    lhs that is only an attained value or an approximation (math.inf when
+    none could be certified); pass then requires upper <= rhs + tol."""
     lhs = float(lhs)
     rhs = float(rhs)
     if not (math.isfinite(lhs) and math.isfinite(rhs)) or lhs < 0 or rhs < 0:
@@ -167,13 +169,16 @@ def certified_sup_bound(mapping: PluriharmonicMap) -> float:
     return math.inf
 
 
-def require_certified(mapping: PluriharmonicMap, N: int | None = None) -> None:
+def require_certified(mapping: PluriharmonicMap, N: int | None = None) -> float:
+    """The map's certified_sup_bound; HypothesisError when it exceeds 1
+    (beyond CERTIFICATION_SLACK), or when N is given and differs from mapping.N."""
     bound = certified_sup_bound(mapping)
     if not bound <= 1.0 + CERTIFICATION_SLACK:  # also refuses a NaN bound
         raise HypothesisError(
             f"hypothesis: map not certified into the unit disk (sup bound {bound:.6g} > 1)")
     if N is not None and mapping.N != N:
         raise HypothesisError(f"hypothesis: expected codomain dimension {N}, map has N = {mapping.N}")
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +231,7 @@ def _column_max(d, dbar) -> np.ndarray:
 
 def _phase_grid(n: int, per_axis: int) -> np.ndarray:
     """Centres of the per_axis**n equal boxes of the phase torus [0, 2 pi)^n, one per row."""
-    axis = (np.arange(per_axis) + 0.5) * (2.0 * np.pi / per_axis)
-    return np.stack([g.ravel() for g in np.meshgrid(*([axis] * n), indexing="ij")], axis=-1)
+    return grid_rows([(np.arange(per_axis) + 0.5) * (2.0 * np.pi / per_axis)] * n)
 
 
 @functools.cache
@@ -416,25 +420,37 @@ def verify_derivative_bound(mapping: PluriharmonicMap, z, alpha, method: str | N
     |d^alpha f| + |dbar^alpha f| <= rhs_polydisk(alpha, ||z||_inf).
 
     method is "exact" (also when None; derivative_exact, every map class,
-    tol None: DEFAULT_TOL_EXACT) or "cauchy" (cauchy_derivative with `spec`,
-    tol None: DEFAULT_TOL_QUAD).
+    tol None: DEFAULT_TOL_EXACT) or "cauchy" (tol None: DEFAULT_TOL_QUAD):
+    cauchy_derivative on the cauchy_rule that completes `spec` for the map's
+    certified sup bound.  A Cauchy report's params also carry the rule's
+    per-axis `radii` and `nodes`, its `error_bound` (the a priori quadrature
+    bound plus the rounding allowance, so that the exact lhs lies within
+    error_bound of lhs) and the `sup_bound` it was sized for; it passes only
+    if lhs + error_bound <= rhs + tol.
     """
-    require_certified(mapping, N=1)
+    sup = require_certified(mapping, N=1)
     alpha = as_order(alpha)
     z = check_point(z, mapping.n)
+    error = None
     if method is None or method == "exact":
         method, default_tol = "exact", DEFAULT_TOL_EXACT
         A, B = derivative_exact(mapping, z, alpha)
     elif method == "cauchy":
         default_tol = DEFAULT_TOL_QUAD
-        A, B = cauchy_derivative(mapping, z, alpha, spec)
+        rule = cauchy_rule(z, alpha, sup, spec, mapping.N)
+        A, B = cauchy_derivative(mapping, z, alpha, rule)
+        error = rule.error_bound + rule.rounding
     else:
         raise ValueError(f"unknown method {method!r}; expected 'exact' or 'cauchy'")
     lhs = abs(A[0]) + abs(B[0])
     rhs = rhs_polydisk(alpha, np.max(np.abs(z)))
     params = {"z": to_pairs(z), "alpha": list(alpha), "method": method}
+    if error is not None:
+        params.update(radii=list(rule.radii), nodes=list(rule.nodes),
+                      error_bound=error if math.isfinite(error) else None, sup_bound=sup)
     return make_report("derivative_polydisk", params, lhs, rhs,
-                       default_tol if tol is None else tol)
+                       default_tol if tol is None else tol,
+                       upper=None if error is None else lhs + error)
 
 
 def verify_coefficient_bound(mapping: PluriharmonicMap, max_degree: int,

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import bounds, quadrature, search
 from .bounds import HypothesisError
-from .mapping import ColonnaMap, MapFormatError, load_map, random_bounded_map, save_map
-from .multiindex import as_order
+from .mapping import (MAX_SAMPLE_BYTES, ColonnaMap, MapFormatError, load_map, random_bounded_map,
+                      save_map)
+from .multiindex import as_order, grid_rows
 
 
 def _parse_complex(text: str) -> complex:
@@ -48,11 +49,14 @@ def _positive_int(text: str) -> int:
 
 
 def _z_grid(n: int, points: int, cap: float):
-    """Real Cartesian grid: `points` values per coordinate in [0, cap]."""
-    axis = np.linspace(0.0, cap, points)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    flat = np.stack([g.ravel() for g in grids], axis=-1)
-    return flat.astype(complex)
+    """Real Cartesian grid: `points` values per coordinate in [0, cap], one
+    point per row; refused when its points**n x n complex values would
+    exceed MAX_SAMPLE_BYTES."""
+    size = points**n * n * np.dtype(complex).itemsize
+    if size > MAX_SAMPLE_BYTES:
+        raise ValueError(f"a z grid of {points}^{n} points needs {size / 2**20:.0f} MiB, over the "
+                         f"{MAX_SAMPLE_BYTES // 2**20} MiB limit; use a smaller --grid")
+    return grid_rows([np.linspace(0.0, cap, points)] * n).astype(complex)
 
 
 def _write_reports(reports, out_path, csv_path=None) -> None:

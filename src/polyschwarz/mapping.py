@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .multiindex import as_index, degree as mi_degree, enumerate_indices
+from .multiindex import as_index, degree as mi_degree, enumerate_indices, grid_rows
 
 MODULUS_TOL = 1e-12
 # Largest coefficient tensor or torus sample (nodes**n * N complex values).
@@ -137,9 +137,11 @@ class PluriharmonicMap:
 
     def eval_grid(self, axes) -> np.ndarray:
         """Evaluate on the tensor grid of n per-axis point arrays,
-        shape (M_1, ..., M_n, N).  Generic fallback through a meshgrid."""
+        shape (M_1, ..., M_n, N).  Generic fallback through eval_points on
+        the grid's rows."""
         axes = _check_axes(axes, self.n)
-        return self.eval_points(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+        values = self.eval_points(grid_rows(axes))
+        return values.reshape(tuple(len(a) for a in axes) + (self.N,))
 
     def __call__(self, z) -> np.ndarray:
         z = check_point(z, self.n)
@@ -235,12 +237,15 @@ class SeriesMap(PluriharmonicMap):
         return out.reshape(Z.shape[:-1] + (self.N,))
 
     def eval_grid(self, axes) -> np.ndarray:
-        """Separable evaluation: each tensor is contracted axis by axis with power tables."""
-        tables = self._power_tables(_check_axes(axes, self.n))
-        # The anti-holomorphic part is added in place: no third grid-sized array.
-        out = _contract_grid(self.a, tables)
-        out += _contract_grid(np.conj(self.b), [np.conj(T) for T in tables])
-        return out
+        """Separable evaluation: each tensor is contracted axis by axis with
+        power tables, up to the last axis, which contracts both parts at once:
+        their exponents side by side, so the grid-sized result is written once."""
+        *tables, last = self._power_tables(_check_axes(axes, self.n))
+        # a and b get shape (N, M_1, ..., M_{n-1}, D_n); conj(b_k) conj(z)^k = conj(b_k z^k).
+        a = np.moveaxis(_contract_grid(self.a, tables), 1, -1)
+        b = np.moveaxis(_contract_grid(np.conj(self.b), [np.conj(T) for T in tables]), 1, -1)
+        out = np.concatenate([a, b], axis=-1) @ np.concatenate([last, np.conj(last)], axis=1).T
+        return np.moveaxis(out, 0, -1)
 
     def _derivative(self, z, alpha):
         tables = []
@@ -270,12 +275,13 @@ def _contract_points(t: np.ndarray, tables) -> np.ndarray:
 
 
 def _contract_grid(t: np.ndarray, tables) -> np.ndarray:
-    """sum_k t[:, k] prod_j tables[j][m_j, k_j] on the tensor grid, shape (M_1, ..., M_n, N)."""
+    """t contracted over the exponents of its first k = len(tables) coordinates
+    with tables[j][m_j, k_j], shape (N, D_{k+1}, ..., D_n, M_1, ..., M_k)."""
     for T in tables:
         # Contracting axis 1 (the exponents of the next coordinate) appends
-        # that coordinate's grid axis, so the result ends as (N, M_1, ..., M_n).
+        # that coordinate's grid axis.
         t = np.tensordot(t, T, axes=(1, 1))
-    return np.moveaxis(t, 0, -1)
+    return t
 
 
 def derivative_exact(mapping: PluriharmonicMap, z, alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -416,7 +422,7 @@ class ColonnaMap(PluriharmonicMap):
         series = SeriesMap.from_tensors(a[None], b[None])
         # Declared, not checked: the truncation itself reaches |f| = 1.1665 on
         # |z| = 0.999 (the FOUND on this stamp in CHANGES.md), so this bound is
-        # unsound; ROADMAP item 3 removes the stamp.
+        # unsound; ROADMAP item 1 removes the stamp.
         series.certified_sup = 1.0
         return series
 

@@ -1,4 +1,5 @@
-"""Multi-index arithmetic: degrees, factorials, graded-lex enumeration.
+"""Multi-index arithmetic: degrees, factorials, graded-lex enumeration, and
+the rows of a tensor grid.
 
 A multi-index is a tuple of n nonnegative integers.  It indexes both power
 series exponents and mixed partial derivative orders.
@@ -8,6 +9,8 @@ from __future__ import annotations
 
 import math
 from typing import Iterator, Sequence, Tuple
+
+import numpy as np
 
 MultiIndex = Tuple[int, ...]
 
@@ -55,6 +58,18 @@ def unit_index(n: int, j: int) -> MultiIndex:
     if not 0 <= j < n:
         raise ValueError(f"coordinate {j} out of range for dimension {n}")
     return tuple(1 if i == j else 0 for i in range(n))
+
+
+def grid_rows(axes) -> np.ndarray:
+    """The tensor grid of n one-dimensional arrays as rows, shape
+    (prod of their lengths, n), the last axis varying fastest (the order of
+    np.meshgrid with 'ij' indexing, which numpy limits to 32 axes)."""
+    axes = [np.asarray(a) for a in axes]
+    sizes = [len(a) for a in axes]
+    rows = np.empty((math.prod(sizes), len(axes)), dtype=np.result_type(*axes))
+    for j, a in enumerate(axes):
+        rows[:, j] = np.tile(np.repeat(a, math.prod(sizes[j + 1:])), math.prod(sizes[:j]))
+    return rows
 
 
 def _compositions(n: int, total: int, low: int) -> Iterator[MultiIndex]:

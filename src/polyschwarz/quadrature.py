@@ -10,35 +10,57 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import as_index, degree as mi_degree, enumerate_indices, factorial as mi_factorial
+from .multiindex import (as_index, degree as mi_degree, enumerate_indices, factorial as mi_factorial,
+                         grid_rows)
 from .mapping import MAX_SAMPLE_BYTES, PluriharmonicMap, check_point
 
 DEFAULT_EXTRACTION_RADIUS = 0.5
 DEFAULT_EXTRACTION_NODES = 64
-DEFAULT_CAUCHY_NODES = 512
 DEFAULT_LEMMA_NODES = 4096
 # Torus samples (with their FFTs) kept per map: two, so that comparing two
 # contour radii or node counts at one point does not rebuild each sample.
 QUAD_CACHE_ENTRIES = 2
+MIN_NODES = 8
+# The a priori error bound a default Cauchy rule is sized for: a hundredth
+# of the quadrature tolerance, bounds.DEFAULT_TOL_QUAD.
+CAUCHY_ERROR_TARGET = 1e-9
+# Contour radius of an axis with |z_j| <= 0.25; farther out it is sqrt(|z_j|).
+CAUCHY_MIN_RADIUS = 0.5
+# The largest torus sample a Cauchy derivative takes whole (and caches); a
+# larger one is evaluated in slabs of at most this size, so that no grid-sized
+# array is allocated and faulted in for every point.
+CAUCHY_SLAB_BYTES = 1 << 20
+EPS = float(np.finfo(float).eps)
+
+
+def _per_axis(values, n: int, name: str) -> tuple:
+    if len(values) == 1:
+        return values * n
+    if len(values) != n:
+        raise ValueError(f"expected {n} {name}, got {len(values)}")
+    return values
 
 
 class QuadratureSpec:
-    """Node count per dimension and contour/evaluation radii.
+    """Node count per dimension and contour/evaluation radii (one for every
+    axis, or one per axis).
 
     Either may be None, meaning each operation picks its documented default:
     DEFAULT_EXTRACTION_NODES and DEFAULT_EXTRACTION_RADIUS for coefficient
-    extraction, DEFAULT_CAUCHY_NODES and a radius between ||z||_inf and 1
-    for Cauchy derivatives.
+    extraction; for Cauchy derivatives, cauchy_rule's radius sqrt(|z_j|)
+    (CAUCHY_MIN_RADIUS at least) and the fewest nodes per axis whose error
+    bound meets CAUCHY_ERROR_TARGET.  A value that is given is used as it is.
     """
 
     def __init__(self, nodes_per_dim: int | None = None, radii=None):
         if nodes_per_dim is not None:
             nodes_per_dim = int(nodes_per_dim)
-            if nodes_per_dim < 8:
-                raise ValueError("nodes_per_dim must be >= 8")
+            if nodes_per_dim < MIN_NODES:
+                raise ValueError(f"nodes_per_dim must be >= {MIN_NODES}")
         self.nodes_per_dim = nodes_per_dim
         if radii is None:
             self.radii = None
@@ -48,33 +70,28 @@ class QuadratureSpec:
                 raise ValueError("all radii must lie strictly in (0, 1)")
             self.radii = rr
 
-    def resolve_nodes(self, default: int) -> int:
-        return default if self.nodes_per_dim is None else self.nodes_per_dim
+    def resolve_nodes(self, n: int, default: int) -> tuple:
+        return (default if self.nodes_per_dim is None else self.nodes_per_dim,) * n
 
-    def resolve_radii(self, n: int, default: float):
+    def resolve_radii(self, n: int, default: float) -> tuple:
         if self.radii is None:
             return (float(default),) * n
-        if len(self.radii) == 1:
-            return self.radii * n
-        if len(self.radii) != n:
-            raise ValueError(f"expected {n} radii, got {len(self.radii)}")
-        return self.radii
+        return _per_axis(self.radii, n, "radii")
 
 
 def torus_trapezoid(integrand, n: int, nodes_per_dim: int) -> complex:
     """Mean of a vectorized integrand over the uniform n-torus grid.
 
-    The integrand receives n angle arrays (meshgrid, 'ij' indexing) and the
-    returned value carries the 1/(2*pi)^n normalization, i.e. it is the grid
-    mean.
+    The integrand receives n angle arrays, one entry per grid node (the
+    columns of multiindex.grid_rows), and the returned value carries the
+    1/(2*pi)^n normalization, i.e. it is the grid mean.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     M = int(nodes_per_dim)
     theta = 2.0 * np.pi * np.arange(M) / M
-    grids = np.meshgrid(*([theta] * n), indexing="ij")
-    vals = np.asarray(integrand(*grids), dtype=complex)
-    vals = np.broadcast_to(vals, grids[0].shape)
+    angles = grid_rows([theta] * n).T
+    vals = np.broadcast_to(np.asarray(integrand(*angles), dtype=complex), angles[0].shape)
     if not np.all(np.isfinite(vals)):
         raise ValueError("integrand produced a non-finite value at a quadrature node")
     return complex(vals.mean())
@@ -109,60 +126,82 @@ def abs_cos_integral(m: int, gamma: float, nodes: int | None = None) -> float:
 # ---------------------------------------------------------------------------
 # Shared torus sampling.  Maps are immutable after construction, so grid
 # values and their FFTs are cached on the map object keyed by (radii, nodes),
-# for the QUAD_CACHE_ENTRIES most recently used keys: consecutive orders at
-# one point and the n first-order derivatives of a Jacobian share one sample.
-# The grid is the tensor product of one circle per axis and is evaluated
-# through eval_grid, which series maps contract axis by axis.
+# for the QUAD_CACHE_ENTRIES most recently used keys: coefficient extractions
+# at one spec, and Cauchy derivatives whose rules agree, share one sample.
+# The grid is the tensor product of one circle per axis, with its own radius
+# and node count, and is evaluated through eval_grid, which series maps
+# contract axis by axis.
 # ---------------------------------------------------------------------------
 
-def _torus_samples(mapping: PluriharmonicMap, radii, nodes: int) -> np.ndarray:
-    size = nodes**mapping.n * mapping.N * np.dtype(complex).itemsize
+def _check_sample_size(nodes, N: int, chosen: bool = False) -> None:
+    """Refuse, before anything is allocated, a torus sample above MAX_SAMPLE_BYTES;
+    `chosen` says that a default Cauchy rule chose the nodes."""
+    size = math.prod(nodes) * N * np.dtype(complex).itemsize
     if size > MAX_SAMPLE_BYTES:
-        raise ValueError(
-            f"a torus sample of {nodes}^{mapping.n} x {mapping.N} complex values needs "
-            f"{size / 2**20:.0f} MiB, over the {MAX_SAMPLE_BYTES // 2**20} MiB limit; "
-            f"use fewer quadrature nodes per dimension (--nodes)")
+        grid = f"{nodes[0]}^{len(nodes)}" if len(set(nodes)) == 1 else "x".join(map(str, nodes))
+        hint = (f"the error bound {CAUCHY_ERROR_TARGET:g} needs them at this point (--nodes "
+                f"sets fewer, with a larger bound)" if chosen else
+                "use fewer quadrature nodes per dimension (--nodes)")
+        raise ValueError(f"a torus sample of {grid} x {N} complex values needs "
+                         f"{size / 2**20:.0f} MiB, over the {MAX_SAMPLE_BYTES // 2**20} MiB "
+                         f"limit; {hint}")
+
+
+def _circle(r: float, M: int) -> np.ndarray:
+    """The M nodes r e^(2 pi i m / M) of one axis."""
+    return r * np.exp(2j * np.pi * np.arange(M) / M)
+
+
+def _torus_samples(mapping: PluriharmonicMap, radii, nodes, circles=None) -> np.ndarray:
+    """The map's values on the torus of these radii and node counts (whose
+    circles a caller that has them passes along), from the cache if it holds them."""
+    _check_sample_size(nodes, mapping.N)
     cache = mapping.__dict__.setdefault("_quad_cache", {})
-    key = (tuple(radii), nodes)
+    key = (tuple(radii), tuple(nodes))
     entry = cache.pop(key, None)
     if entry is None:
         if len(cache) >= QUAD_CACHE_ENTRIES:
             del cache[next(iter(cache))]  # release the oldest sample before building the next
-        theta = 2.0 * np.pi * np.arange(nodes) / nodes
-        entry = {"samples": mapping.eval_grid([r * np.exp(1j * theta) for r in radii])}
+        if circles is None:
+            circles = [_circle(r, M) for r, M in zip(radii, nodes)]
+        entry = {"samples": mapping.eval_grid(circles)}
     cache[key] = entry  # the most recently used key goes last
     return entry["samples"]
 
 
-def _fourier_table(mapping: PluriharmonicMap, radii, nodes: int) -> np.ndarray:
+def _fourier_table(mapping: PluriharmonicMap, radii, nodes) -> np.ndarray:
     vals = _torus_samples(mapping, radii, nodes)
-    entry = mapping._quad_cache[(tuple(radii), nodes)]
+    entry = mapping._quad_cache[(tuple(radii), tuple(nodes))]
     if "fft" not in entry:
-        entry["fft"] = np.fft.fftn(vals, axes=tuple(range(mapping.n))) / nodes**mapping.n
+        entry["fft"] = np.fft.fftn(vals, axes=tuple(range(mapping.n))) / math.prod(nodes)
     return entry["fft"]
 
 
-def _read_coefficient(F: np.ndarray, k, radii, nodes: int):
+def _read_coefficient(F: np.ndarray, k, radii, nodes):
     rk = 1.0
     for kj, r in zip(k, radii):
         rk *= r**kj
     a = F[k] / rk
     if mi_degree(k) == 0:
         return a, np.zeros_like(a)
-    neg = tuple((-kj) % nodes for kj in k)
+    neg = tuple((-kj) % M for kj, M in zip(k, nodes))
     b = np.conj(F[neg]) / rk
     return a, b
 
 
-def _check_extraction_nodes(mapping, k, nodes: int):
-    if any(2 * kj >= nodes for kj in k):
-        raise ValueError(f"nodes_per_dim={nodes} cannot resolve index {k}")
-    if mapping.is_series and nodes <= 2 * mapping.degree:
+def _check_extraction_nodes(mapping, k, nodes):
+    if any(2 * kj >= M for kj, M in zip(k, nodes)):
+        raise ValueError(f"nodes_per_dim={_nodes_text(nodes)} cannot resolve index {k}")
+    if mapping.is_series and min(nodes) <= 2 * mapping.degree:
         warnings.warn(
-            f"node count {nodes} is at or below Nyquist for series degree "
+            f"node count {min(nodes)} is at or below Nyquist for series degree "
             f"{mapping.degree}; extracted coefficients will alias",
             RuntimeWarning,
         )
+
+
+def _nodes_text(nodes) -> str:
+    return str(nodes[0]) if len(set(nodes)) == 1 else str(tuple(nodes))
 
 
 def extract_coefficient(mapping: PluriharmonicMap, k, spec: QuadratureSpec | None = None):
@@ -179,7 +218,7 @@ def extract_coefficient(mapping: PluriharmonicMap, k, spec: QuadratureSpec | Non
         raise ValueError(f"index length {len(k)} != map dimension {mapping.n}")
     spec = spec or QuadratureSpec()
     radii = spec.resolve_radii(mapping.n, DEFAULT_EXTRACTION_RADIUS)
-    nodes = spec.resolve_nodes(DEFAULT_EXTRACTION_NODES)
+    nodes = spec.resolve_nodes(mapping.n, DEFAULT_EXTRACTION_NODES)
     _check_extraction_nodes(mapping, k, nodes)
     if mi_degree(k) == 0:
         warnings.warn("k = 0: the a_0/b_0 split is not observable; reporting the mean as a_0",
@@ -193,7 +232,7 @@ def extract_coefficients(mapping: PluriharmonicMap, max_degree: int,
     """All coefficient pairs with 1 <= |k| <= max_degree from a single FFT."""
     spec = spec or QuadratureSpec()
     radii = spec.resolve_radii(mapping.n, DEFAULT_EXTRACTION_RADIUS)
-    nodes = spec.resolve_nodes(DEFAULT_EXTRACTION_NODES)
+    nodes = spec.resolve_nodes(mapping.n, DEFAULT_EXTRACTION_NODES)
     indices = [k for k in enumerate_indices(mapping.n, max_degree) if mi_degree(k) >= 1]
     if indices:
         _check_extraction_nodes(mapping, max(indices, key=mi_degree), nodes)
@@ -201,7 +240,192 @@ def extract_coefficients(mapping: PluriharmonicMap, max_degree: int,
     return {k: _read_coefficient(F, k, radii, nodes) for k in indices}
 
 
-def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec: QuadratureSpec | None = None):
+# ---------------------------------------------------------------------------
+# Cauchy derivatives and their a priori error bound.
+#
+# On axis j, with a = alpha_j, t = |z_j| and u = t/r, the kernel
+# eta/(eta - z_j)^(a+1) on the circle |eta| = r has the Fourier modes -a-m
+# (m >= 0) with moduli C(m+a, a) t^m r^(-a-m).  A map with sup|f| <= S has
+# Taylor coefficients |a_k|, |b_k| <= S (they are its Fourier coefficients on
+# every torus of radii below 1, divided by r^k).  So the holomorphic part of f
+# times the kernels has, at a mode L, a coefficient of modulus at most
+# S prod_j G_j(L_j), with G_j(L) = r^L sum_{m >= max(0, -L-a)} C(m+a, a) t^m
+# and G_j(0) = S0_j = (1-t)^-(a+1).  The M-node trapezoid sum adds the modes
+# at nonzero multiples of (M_1, ..., M_n), so that part errs by at most
+# S (prod_j (S0_j + T_j) - prod_j S0_j), T_j = sum_{p != 0} G_j(p M_j):
+#   p > 0:  S0 r^M / (1 - r^M);
+#   p < 0:  r^-a C(M, a) u^(M-a) / ((1 - r^M) (1 - u)^(a+1)),
+# summing the geometric series in p first, then the tail
+# sum_{m >= q} C(m+a, a) u^m <= C(q+a, a) u^q (1-u)^-(a+1).  The conjugate
+# part of f has the modes -k (k >= 0) and meets the kernels only at p < 0; in
+# the same way it errs by at most S prod_j A_j, with w = max(r, u) and
+#   A_j = [a = 0] + r^-a w^-a (C(M+1, a+1) w^M + C(2M+1, a+1) w^2M / (1-w)^(a+2)),
+# the p = -1 mode, then every degree from 2M - a on.  B is A of conj(f), whose
+# parts swap the roles of a_k and b_k, and alpha! scales both, so
+#   |A - A_exact| + |B - B_exact| <= 2 alpha! S (prod (S0 + T) - prod S0 + prod A)
+# per component (see Trefethen and Weideman, SIAM Rev. 56 (2014) 385-458, on
+# the trapezoid rule's aliasing).
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CauchyRule:
+    """The contour radii and node counts per axis of one Cauchy derivative,
+    with two upper values whose sum bounds |A - A_exact| + |B - B_exact|
+    (per component) of its result:
+    - error_bound, the a priori quadrature error above;
+    - rounding, an allowance for floating-point error: 2 sqrt(2) (M + 2)
+      units in the last place per axis of M nodes (twice the bound
+      sqrt(2) gamma_(M+2) on a complex dot product of length M; Higham,
+      Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
+      section 3.6) plus 16 for each sampled value, times 2 alpha! S and the
+      kernels' grid means.
+    Either is math.inf when it overflows."""
+
+    radii: tuple
+    nodes: tuple
+    error_bound: float
+    rounding: float
+
+
+def _exp(x: float) -> float:
+    return math.exp(x) if x < 700.0 else math.inf
+
+
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _log_sum(x: float, y: float) -> float:
+    """log(e^x + e^y)."""
+    return max(x, y) + math.log1p(_exp(-abs(x - y)))
+
+
+def _axis_tails(t: float, r: float, a: int, M: int) -> tuple[float, float]:
+    """log(T / S0) and log(A - [a = 0]) of one axis (see the comment above)."""
+    lgamma = math.lgamma
+    u, w = t / r, max(r, t / r)
+    lr, lu, lw = math.log(r), _log(u), math.log(w)
+    lq = math.log1p(-r**M)  # log(1 - r^M)
+    positive = M * lr - lq
+    negative = (-a * lr + lgamma(M + 1) - lgamma(a + 1) - lgamma(M - a + 1) + (M - a) * lu
+                + (a + 1) * (math.log1p(-t) - math.log1p(-u)) - lq)
+    first = lgamma(M + 2) - lgamma(M - a + 1) + M * lw
+    rest = lgamma(2 * M + 2) - lgamma(2 * M - a + 1) + 2 * M * lw - (a + 2) * math.log1p(-w)
+    anti = -a * (lr + lw) - lgamma(a + 2) + _log_sum(first, rest)
+    return _log_sum(positive, negative), anti
+
+
+def _ladder(x: float) -> int:
+    """The smallest node count of the form 2^k or 3 * 2^(k-1) that is at
+    least x and MIN_NODES."""
+    if not x > MIN_NODES:
+        return MIN_NODES
+    p = 1 << (math.ceil(x) - 1).bit_length()  # the least power of two >= x
+    return 3 * p // 4 if 3 * p // 4 >= x else p
+
+
+def _step(M: int, up: bool) -> int:
+    """The ladder's node count next above (or below) M."""
+    if (M & (M - 1)) == 0:
+        return M * 3 // 2 if up else M * 3 // 4
+    return M * 4 // 3 if up else M * 2 // 3
+
+
+def _combine(log_scale: float, t, alpha, tails) -> float:
+    """The a priori bound 2 alpha! S (prod (S0 + T) - prod S0 + prod A), as
+    exp(log_scale) (prod (1 + T/S0) - 1 + prod A/S0) with log_scale =
+    log(2 alpha! S prod S0), the product minus 1 summed without cancellation."""
+    holo = math.expm1(sum(math.log1p(_exp(h)) for h, _ in tails))
+    anti = _exp(sum(_log(float(a == 0) + _exp(an)) + (a + 1) * math.log1p(-tj)
+                    for tj, a, (_, an) in zip(t, alpha, tails)))
+    return _exp(log_scale + _log(holo + anti))
+
+
+def _default_nodes(t, radii, alpha, log_scale: float, cap: int):
+    """The node counts of a default rule, and their tails (see cauchy_rule)."""
+    n = len(alpha)
+    budget = _exp(math.log(CAUCHY_ERROR_TARGET) - log_scale)
+    log_delta = _log(math.expm1(math.log1p(budget) / n))  # (1 + delta)^n - 1 = budget
+    nodes, tails = [], []
+    for tj, r, a in zip(t, radii, alpha):
+        log_s0 = -(a + 1) * math.log1p(-tj)
+        # r^M <= delta is needed for the positive tail alone
+        M = _ladder(min(max(a + 1.0, log_delta / math.log(r)), cap + 1.0))
+        while True:
+            tail = _axis_tails(tj, r, a, M)
+            if M > cap or _log_sum(tail[0], tail[1] - log_s0) <= log_delta:
+                break
+            M = _step(M, up=True)
+        nodes.append(M)
+        tails.append(tail)
+    if n > 1:
+        for j in sorted(range(n), key=lambda j: -nodes[j]):
+            M = _step(nodes[j], up=False)
+            if M > alpha[j] and M >= MIN_NODES:
+                trial = tails[:j] + [_axis_tails(t[j], radii[j], alpha[j], M)] + tails[j + 1:]
+                if _combine(log_scale, t, alpha, trial) <= CAUCHY_ERROR_TARGET:
+                    nodes[j], tails = M, trial
+    return nodes, tails
+
+
+def cauchy_rule(z, alpha, sup: float = 1.0, spec: QuadratureSpec | None = None,
+                N: int = 1) -> CauchyRule:
+    """The Cauchy rule for the order-alpha derivatives at z of a map with
+    sup ||f|| <= sup and N components.
+
+    Each axis j gets its own circle.  Its radius is the one spec gives, else
+    max(CAUCHY_MIN_RADIUS, sqrt(|z_j|)), and must exceed |z_j|.  Its node
+    count is the one spec gives, else one of the ladder 8, 12, 16, 24, ...
+    (2^k and 3 * 2^(k-1)): first the fewest with T_j/S0_j + A_j/S0_j <= delta
+    (for alpha_j = 0, less the 1 in A_j), where (1 + delta)^n - 1 is the
+    budget CAUCHY_ERROR_TARGET / (2 alpha! sup prod S0), so that the bound
+    meets CAUCHY_ERROR_TARGET; then, for n >= 2, each axis, the largest
+    first, one step fewer where the bound still meets it.  Either way the
+    rule carries the bound for the radii and nodes it holds.  Raises
+    ValueError when a node count is at most alpha_j, or when the sample the
+    rule needs exceeds MAX_SAMPLE_BYTES, the only reason a default rule is
+    refused.
+    """
+    alpha = as_index(alpha)
+    t = [abs(complex(c)) for c in z]
+    n = len(alpha)
+    sup = float(sup)
+    if not 0.0 <= sup < math.inf:
+        raise ValueError(f"sup must be finite and nonnegative, got {sup}")
+    if spec is None or spec.radii is None:
+        radii = [max(CAUCHY_MIN_RADIUS, math.sqrt(tj)) for tj in t]
+    else:
+        radii = _per_axis(spec.radii, n, "radii")
+        for j, (r, tj) in enumerate(zip(radii, t)):
+            if r <= tj:
+                raise ValueError(f"contour radius {r} on axis {j} must exceed |z_{j}| = {tj}")
+    log_factor = math.log(2.0) + _log(sup) + sum(math.lgamma(a + 1) for a in alpha)
+    log_scale = log_factor - sum((a + 1) * math.log1p(-tj) for a, tj in zip(alpha, t))
+    if spec is None or spec.nodes_per_dim is None:
+        nodes, tails = _default_nodes(t, radii, alpha, log_scale,
+                                      MAX_SAMPLE_BYTES // (N * np.dtype(complex).itemsize))
+        _check_sample_size(nodes, N, chosen=True)
+    else:
+        nodes = spec.resolve_nodes(n, 0)
+        for j, (M, a) in enumerate(zip(nodes, alpha)):
+            if M <= a:
+                raise ValueError(f"{M} nodes on axis {j} cannot resolve the order {a}")
+        _check_sample_size(nodes, N)
+        tails = [_axis_tails(tj, r, a, M) for tj, r, a, M in zip(t, radii, alpha, nodes)]
+    log_mean = log_factor
+    for tj, r, a, M in zip(t, radii, alpha, nodes):
+        # The grid mean of |eta - z_j|^-2 is (1 + u^M) / ((1 - u^M)(r^2 - t^2)),
+        # and |K| <= r (r - t)^(1-a) |eta - z_j|^-2 for a >= 1.
+        uM = (tj / r) ** M
+        log_mean2 = math.log1p(uM) - math.log1p(-uM) - math.log((r - tj) * (r + tj))
+        log_mean += math.log(r) + (log_mean2 / 2.0 if a == 0 else
+                                   log_mean2 - (a - 1) * math.log(r - tj))
+    ulps = (2.0 * math.sqrt(2.0) * (sum(nodes) + 2 * n) + 16.0) * EPS
+    return CauchyRule(tuple(radii), tuple(nodes), _combine(log_scale, t, alpha, tails),
+                      _exp(log_mean) * ulps)
+
+
+def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec=None, sup: float = 1.0):
     """Mixed derivatives of order alpha by Cauchy-integral quadrature.
 
     Computes alpha!/(2*pi*i)^n times the contour integral of f against
@@ -210,38 +434,45 @@ def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec: QuadratureSpec 
     alpha != 0 the opposite-type series contributes nothing to either
     integral, so the map's point values suffice.  The order-zero case is
     rejected: the constant split a_0/b_0 cannot be recovered from values.
+
+    spec is a CauchyRule, used as it is, or a QuadratureSpec (None: every
+    default) that cauchy_rule completes for a map with sup ||f|| <= sup
+    (default 1, the maps into the unit ball that the estimates concern).
+    The sup only sizes the rule; the result carries no claim.  The torus
+    has a circle of its own radius and node count per axis, and both
+    kernels of an axis are contracted with the sample in one matmul.  A
+    sample of at most CAUCHY_SLAB_BYTES comes from the map's sample cache;
+    a larger one is evaluated and contracted in slabs of at most that size
+    along the first axis, and none of it is kept.
     """
     alpha = as_index(alpha)
     if len(alpha) != mapping.n:
         raise ValueError(f"alpha length {len(alpha)} != map dimension {mapping.n}")
-    if mi_degree(alpha) == 0:
+    if not any(alpha):
         raise ValueError("order-zero derivative: use f(z) for values; the a_0/b_0 split "
                          "is not recoverable from point values")
     z = check_point(z, mapping.n)
-    z_inf = float(np.max(np.abs(z)))
-    spec = spec or QuadratureSpec()
-    radii = spec.resolve_radii(mapping.n, min(0.95, (z_inf + 1.0) / 2.0))
-    if min(radii) <= z_inf:
-        raise ValueError(f"contour radius {min(radii)} must exceed ||z||_inf = {z_inf}")
-    M = spec.resolve_nodes(DEFAULT_CAUCHY_NODES)
-    vals = _torus_samples(mapping, radii, M)
-
-    theta = 2.0 * np.pi * np.arange(M) / M
+    rule = spec if isinstance(spec, CauchyRule) else cauchy_rule(z, alpha, sup, spec, mapping.N)
+    circles = [_circle(r, M) for r, M in zip(rule.radii, rule.nodes)]
+    # Row 0 of an axis's kernels gives A; row 1, the conjugate kernel, gives B,
+    # since the anti-holomorphic part is conj(sum conj(V) K) = sum V conj(K).
     kernels = []
-    for j, (r, aj) in enumerate(zip(radii, alpha)):
-        eta = r * np.exp(1j * theta)
-        kernels.append(eta / (eta - z[j]) ** (aj + 1))
-
-    def contract(kernels):
-        res = vals
-        for K in kernels:
-            res = np.tensordot(K, res, axes=(0, 0))
-        return res / M**mapping.n
-
-    # The anti-holomorphic part is conj(sum conj(V) K) = sum V conj(K).
-    fact = float(mi_factorial(alpha))
-    A = fact * contract(kernels)
-    B = fact * contract([np.conj(K) for K in kernels])
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+    for eta, zj, aj in zip(circles, z, alpha):
+        K = np.empty((2, len(eta)), dtype=complex)
+        np.divide(eta, (eta - zj) ** (aj + 1), out=K[0])
+        np.conj(K[0], out=K[1])
+        kernels.append(K)
+    first, rest = rule.nodes[0], math.prod(rule.nodes[1:]) * mapping.N
+    rows = max(1, CAUCHY_SLAB_BYTES // (rest * np.dtype(complex).itemsize))
+    if rows >= first:
+        res = kernels[0] @ _torus_samples(mapping, rule.radii, rule.nodes, circles).reshape(first, rest)
+    else:
+        res = sum(kernels[0][:, i:i + rows]
+                  @ mapping.eval_grid([circles[0][i:i + rows], *circles[1:]]).reshape(-1, rest)
+                  for i in range(0, first, rows))
+    for K, M in zip(kernels[1:], rule.nodes[1:]):
+        res = (K[:, None, :] @ res.reshape(2, M, -1))[:, 0]
+    res *= float(mi_factorial(alpha)) / math.prod(rule.nodes)
+    if not np.all(np.isfinite(res)):
         raise ValueError("non-finite Cauchy quadrature result")
-    return A, B
+    return res[0], res[1]

@@ -151,10 +151,9 @@ def test_sweep_summary_names_failures_and_the_worst_point(tmp_path, capsys):
     assert f"worst margin {worst['margin']:.6g} at z = ({z:.6g})," in summary
 
 
-def test_cauchy_radius_alone_keeps_the_default_node_count(tmp_path):
+def test_cauchy_radius_alone_keeps_the_rule_node_count(tmp_path):
     # --radius without --nodes once fell back to a 64-node spec: lhs 17730 vs 0.2468.
-    # Points stop at 0.8: nearer the contour the 512-node default itself is off by
-    # more than tol (the near-boundary error of the Cauchy defaults).
+    # Now the error bound sizes the nodes for the given radius, per point.
     path = _write_random(tmp_path, n=2, degree=4, seed=3)
     lhs = {}
     for method in ("cauchy", "exact"):
@@ -166,7 +165,25 @@ def test_cauchy_radius_alone_keeps_the_default_node_count(tmp_path):
         lhs[method] = [json.loads(line) for line in out_path.read_text().splitlines()]
     for c, e in zip(lhs["cauchy"], lhs["exact"]):
         assert c["params"]["z"] == e["params"]["z"]
-        assert abs(c["lhs"] - e["lhs"]) <= c["tol"]
+        assert c["params"]["radii"] == [0.95, 0.95]
+        assert c["params"]["error_bound"] <= 1e-8
+        assert abs(c["lhs"] - e["lhs"]) <= c["params"]["error_bound"]
+    assert len({tuple(c["params"]["nodes"]) for c in lhs["cauchy"]}) > 1
+
+
+def test_cauchy_verify_near_the_boundary(tmp_path):
+    # The 0.95 radius cap of the old default refused every point with t >= 0.95:
+    # "contour radius 0.95 must exceed ||z||_inf = 0.96", exit 2.
+    path = _write_random(tmp_path, n=2, degree=4, seed=3)
+    out_path = tmp_path / "cauchy.jsonl"
+    assert main(["verify", "--map", str(path), "--alpha", "3,1", "--grid", "2",
+                 "--radius-cap", "0.96", "--method", "cauchy", "--out", str(out_path)]) == 0
+    reports = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert len(reports) == 4
+    for r in reports:
+        assert set(r["params"]) == {"z", "alpha", "method", "radii", "nodes", "error_bound",
+                                    "sup_bound"}
+        assert r["pass"] and r["lhs"] + r["params"]["error_bound"] <= r["rhs"] + r["tol"]
 
 
 def test_uncertified_map_is_refused(tmp_path, capsys):
@@ -232,9 +249,33 @@ def test_unused_flags_are_rejected(tmp_path, capsys):
 def test_cauchy_sample_too_large_is_a_usage_error(tmp_path, capsys):
     path = _write_random(tmp_path, n=3, degree=2)
     assert main(["verify", "--map", str(path), "--alpha", "1,1,1", "--method", "cauchy",
-                 "--grid", "1"]) == 2
+                 "--grid", "1", "--nodes", "512"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "512^3" in err and "MiB" in err
+    # The rule's own nodes are refused only when the error bound needs such a sample.
+    assert main(["verify", "--map", str(path), "--alpha", "1,1,1", "--method", "cauchy",
+                 "--grid", "2", "--radius-cap", "0.97"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "the error bound 1e-09 needs them" in err
+
+
+@pytest.mark.parametrize("command", [["verify", "--alpha", ",".join(["1"] * 33)],
+                                     ["verify", "--alpha", ",".join(["1"] * 33),
+                                      "--method", "cauchy"],
+                                     ["gradient"], ["growth"]])
+@pytest.mark.parametrize("grid", ["1", "2"])
+def test_maps_with_more_than_32_coordinates_never_crash(tmp_path, capsys, command, grid):
+    # np.meshgrid stops at 32 axes: "gradient --grid 1" on n = 33 once died with a
+    # RuntimeError and a traceback (exit 1).
+    path = tmp_path / "n33.json"
+    save_map(SeriesMap(33, 1, {(1,) + (0,) * 32: [0.3]}), path)
+    code = main([command[0], "--map", str(path), *command[1:], "--grid", grid,
+                 "--out", str(tmp_path / "reports.jsonl")])
+    err = capsys.readouterr().err
+    assert code in (0, 2) and "Traceback" not in err
+    assert code == (0 if grid == "1" and "cauchy" not in command else 2)
+    if code == 2:
+        assert err.startswith("error:") and "MiB" in err
 
 
 @pytest.mark.parametrize("argv", [["lemma", "--m", "3", "--nodes", "0"]])
@@ -331,7 +372,7 @@ def test_the_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert {json.loads(line)["tol"] for line in first.read_text().splitlines()} == {0.5}
     assert {json.loads(line)["tol"] for line in second.read_text().splitlines()} == {1e-9}
     # Cauchy flags from one call must not reach the next, which --method exact refuses.
-    assert main([*verify, "--method", "cauchy", "--nodes", "64", "--out", str(first)]) == 0
+    assert main([*verify, "--method", "cauchy", "--nodes", "512", "--out", str(first)]) == 0
     assert main([*verify, "--out", str(second)]) == 0
     assert {json.loads(line)["params"]["method"] for line in second.read_text().splitlines()} \
         == {"exact"}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, MapFormatError,
-                         PolydiskAutomorphism, QuadratureSpec, SeriesMap, derivative_exact,
+                         PluriharmonicMap, PolydiskAutomorphism, QuadratureSpec, SeriesMap, derivative_exact,
                          extract_coefficient, jacobian_pair, load_map, map_from_dict,
                          map_to_dict, random_bounded_map, save_map, sup_bound_l1)
 from polyschwarz.multiindex import enumerate_indices
@@ -522,3 +522,17 @@ def test_derivative_of_an_order_above_the_degree_is_zero_and_allocates_nothing()
     finally:
         tracemalloc.stop()
     assert not np.any(A) and not np.any(B)
+
+
+def test_eval_grid_fallback_past_32_axes():
+    # The generic eval_grid once built its grid with np.meshgrid (at most 32 axes).
+    class Sum(PluriharmonicMap):
+        n, N = 33, 1
+
+        def eval_points(self, Z):
+            return 0.01 * np.asarray(Z).sum(axis=-1, keepdims=True)
+
+    axes = [np.array([0.1, 0.2j])] + [np.array([0.3])] * 32
+    vals = Sum().eval_grid(axes)
+    assert vals.shape == (2,) + (1,) * 32 + (1,)
+    np.testing.assert_allclose(vals.ravel(), 0.01 * (np.array([0.1, 0.2j]) + 0.3 * 32))

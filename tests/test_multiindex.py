@@ -74,3 +74,15 @@ def test_unit_index():
     assert mi.unit_index(3, 1) == (0, 1, 0)
     with pytest.raises(ValueError):
         mi.unit_index(2, 2)
+
+
+def test_grid_rows_match_meshgrid_and_pass_32_axes():
+    axes = [np.arange(3), np.array([0.5, -1.0]), np.array([2j, 1.0, 0.0, 7.0])]
+    rows = mi.grid_rows(axes)
+    grids = np.meshgrid(*axes, indexing="ij")
+    np.testing.assert_array_equal(rows, np.stack([g.ravel() for g in grids], axis=-1))
+    assert rows.dtype == complex
+    # np.meshgrid refuses more than 32 axes
+    rows = mi.grid_rows([np.array([0.1, 0.2])] + [np.array([0.3])] * 39)
+    assert rows.shape == (2, 40) and rows[1, 0] == 0.2 and np.all(rows[:, 1:] == 0.3)
+    assert mi.grid_rows([np.arange(2), np.arange(0)]).shape == (0, 2)

@@ -35,5 +35,5 @@ def test_workload_rounds_repeat_and_pass_their_oracles(workloads, tmp_path, name
     failed, problems = workload.check(first)
     assert problems == []
     assert first == second
-    # Only the fixed near-boundary band of cauchy_sweep fails, by design.
-    assert failed <= (len(workload.BAND_T) if name == "cauchy_sweep" else 0)
+    # The near-boundary band of cauchy_sweep fails no longer: no workload fails.
+    assert failed == 0

@@ -4,10 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from polyschwarz import (ColonnaMap, ComposedMap, QuadratureSpec, SeriesMap, abs_cos_integral,
-                         cauchy_derivative, derivative_exact, extract_coefficient,
-                         extract_coefficients, jacobian_pair, random_bounded_map, sup_bound_l1,
-                         torus_trapezoid, PolydiskAutomorphism)
+from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, QuadratureSpec, SeriesMap,
+                         abs_cos_integral, cauchy_derivative, cauchy_rule, certified_sup_bound,
+                         derivative_exact, extract_coefficient, extract_coefficients,
+                         jacobian_pair, random_bounded_map, sup_bound_l1, torus_trapezoid,
+                         verify_derivative_bound, PolydiskAutomorphism)
 from polyschwarz.multiindex import degree as mi_degree, enumerate_indices
 
 
@@ -156,11 +157,109 @@ def test_cauchy_rejects_bad_inputs():
 
 
 def test_default_contour_radius_rule():
-    # default radius (||z||_inf + 1)/2 capped at 0.95 must be admissible
-    f = random_bounded_map(1, 1, 3, seed=4)
-    A1, _ = cauchy_derivative(f, [0.5], (1,))
-    A2, _ = derivative_exact(f, [0.5], (1,))
-    assert A1[0] == pytest.approx(A2[0], abs=1e-9)
+    # The default radius of axis j is max(0.5, sqrt(|z_j|)), admissible up to |z_j| -> 1.
+    f = random_bounded_map(2, 1, 3, seed=4)
+    for z in ([0.5, 0.1j], [0.99, -0.2], [0.0, 0.999j]):
+        rule = cauchy_rule(z, (1, 2), 0.95)
+        assert rule.radii == tuple(max(0.5, math.sqrt(abs(c))) for c in z)
+        A1, B1 = cauchy_derivative(f, z, (1, 2), rule)
+        A2, B2 = derivative_exact(f, z, (1, 2))
+        assert abs(A1[0] - A2[0]) + abs(B1[0] - B2[0]) <= rule.error_bound + rule.rounding
+    # an explicit spec is honoured as it is, and the rule carries its bound
+    rule = cauchy_rule([0.5], (1,), 1.0, QuadratureSpec(64, (0.8,)))
+    assert (rule.radii, rule.nodes) == ((0.8,), (64,)) and 1e-3 < rule.error_bound < 1e-2
+
+
+def test_per_axis_contours():
+    # Each axis needs only r_j > |z_j|: the old check min(radii) > ||z||_inf refused
+    # this spec with "contour radius 0.6 must exceed ||z||_inf = 0.6".
+    f = random_bounded_map(2, 1, 4, seed=8)
+    z = [0.6, 0.2]
+    for alpha in ((1, 1), (2, 1), (1, 3)):
+        A1, B1 = cauchy_derivative(f, z, alpha, QuadratureSpec(512, (0.8, 0.6)))
+        A2, B2 = derivative_exact(f, z, alpha)
+        np.testing.assert_allclose(A1, A2, atol=1e-10)
+        np.testing.assert_allclose(B1, B2, atol=1e-10)
+    with pytest.raises(ValueError, match="axis 1 must exceed"):
+        cauchy_derivative(f, z, (1, 1), QuadratureSpec(512, (0.8, 0.2)))
+    # node counts per axis, from the rule, and each above the order on its axis
+    rule = cauchy_rule(z, (3, 1), 1.0, QuadratureSpec(None, (0.8, 0.6)))
+    assert rule.nodes[0] > rule.nodes[1]
+    A1, _ = cauchy_derivative(f, z, (3, 1), rule)
+    np.testing.assert_allclose(A1, derivative_exact(f, z, (3, 1))[0], atol=1e-10)
+    with pytest.raises(ValueError, match="cannot resolve the order 9"):
+        cauchy_derivative(f, z, (1, 9), QuadratureSpec(8, (0.8, 0.6)))
+
+
+def _near_boundary_maps():
+    center, rotations = [0.3 - 0.2j, 0.4j], np.exp(1j * np.array([0.5, -1.2]))
+    return [random_bounded_map(1, 1, 6, seed=11), random_bounded_map(2, 1, 4, seed=3),
+            ComposedMap(PolydiskAutomorphism(center[:1], rotations[:1]),
+                        random_bounded_map(1, 1, 6, seed=12)),
+            ComposedMap(PolydiskAutomorphism(center, rotations), random_bounded_map(2, 1, 4, seed=5))]
+
+
+@pytest.mark.parametrize("f", _near_boundary_maps(), ids=["series-1", "series-2", "composed-1",
+                                                          "composed-2"])
+def test_cauchy_error_bound_holds_up_to_the_boundary(f):
+    # Points up to t = 0.98, where the old default rule raised (t >= 0.95) or was off
+    # by up to 5e4 at t = 0.94 while its reports said pass.
+    sup = certified_sup_bound(f)
+    alphas = [(1,), (2,), (3,)] if f.n == 1 else [(1, 1), (2, 1), (1, 2), (3, 1)]
+    for t in np.linspace(0.5, 0.98, 9):
+        z = [t] if f.n == 1 else [t, 0.3j * t]
+        for alpha in alphas:
+            rule = cauchy_rule(z, alpha, sup)
+            A, B = cauchy_derivative(f, z, alpha, rule)
+            Ae, Be = derivative_exact(f, z, alpha)
+            assert abs(A[0] - Ae[0]) + abs(B[0] - Be[0]) <= rule.error_bound + rule.rounding
+            report = verify_derivative_bound(f, z, alpha, method="cauchy")
+            assert report.params["nodes"] == list(rule.nodes)
+            assert report.params["radii"] == list(rule.radii)
+            error = report.params["error_bound"]
+            assert error == rule.error_bound + rule.rounding and error < 1e-4
+            assert abs(report.lhs - (abs(Ae[0]) + abs(Be[0]))) <= error
+            assert report.passed == (report.lhs + error <= report.rhs + report.tol)
+
+
+def test_cauchy_error_bound_holds_for_closed_forms_and_explicit_rules():
+    # Slowly decaying coefficients (log and Blaschke singularities near the circle)
+    # with explicit node counts and radii: the bound holds where it is large too.
+    rng = np.random.default_rng(5)
+    maps = [ColonnaMap(np.exp(0.4j), 0.6 + 0.3j, np.exp(1.1j)), ColonnaMap(1, 0.9, 1),
+            BlaschkeProduct([0.9, -0.8j, 0.5], np.exp(0.3j)),
+            ComposedMap(PolydiskAutomorphism([0.8j]), ColonnaMap(1.0, 0.2, 1.0)),
+            ComposedMap(PolydiskAutomorphism([0.7, -0.6j]), random_bounded_map(2, 1, 4, seed=6))]
+    checked = 0
+    for f in maps:
+        for _ in range(30):
+            t = rng.uniform(0, 0.97, f.n)
+            z = t * np.exp(2j * np.pi * rng.uniform(size=f.n))
+            alpha = tuple(int(a) for a in rng.integers(1 if f.n == 1 else 0, 4, f.n)) or (1,)
+            if not any(alpha):
+                alpha = (1,) * f.n
+            radii = tuple(tj + (1 - tj) * rng.uniform(0.05, 0.95) for tj in t)
+            nodes = int(rng.choice([8, 12, 16, 32, 64, 128]))
+            rule = cauchy_rule(z, alpha, 1.0, QuadratureSpec(nodes if rng.uniform() < 0.5 else None,
+                                                             radii))
+            A, B = cauchy_derivative(f, z, alpha, rule)
+            Ae, Be = derivative_exact(f, z, alpha)
+            assert abs(A[0] - Ae[0]) + abs(B[0] - Be[0]) <= rule.error_bound + rule.rounding
+            checked += 1
+    assert checked == 150
+
+
+def test_cauchy_report_passes_only_with_its_error_bound():
+    # 64 nodes at 0.8 leave a bound of 0.26 at t = 0.5 for alpha = 2: a tol that
+    # covers the lhs but not lhs + bound is a failure.
+    f = random_bounded_map(1, 1, 4, seed=2)
+    spec = QuadratureSpec(64, (0.8,))
+    r = verify_derivative_bound(f, [0.5], (2,), method="cauchy", spec=spec)
+    bound = r.params["error_bound"]
+    assert 0.2 < bound < 0.3 and r.passed
+    tol = -(r.margin - bound / 2)
+    r = verify_derivative_bound(f, [0.5], (2,), method="cauchy", spec=spec, tol=tol)
+    assert r.lhs <= r.rhs + r.tol and not r.passed
 
 
 def _count_grid_builds(mapping) -> list:
@@ -174,21 +273,35 @@ def test_sample_cache_holds_only_the_latest_keys():
     f = random_bounded_map(2, 1, 4, seed=3)
     builds = _count_grid_builds(f)
     ts = np.linspace(0.0, 0.85, 10)
+    keys = []
     for t in ts:
-        for alpha in ((1, 1), (3, 1)):  # consecutive orders at one point share a sample
+        for alpha in ((1, 1), (3, 1)):
+            rule = cauchy_rule([t, 0.3j * t], alpha, 1.0)
+            keys.append((rule.radii, rule.nodes))
             cauchy_derivative(f, [t, 0.3j * t], alpha)
-    assert len(builds) == len(ts)
-    radii = [min(0.95, (t + 1.0) / 2.0) for t in ts[-2:]]
-    assert list(f._quad_cache) == [((r, r), 512) for r in radii]
-    # the n first-order Cauchy derivatives of a Jacobian share one sample too
+    # The rule sizes the nodes per order, so two orders at a point share a sample
+    # only where their rules agree; here (3, 1) needs more nodes than (1, 1) at every
+    # point, from (32, 32) and (48, 48) at t = 0 to (512, 48) and (768, 64) at 0.85,
+    # with samples of 1024 to 49152 points.  Below t = 0.25 every radius is 0.5 and
+    # the key of (3, 1), nodes (48, 48), recurs at the next points, so the cache
+    # serves 3 of the 20 derivatives: 17 samples.
+    assert all(k1 != k2 for k1, k2 in zip(keys[::2], keys[1::2]))
+    assert keys[:2] == [((0.5, 0.5), (32, 32)), ((0.5, 0.5), (48, 48))]
+    assert [k[1] for k in keys[-2:]] == [(512, 48), (768, 64)]
+    assert len(builds) == 17
+    assert list(f._quad_cache) == keys[-2:]
+    # The n first-order Cauchy derivatives of a Jacobian no longer share one sample:
+    # the axis differentiated once needs more nodes than the other, (64, 48) for
+    # (1, 0) and (48, 64) for (0, 1) at |z_j| = 0.3, so they take two samples.
     T = ComposedMap(PolydiskAutomorphism([0.2, 0.1j]), f)
     builds = _count_grid_builds(T)
     for alpha in ((1, 0), (0, 1)):
-        cauchy_derivative(T, [0.3, -0.2j], alpha)
-    assert len(builds) == 1 and len(T._quad_cache) == 1
+        cauchy_derivative(T, [0.3, -0.3j], alpha)
+    assert [len(axis) for axes in builds for axis in axes] == [64, 48, 48, 64]
+    assert len(T._quad_cache) == 2
     # jacobian_pair is exact for composed maps and samples nothing
     jacobian_pair(T, [0.3, -0.2j])
-    assert len(builds) == 1
+    assert len(builds) == 2
 
 
 def test_sup_bound_l1():
@@ -236,8 +349,11 @@ def test_torus_sample_size_guard(monkeypatch):
         raise AssertionError("the guard must refuse before evaluating the grid")
 
     monkeypatch.setattr(SeriesMap, "eval_grid", no_allocation)
-    # default Cauchy nodes at n = 3: 512^3 complex values, 2048 MiB
+    # 512 Cauchy nodes per axis at n = 3: 512^3 complex values, 2048 MiB
     with pytest.raises(ValueError, match="2048 MiB"):
-        cauchy_derivative(f, [0.1, 0.2, 0.3], (1, 1, 1))
+        cauchy_derivative(f, [0.1, 0.2, 0.3], (1, 1, 1), QuadratureSpec(512))
+    # the default rule is refused by the same guard, and only by it
+    with pytest.raises(ValueError, match="the error bound 1e-09 needs them"):
+        cauchy_derivative(f, [0.97, 0.97, 0.97], (1, 1, 1))
     with pytest.raises(ValueError, match="--nodes"):
         extract_coefficients(random_bounded_map(2, 2, 2, seed=0), 2, QuadratureSpec(4096))
