@@ -235,7 +235,7 @@ def test_cauchy_error_bound_holds_for_closed_forms_and_explicit_rules():
         for _ in range(30):
             t = rng.uniform(0, 0.97, f.n)
             z = t * np.exp(2j * np.pi * rng.uniform(size=f.n))
-            alpha = tuple(int(a) for a in rng.integers(1 if f.n == 1 else 0, 4, f.n)) or (1,)
+            alpha = tuple(int(a) for a in rng.integers(1 if f.n == 1 else 0, 4, f.n))
             if not any(alpha):
                 alpha = (1,) * f.n
             radii = tuple(tj + (1 - tj) * rng.uniform(0.05, 0.95) for tj in t)
