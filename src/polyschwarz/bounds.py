@@ -424,9 +424,10 @@ def verify_derivative_bound(mapping: PluriharmonicMap, z, alpha, method: str | N
     cauchy_derivative on the cauchy_rule that completes `spec` for the map's
     certified sup bound.  A Cauchy report's params also carry the rule's
     per-axis `radii` and `nodes`, its `error_bound` (the a priori quadrature
-    bound plus the rounding allowance, so that the exact lhs lies within
-    error_bound of lhs) and the `sup_bound` it was sized for; it passes only
-    if lhs + error_bound <= rhs + tol.
+    bound, which holds for the certified sup, plus the rounding allowance of
+    CauchyRule, which assumes rather than proves how accurately the map
+    evaluates) and the `sup_bound` it was sized for; it passes only if
+    lhs + error_bound <= rhs + tol.
     """
     sup = require_certified(mapping, N=1)
     alpha = as_order(alpha)

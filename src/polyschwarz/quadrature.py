@@ -270,15 +270,19 @@ def extract_coefficients(mapping: PluriharmonicMap, max_degree: int,
 @dataclass(frozen=True)
 class CauchyRule:
     """The contour radii and node counts per axis of one Cauchy derivative,
-    with two upper values whose sum bounds |A - A_exact| + |B - B_exact|
+    with two values whose sum is meant to bound |A - A_exact| + |B - B_exact|
     (per component) of its result:
-    - error_bound, the a priori quadrature error above;
-    - rounding, an allowance for floating-point error: 2 sqrt(2) (M + 2)
-      units in the last place per axis of M nodes (twice the bound
+    - error_bound, the a priori quadrature error above, an upper value for
+      any map with sup ||f|| <= S;
+    - rounding, an allowance for floating-point error, not a proof: 2 sqrt(2)
+      (M + 2) units in the last place per axis of M nodes (twice the bound
       sqrt(2) gamma_(M+2) on a complex dot product of length M; Higham,
       Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
       section 3.6) plus 16 for each sampled value, times 2 alpha! S and the
-      kernels' grid means.
+      kernels' grid means.  The 16 units per value assume that the map
+      evaluates to within 16 S ulps; that is not derived, and a series
+      with many terms or a closed form near the boundary (conditioning
+      about 1/(1 - |z|)) can err by more.
     Either is math.inf when it overflows."""
 
     radii: tuple
@@ -358,6 +362,9 @@ def _default_nodes(t, radii, alpha, log_scale: float, cap: int):
             M = _step(M, up=True)
         nodes.append(M)
         tails.append(tail)
+    # The equal share overpays an axis whose tail sits far below it, which
+    # matters most where another axis is near the boundary: at z = (0, 0.999),
+    # alpha = (1, 2), this trims 96 x 196608 nodes (288 MiB, refused) to 64 x 196608.
     if n > 1:
         for j in sorted(range(n), key=lambda j: -nodes[j]):
             M = _step(nodes[j], up=False)
@@ -425,7 +432,7 @@ def cauchy_rule(z, alpha, sup: float = 1.0, spec: QuadratureSpec | None = None,
                       _exp(log_mean) * ulps)
 
 
-def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec=None, sup: float = 1.0):
+def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec=None):
     """Mixed derivatives of order alpha by Cauchy-integral quadrature.
 
     Computes alpha!/(2*pi*i)^n times the contour integral of f against
@@ -435,10 +442,10 @@ def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec=None, sup: float
     integral, so the map's point values suffice.  The order-zero case is
     rejected: the constant split a_0/b_0 cannot be recovered from values.
 
-    spec is a CauchyRule, used as it is, or a QuadratureSpec (None: every
-    default) that cauchy_rule completes for a map with sup ||f|| <= sup
-    (default 1, the maps into the unit ball that the estimates concern).
-    The sup only sizes the rule; the result carries no claim.  The torus
+    spec is a CauchyRule, used as it is (cauchy_rule sizes one for any sup
+    bound), or a QuadratureSpec (None: every default) that cauchy_rule
+    completes for a map with sup ||f|| <= 1, the maps into the unit ball
+    that the estimates concern.  The result carries no error claim.  The torus
     has a circle of its own radius and node count per axis, and both
     kernels of an axis are contracted with the sample in one matmul.  A
     sample of at most CAUCHY_SLAB_BYTES comes from the map's sample cache;
@@ -452,7 +459,7 @@ def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec=None, sup: float
         raise ValueError("order-zero derivative: use f(z) for values; the a_0/b_0 split "
                          "is not recoverable from point values")
     z = check_point(z, mapping.n)
-    rule = spec if isinstance(spec, CauchyRule) else cauchy_rule(z, alpha, sup, spec, mapping.N)
+    rule = spec if isinstance(spec, CauchyRule) else cauchy_rule(z, alpha, 1.0, spec, mapping.N)
     circles = [_circle(r, M) for r, M in zip(rule.radii, rule.nodes)]
     # Row 0 of an axis's kernels gives A; row 1, the conjugate kernel, gives B,
     # since the anti-holomorphic part is conj(sum conj(V) K) = sum V conj(K).
