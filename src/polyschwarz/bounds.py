@@ -18,8 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .multiindex import (as_order, degree as mi_degree, factorial as mi_factorial, grid_rows,
-                         unit_index)
+from .multiindex import as_order, grid_rows, unit_index
 from .mapping import (BlaschkeProduct, ColonnaMap, ComposedMap, PluriharmonicMap, SeriesMap,
                       check_point, derivative_exact, sup_bound_l1, to_pairs)
 from .quadrature import QuadratureSpec, cauchy_derivative, cauchy_rule, extract_coefficients
@@ -105,11 +104,14 @@ def rhs_polydisk(alpha, z_inf: float) -> float:
 
     Requires every alpha_j >= 1.
     """
-    alpha = as_order(alpha)
-    t = _check_radius(z_inf)
-    n = len(alpha)
-    total = mi_degree(alpha)
-    return mi_factorial(alpha) * FOUR_OVER_PI * (1.0 + t) ** (total - n) / (1.0 - t * t) ** total
+    return _rhs_polydisk(as_order(alpha), _check_radius(z_inf))
+
+
+def _rhs_polydisk(alpha: tuple, t: float) -> float:
+    """rhs_polydisk at an order and a radius that are already validated."""
+    total = sum(alpha)
+    return (math.prod(map(math.factorial, alpha)) * FOUR_OVER_PI
+            * (1.0 + t) ** (total - len(alpha)) / (1.0 - t * t) ** total)
 
 
 def rhs_colonna(z_abs: float) -> float:
@@ -444,7 +446,8 @@ def verify_derivative_bound(mapping: PluriharmonicMap, z, alpha, method: str | N
     else:
         raise ValueError(f"unknown method {method!r}; expected 'exact' or 'cauchy'")
     lhs = abs(A[0]) + abs(B[0])
-    rhs = rhs_polydisk(alpha, np.max(np.abs(z)))
+    # check_point has put t = ||z||_inf in [0, 1), and as_order has checked alpha.
+    rhs = _rhs_polydisk(alpha, float(np.abs(z).max()))
     params = {"z": to_pairs(z), "alpha": list(alpha), "method": method}
     if error is not None:
         params.update(radii=list(rule.radii), nodes=list(rule.nodes),

@@ -41,7 +41,7 @@ def check_point(z, n: int) -> np.ndarray:
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     if zz.ndim != 1 or zz.size != n:
         raise ValueError(f"expected a point with {n} coordinates, got shape {zz.shape}")
-    if np.max(np.abs(zz)) >= 1.0:
+    if not np.abs(zz).max() < 1.0:  # also refuses a NaN coordinate
         raise ValueError("point lies on or outside the unit polydisk")
     return zz
 
@@ -57,7 +57,7 @@ def check_tensor_size(shape) -> None:
 
 def _check_unimodular(w: complex, name: str) -> complex:
     w = complex(w)
-    if abs(abs(w) - 1.0) > MODULUS_TOL:
+    if not abs(abs(w) - 1.0) <= MODULUS_TOL:  # also refuses NaN
         raise ValueError(f"{name} must be unimodular, got modulus {abs(w)!r}")
     return w
 
@@ -74,7 +74,7 @@ class PolydiskAutomorphism:
         c = np.atleast_1d(np.asarray(center, dtype=complex))
         if c.ndim != 1 or c.size < 1:
             raise ValueError("center must be a nonempty coordinate vector")
-        if np.max(np.abs(c)) >= 1.0:
+        if not np.abs(c).max() < 1.0:  # also refuses NaN
             raise ValueError("center must lie strictly inside the polydisk")
         if rotations is None:
             rot = np.ones_like(c)
@@ -152,7 +152,9 @@ class SeriesMap(PluriharmonicMap):
     """Finite double power series: f(z) = sum a_k z^k + sum conj(b_k) conj(z)^k.
 
     Its coefficients are two dense read-only tensors a and b of shape (N, D_1, ..., D_n),
-    at most MAX_SAMPLE_BYTES each; holo and anti are read-only views of their nonzero entries.
+    at most MAX_SAMPLE_BYTES each; holo and anti are read-only views of their nonzero entries,
+    and l1_norm is their coefficient l1 norm.  All three are computed once, on first read,
+    which is sound because the tensors cannot be written.
 
     certified_sup, when set, declares a sup-norm bound known from closed-form
     range information (e.g. a truncation of an extremal whose coefficients
@@ -201,15 +203,23 @@ class SeriesMap(PluriharmonicMap):
 
     @classmethod
     def from_tensors(cls, a: np.ndarray, b: np.ndarray) -> SeriesMap:
-        """The series with complex tensors a and b (made read-only) and an empty quadrature cache."""
-        out = cls(a.ndim - 1, a.shape[0])
+        """The series with complex tensors a and b of one shape (N, D_1, ..., D_n), held
+        without a copy and made read-only, and no certified_sup.  No table is parsed."""
+        if a.ndim < 2 or a.shape[0] < 1:
+            raise ValueError("dimensions must be >= 1")
+        out = cls.__new__(cls)
+        out.n, out.N = a.ndim - 1, a.shape[0]
         out.a, out.b = a, b
         a.flags.writeable = b.flags.writeable = False
+        out.certified_sup = None
         return out
 
     # Read-only {k: a_k} and {k: b_k} over the nonzero terms, built once, on first read.
     holo = cached_property(lambda self: _table_view(self.a))
     anti = cached_property(lambda self: _table_view(self.b))
+    # sum_k ||a_k|| + ||b_k||, see sup_bound_l1.
+    l1_norm = cached_property(lambda self: float(np.linalg.norm(self.a, axis=0).sum()
+                                                 + np.linalg.norm(self.b, axis=0).sum()))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -308,10 +318,10 @@ def derivative_exact(mapping: PluriharmonicMap, z, alpha) -> tuple[np.ndarray, n
 
 def sup_bound_l1(mapping: PluriharmonicMap) -> float:
     """Coefficient l1 norm: a certified upper bound for sup ||f|| over the
-    closed polydisk."""
+    closed polydisk.  Read from the map's cached l1_norm."""
     if not mapping.is_series:
         raise ValueError("the l1 sup bound requires a finite-series map")
-    return float(np.linalg.norm(mapping.a, axis=0).sum() + np.linalg.norm(mapping.b, axis=0).sum())
+    return mapping.l1_norm
 
 
 class ComposedMap(PluriharmonicMap):
@@ -375,7 +385,7 @@ class ColonnaMap(PluriharmonicMap):
         self.gamma = _check_unimodular(gamma, "gamma")
         self.lam = _check_unimodular(lam, "lambda")
         a = complex(a)
-        if abs(a) >= 1.0 - MODULUS_TOL:
+        if not abs(a) < 1.0 - MODULUS_TOL:  # also refuses NaN
             raise ValueError(f"automorphism parameter a must satisfy |a| < 1, got {abs(a)!r}")
         self.a = a
 
@@ -438,7 +448,7 @@ class BlaschkeProduct(PluriharmonicMap):
 
     def __init__(self, zeros, rotation=1.0):
         zs = [complex(a) for a in zeros]
-        if any(abs(a) >= 1.0 for a in zs):
+        if not all(abs(a) < 1.0 for a in zs):  # also refuses NaN
             raise ValueError("Blaschke zeros must lie strictly inside the disk")
         self.zeros = zs
         self.rotation = _check_unimodular(rotation, "rotation")

@@ -127,7 +127,10 @@ def sharpness_search(n: int, alpha, family: str = "colonna_tensor",
 
     The candidate stream is independent of the budget (the budget is a prefix
     length), so enlarging the budget never decreases the best ratio for a
-    fixed seed.  No global optimality is claimed.
+    fixed seed.  A candidate that repeats an earlier one bit for bit (same
+    family parameters and z) reads the earlier ratio instead of recomputing
+    it, and still counts as an evaluation against the budget, so results do
+    not depend on the repeat being skipped.  No global optimality is claimed.
     """
     alpha = as_order(alpha)
     if len(alpha) != n:
@@ -139,9 +142,13 @@ def sharpness_search(n: int, alpha, family: str = "colonna_tensor",
 
     rng = np.random.default_rng(seed)
     state = {"evals": 0, "best_ratio": -math.inf, "best_params": None, "best_z": None}
-    # The map of the latest evaluation: a refine step that moves only z reuses it.
-    # One entry, so memory does not grow with the budget.
+    # The map of the latest computed ratio: a refine step that moves only z
+    # reuses it.  One entry, so no map is kept per candidate.
     last = {"params": None, "map": None}
+    # The ratio of each distinct candidate, keyed on the exact bits of its
+    # parameters and z (the angular probes at radius 0 decode to one z):
+    # at most `budget` floats, for this search only.
+    ratios = {}
 
     # Parameter vector layout: radial/angular pairs, all box-constrained.
     if family == "colonna_tensor":
@@ -165,9 +172,12 @@ def sharpness_search(n: int, alpha, family: str = "colonna_tensor",
         if state["evals"] >= budget:
             raise _BudgetExhausted
         params, z = decode(x, extra)
-        if params != last["params"]:
-            last["params"], last["map"] = params, _build_family_map(family, n, params)
-        ratio = sharpness_ratio(last["map"], z, alpha)
+        key = (repr(params), z.tobytes())
+        ratio = ratios.get(key)
+        if ratio is None:
+            if params != last["params"]:
+                last["params"], last["map"] = params, _build_family_map(family, n, params)
+            ratio = ratios[key] = sharpness_ratio(last["map"], z, alpha)
         state["evals"] += 1
         if ratio > state["best_ratio"]:
             state["best_ratio"] = ratio

@@ -223,6 +223,32 @@ def test_compose_pointwise_equals_evaluate_after_phi():
         np.testing.assert_allclose(T(z), f(phi(z)), atol=1e-13)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: random_bounded_map(1, 1, 3, seed=1)([NAN]),
+    lambda: random_bounded_map(2, 1, 3, seed=1)([0.1, complex(0.2, NAN)]),
+    lambda: derivative_exact(random_bounded_map(1, 1, 3, seed=1), [NAN], (1,)),
+    lambda: derivative_exact(ColonnaMap(), [NAN], (1,)),
+    lambda: PolydiskAutomorphism([NAN]),
+    lambda: PolydiskAutomorphism([0.2, complex(NAN, 0.1)]),
+    lambda: ColonnaMap(1, NAN, 1),
+    lambda: ColonnaMap(NAN, 0, 1),
+    lambda: ColonnaMap(1, 0, complex(1, NAN)),
+    lambda: BlaschkeProduct([NAN]),
+    lambda: BlaschkeProduct([0.3, complex(0.1, NAN)]),
+    lambda: BlaschkeProduct([0.3], rotation=NAN),
+], ids=["series point", "series point imag", "derivative point", "colonna point",
+        "automorphism center", "automorphism center 2d", "colonna a", "colonna gamma",
+        "colonna lambda", "blaschke zero", "blaschke second zero", "blaschke rotation"])
+def test_nan_points_and_parameters_are_refused(build):
+    # each check is written so that a NaN fails it: "inside the disk" and
+    # "unimodular" are both false for NaN
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_automorphism_derivative_at_zero():
     assert np.allclose(PolydiskAutomorphism([0.0, 0.0]).derivative_at_zero(), np.eye(2))
     np.testing.assert_allclose(
@@ -480,6 +506,23 @@ def test_table_views_rebuild_the_tensors_and_are_read_only():
             f.holo[k][0] = 0.0
         with pytest.raises(ValueError):
             f.b[(0,) * (n + 1)] = 0.0
+
+
+def test_l1_norm_is_cached_per_map_and_equals_a_fresh_sum():
+    for n, N in ((1, 1), (2, 2), (3, 1)):
+        f = random_bounded_map(n, N, 3, seed=7 + n)
+        g = f.scaled(0.5)
+        for m in (f, SeriesMap(n, N, f.holo, f.anti), g):
+            assert "l1_norm" not in vars(m)
+            fresh = np.linalg.norm(m.a, axis=0).sum() + np.linalg.norm(m.b, axis=0).sum()
+            assert sup_bound_l1(m) == fresh
+            assert vars(m)["l1_norm"] == fresh
+            # the cache is sound only because the tensors cannot be written
+            with pytest.raises(ValueError):
+                m.a[(0,) * (n + 1)] = 1.0
+        # a derived map gets its own value, not its source's
+        assert sup_bound_l1(g) == pytest.approx(0.5 * sup_bound_l1(f), rel=1e-15)
+        assert sup_bound_l1(g) != sup_bound_l1(f)
 
 
 def test_zero_valued_terms_are_not_kept():

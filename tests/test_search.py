@@ -337,24 +337,59 @@ def test_sharpness_search_builds_each_candidate_once(monkeypatch, family, n, alp
         return builds[-1][1]
 
     def recording_ratio(mapping, z, alpha):
-        evaluated.append(mapping)
+        evaluated.append((mapping, z.tobytes()))
         return ratio(mapping, z, alpha)
 
     monkeypatch.setattr(search, "_build_family_map", counting_build)
     monkeypatch.setattr(search, "sharpness_ratio", recording_ratio)
     res = sharpness_search(n, alpha, family, budget=80, seed=2)
-    assert len(evaluated) == res.evaluations == 80
-    # every evaluation uses the latest build, and a build happens only when
-    # the parameters differ from the previous evaluation's
+    assert res.evaluations == 80
+    # a ratio is computed once per distinct (parameters, z); repeats of a
+    # candidate read it back and still count as evaluations
+    params = {id(m): repr(p) for p, m in builds}
+    keys = {(params[id(m)], z) for m, z in evaluated}
+    assert len(evaluated) == len(keys) < res.evaluations
+    # every computed ratio uses the latest build, and a build happens only
+    # when the parameters differ from the previous computed ratio's
     order = {id(m): i for i, (_, m) in enumerate(builds)}
-    used = [order[id(m)] for m in evaluated]
+    used = [order[id(m)] for m, _ in evaluated]
     assert used == sorted(used) and set(used) == set(range(len(builds)))
     assert all(p != q for (p, _), (q, _) in zip(builds, builds[1:]))
-    assert len(builds) < res.evaluations
+    assert len(builds) < len(evaluated)
     if family == "random_series":
         # one parameter set per start: each is built exactly once
         seeds = [p["seed"] for p, _ in builds]
         assert len(seeds) == len(set(seeds))
+    assert reevaluate(res) == pytest.approx(res.ratio, rel=1e-12)
+
+
+# Results recorded before repeated candidates were read back instead of
+# recomputed; the search must still return them bit for bit.
+PINNED_SEARCHES = [
+    ((2, (2, 1), "random_series", 80, 2),
+     {"family": "random_series", "family_params": {"degree": 3, "seed": 1798679648},
+      "z": [[0.0, 0.0], [0.0, 0.0]], "alpha": [2, 1], "ratio": 0.06758844399037207,
+      "evaluations": 80}),
+    ((1, (1,), "colonna_tensor", 80, 2),
+     {"family": "colonna_tensor", "family_params": {"a": [[0.08116777739064734, 0.0]]},
+      "z": [[0.13905764746872637, 0.0]], "alpha": [1], "ratio": 1.0000000000000002,
+      "evaluations": 80}),
+    ((2, (1, 1), "colonna_tensor", 80, 2),
+     {"family": "colonna_tensor", "family_params": {"a": [[0.0, 0.0], [0.0, 0.0]]},
+      "z": [[0.0, 0.0], [0.0, 0.0]], "alpha": [1, 1], "ratio": 0.19213802212122888,
+      "evaluations": 80}),
+    ((3, (1, 1, 1), "random_series", 100, 801),
+     {"family": "random_series", "family_params": {"degree": 3, "seed": 1041919648},
+      "z": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "alpha": [1, 1, 1],
+      "ratio": 0.06944713438272651, "evaluations": 100}),
+]
+
+
+@pytest.mark.parametrize("case, expected", PINNED_SEARCHES)
+def test_sharpness_search_results_are_pinned(case, expected):
+    n, alpha, family, budget, seed = case
+    res = sharpness_search(n, alpha, family, budget=budget, seed=seed)
+    assert res.to_json_dict() == expected
     assert reevaluate(res) == pytest.approx(res.ratio, rel=1e-12)
 
 
