@@ -20,7 +20,7 @@ import numpy as np
 
 from .multiindex import as_order, grid_rows, unit_index
 from .mapping import (BlaschkeProduct, ColonnaMap, ComposedMap, PluriharmonicMap, SeriesMap,
-                      check_point, derivative_exact, sup_bound_l1, to_pairs)
+                      check_points, derivative_exact, sup_bound_l1, to_pairs)
 from .quadrature import QuadratureSpec, cauchy_derivative, cauchy_rule, extract_coefficients
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -196,13 +196,11 @@ class JacobianPair:
 
 
 def jacobian_pair(mapping: PluriharmonicMap, z) -> JacobianPair:
-    """Df and Dbar-f at z, by derivative_exact for every map class."""
-    z = check_point(z, mapping.n)
-    d = np.zeros((mapping.N, mapping.n), dtype=complex)
-    dbar = np.zeros_like(d)
-    for m in range(mapping.n):
-        d[:, m], dbar[:, m] = derivative_exact(mapping, z, unit_index(mapping.n, m))
-    return JacobianPair(d, dbar)
+    """Df and Dbar-f at z, by derivative_exact for every map class: N x n
+    matrices at one point, (P, N, n) stacks at a (P, n) stack of points."""
+    columns = [derivative_exact(mapping, z, unit_index(mapping.n, m)) for m in range(mapping.n)]
+    return JacobianPair(np.stack([A for A, _ in columns], axis=-1),
+                        np.stack([B for _, B in columns], axis=-1))
 
 
 def _jacobian_arrays(jp: JacobianPair):
@@ -412,14 +410,75 @@ def direction_upper(jp: JacobianPair, threshold: float) -> tuple[float | None, i
 
 
 # ---------------------------------------------------------------------------
-# Verification routines.
+# Verification routines.  Each check has a grid routine, and its one-point
+# routine is the grid of that one point.
 # ---------------------------------------------------------------------------
+
+def _one_point(z) -> np.ndarray:
+    """z as a stack of one point for check_points (a scalar is one coordinate)."""
+    return np.asarray(z, dtype=complex)[None]
+
+
+def _sup_norms(Z: np.ndarray) -> list[float]:
+    """||z||_inf of each point of a checked stack, each in [0, 1)."""
+    return np.abs(Z).max(axis=1).tolist()
+
+
+def _row_norms(values: np.ndarray) -> list[float]:
+    """The Euclidean norm of each row of a (P, N) array, each computed by the
+    same operations whatever the other rows."""
+    squares = sum(values[:, i].real ** 2 + values[:, i].imag ** 2 for i in range(values.shape[1]))
+    return np.sqrt(squares).tolist()
+
+
+def verify_derivative_grid(mapping: PluriharmonicMap, points, alpha, method: str | None = None,
+                           tol: float | None = None,
+                           spec: QuadratureSpec | None = None) -> list[BoundReport]:
+    """verify_derivative_bound at every point of `points`, in order; no
+    points give no reports.
+
+    The map is certified and alpha validated once.  The exact method takes
+    all the points' derivatives in one stacked derivative_exact call; the
+    Cauchy method still sizes and runs one rule per point.  Each report is
+    the one the point would get alone.
+    """
+    sup = require_certified(mapping, N=1)
+    alpha = as_order(alpha)
+    Z = check_points(points, mapping.n)
+    if method is None or method == "exact":
+        method, default_tol = "exact", DEFAULT_TOL_EXACT
+        A, B = derivative_exact(mapping, Z, alpha)
+        # abs of each scalar: numpy's vectorised complex abs can differ from it in the last bit.
+        lhs = [abs(a) + abs(b) for a, b in zip(A[:, 0].tolist(), B[:, 0].tolist())]
+        rules = [None] * len(Z)
+    elif method == "cauchy":
+        default_tol = DEFAULT_TOL_QUAD
+        rules = [cauchy_rule(z, alpha, sup, spec, mapping.N) for z in Z]
+        lhs = [abs(A[0]) + abs(B[0]) for A, B in (cauchy_derivative(mapping, z, alpha, rule)
+                                                  for z, rule in zip(Z, rules))]
+    else:
+        raise ValueError(f"unknown method {method!r}; expected 'exact' or 'cauchy'")
+    tol = default_tol if tol is None else tol
+    reports = []
+    # as_order has checked alpha, and each t is in [0, 1).
+    for z, t, value, rule in zip(Z.tolist(), _sup_norms(Z), lhs, rules):
+        params = {"z": to_pairs(z), "alpha": list(alpha), "method": method}
+        error = None
+        if rule is not None:
+            error = rule.error_bound + rule.rounding
+            params.update(radii=list(rule.radii), nodes=list(rule.nodes),
+                          error_bound=error if math.isfinite(error) else None, sup_bound=sup)
+        reports.append(make_report("derivative_polydisk", params, value, _rhs_polydisk(alpha, t),
+                                   tol, upper=None if error is None else value + error))
+    return reports
+
 
 def verify_derivative_bound(mapping: PluriharmonicMap, z, alpha, method: str | None = None,
                             tol: float | None = None,
                             spec: QuadratureSpec | None = None) -> BoundReport:
     """Order-alpha derivative bound for a certified scalar map into the disk:
-    |d^alpha f| + |dbar^alpha f| <= rhs_polydisk(alpha, ||z||_inf).
+    |d^alpha f| + |dbar^alpha f| <= rhs_polydisk(alpha, ||z||_inf), at one
+    point: verify_derivative_grid of [z].
 
     method is "exact" (also when None; derivative_exact, every map class,
     tol None: DEFAULT_TOL_EXACT) or "cauchy" (tol None: DEFAULT_TOL_QUAD):
@@ -431,30 +490,7 @@ def verify_derivative_bound(mapping: PluriharmonicMap, z, alpha, method: str | N
     evaluates) and the `sup_bound` it was sized for; it passes only if
     lhs + error_bound <= rhs + tol.
     """
-    sup = require_certified(mapping, N=1)
-    alpha = as_order(alpha)
-    z = check_point(z, mapping.n)
-    error = None
-    if method is None or method == "exact":
-        method, default_tol = "exact", DEFAULT_TOL_EXACT
-        A, B = derivative_exact(mapping, z, alpha)
-    elif method == "cauchy":
-        default_tol = DEFAULT_TOL_QUAD
-        rule = cauchy_rule(z, alpha, sup, spec, mapping.N)
-        A, B = cauchy_derivative(mapping, z, alpha, rule)
-        error = rule.error_bound + rule.rounding
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'exact' or 'cauchy'")
-    lhs = abs(A[0]) + abs(B[0])
-    # check_point has put t = ||z||_inf in [0, 1), and as_order has checked alpha.
-    rhs = _rhs_polydisk(alpha, float(np.abs(z).max()))
-    params = {"z": to_pairs(z), "alpha": list(alpha), "method": method}
-    if error is not None:
-        params.update(radii=list(rule.radii), nodes=list(rule.nodes),
-                      error_bound=error if math.isfinite(error) else None, sup_bound=sup)
-    return make_report("derivative_polydisk", params, lhs, rhs,
-                       default_tol if tol is None else tol,
-                       upper=None if error is None else lhs + error)
+    return verify_derivative_grid(mapping, _one_point(z), alpha, method, tol, spec)[0]
 
 
 def verify_coefficient_bound(mapping: PluriharmonicMap, max_degree: int,
@@ -468,25 +504,43 @@ def verify_coefficient_bound(mapping: PluriharmonicMap, max_degree: int,
             for k, (a, b) in extract_coefficients(mapping, max_degree, spec).items()]
 
 
-def verify_homogeneous_bound(mapping: PluriharmonicMap, m: int, z,
-                             tol: float | None = None) -> BoundReport:
-    """Degree-m homogeneous part bound (tol None: DEFAULT_TOL_EXACT):
-    || sum_{|k|=m} a_k z^k + sum_{|k|=m} conj(b_k) conj(z)^k || <= 4/pi.
+def verify_homogeneous_grid(mapping: PluriharmonicMap, degrees, points,
+                            tol: float | None = None) -> list[BoundReport]:
+    """verify_homogeneous_bound at every point of `points` and every degree
+    m of `degrees`, points first: the reports of the first point, one per
+    degree, then those of the next point.  No points or no degrees give no
+    reports.
 
-    The anti-holomorphic sum follows the circle-integral derivation (the
-    printed statement repeats the holomorphic sum; see README notes).
+    The map is certified once, and each degree-m part is built once and
+    evaluated at all the points in one eval_points call.  Each report is
+    the one its point and degree would get alone.
     """
-    m = int(m)
-    if m < 1:
+    degrees = [int(m) for m in degrees]
+    if any(m < 1 for m in degrees):
         raise ValueError("homogeneous degree m must be >= 1")
     if not mapping.is_series:
         raise ValueError("homogeneous-part check requires a finite-series map")
     require_certified(mapping)
-    z = check_point(z, mapping.n)
-    mask = mapping.degrees == m
-    part = SeriesMap.from_tensors(mapping.a * mask, mapping.b * mask)
-    return make_report("homogeneous_part", {"m": m, "z": to_pairs(z)}, np.linalg.norm(part(z)),
-                       FOUR_OVER_PI, DEFAULT_TOL_EXACT if tol is None else tol)
+    Z = check_points(points, mapping.n)
+    tol = DEFAULT_TOL_EXACT if tol is None else tol
+    lhs = []  # per degree, the norm of its part at each point
+    for m in degrees:
+        mask = mapping.degrees == m
+        lhs.append(_row_norms(SeriesMap.from_tensors(mapping.a * mask, mapping.b * mask).eval_points(Z)))
+    return [make_report("homogeneous_part", {"m": m, "z": to_pairs(z)}, values[p], FOUR_OVER_PI, tol)
+            for p, z in enumerate(Z.tolist()) for m, values in zip(degrees, lhs)]
+
+
+def verify_homogeneous_bound(mapping: PluriharmonicMap, m: int, z,
+                             tol: float | None = None) -> BoundReport:
+    """Degree-m homogeneous part bound (tol None: DEFAULT_TOL_EXACT):
+    || sum_{|k|=m} a_k z^k + sum_{|k|=m} conj(b_k) conj(z)^k || <= 4/pi,
+    at one point and degree: verify_homogeneous_grid of [m] and [z].
+
+    The anti-holomorphic sum follows the circle-integral derivation (the
+    printed statement repeats the holomorphic sum; see README notes).
+    """
+    return verify_homogeneous_grid(mapping, [m], _one_point(z), tol)[0]
 
 
 def verify_l2_bound(mapping: PluriharmonicMap, tol: float | None = None) -> BoundReport:
@@ -506,23 +560,22 @@ def verify_gradient_grid(mapping: PluriharmonicMap, points,
     """verify_gradient_bound at every point of `points` (tol None:
     DEFAULT_TOL_EXACT), in order; no points give no reports.
 
-    The map is certified once, and the points' Jacobians go to direction_max
-    as one stack, so the ascent runs for a whole chunk of points at once;
-    direction_upper then decides each point.  Each report is the one the
-    point would get alone.
+    The map is certified once, the points' Jacobians come from one stacked
+    jacobian_pair, and they go to direction_max as one stack, so the ascent
+    runs for a whole chunk of points at once; direction_upper then decides
+    each point.  Each report is the one the point would get alone.
     """
     require_certified(mapping)
-    points = [check_point(z, mapping.n) for z in points]
-    if not points:
+    Z = check_points(points, mapping.n)
+    if not len(Z):
         return []
     tol = DEFAULT_TOL_EXACT if tol is None else tol
-    jps = [jacobian_pair(mapping, z) for z in points]
-    _, values = direction_max(JacobianPair(np.stack([jp.d for jp in jps]),
-                                           np.stack([jp.dbar for jp in jps])))
+    jp = jacobian_pair(mapping, Z)
+    _, values = direction_max(jp)
     reports = []
-    for z, jp, value in zip(points, jps, values):
-        rhs = rhs_gradient(np.max(np.abs(z)))
-        upper, boxes = direction_upper(jp, rhs + tol)
+    for z, t, d, dbar, value in zip(Z.tolist(), _sup_norms(Z), jp.d, jp.dbar, values):
+        rhs = rhs_gradient(t)
+        upper, boxes = direction_upper(JacobianPair(d, dbar), rhs + tol)
         params = {"z": to_pairs(z), "upper": upper, "boxes": boxes}
         reports.append(make_report("gradient_direction", params, value, rhs, tol,
                                    upper=math.inf if upper is None else upper))
@@ -542,16 +595,28 @@ def verify_gradient_bound(mapping: PluriharmonicMap, z, tol: float | None = None
     touches the bound, and for n >= 9 so does every case that the sum of
     the column maxima does not decide.
     """
-    return verify_gradient_grid(mapping, [z], tol)[0]
+    return verify_gradient_grid(mapping, _one_point(z), tol)[0]
+
+
+def verify_growth_grid(mapping: PluriharmonicMap, points, tol: float | None = None) -> list[BoundReport]:
+    """verify_growth_bound at every point of `points`, in order; no points
+    give no reports.
+
+    The map is certified and f(0) checked once, and all the points are
+    evaluated in one eval_points call.  Each report is the one the point
+    would get alone.
+    """
+    require_certified(mapping)
+    Z = check_points(points, mapping.n)
+    f0 = mapping(np.zeros(mapping.n))
+    if np.linalg.norm(f0) > 1e-12:
+        raise HypothesisError(f"hypothesis: f(0) != 0 (||f(0)|| = {np.linalg.norm(f0):.3g})")
+    tol = DEFAULT_TOL_EXACT if tol is None else tol
+    return [make_report("growth_arctan", {"z": to_pairs(z)}, value, rhs_growth(t), tol)
+            for z, t, value in zip(Z.tolist(), _sup_norms(Z), _row_norms(mapping.eval_points(Z)))]
 
 
 def verify_growth_bound(mapping: PluriharmonicMap, z, tol: float | None = None) -> BoundReport:
     """Growth bound ||f(z)|| <= (4/pi) arctan ||z||_inf for maps with f(0) = 0
-    (tol None: DEFAULT_TOL_EXACT)."""
-    require_certified(mapping)
-    z = check_point(z, mapping.n)
-    f0 = mapping(np.zeros(mapping.n))
-    if np.linalg.norm(f0) > 1e-12:
-        raise HypothesisError(f"hypothesis: f(0) != 0 (||f(0)|| = {np.linalg.norm(f0):.3g})")
-    return make_report("growth_arctan", {"z": to_pairs(z)}, np.linalg.norm(mapping(z)),
-                       rhs_growth(np.max(np.abs(z))), DEFAULT_TOL_EXACT if tol is None else tol)
+    (tol None: DEFAULT_TOL_EXACT), at one point: verify_growth_grid of [z]."""
+    return verify_growth_grid(mapping, _one_point(z), tol)[0]

@@ -85,20 +85,29 @@ def _exit_for(reports) -> int:
 # Subcommand handlers.
 # ---------------------------------------------------------------------------
 
+def _where(params: dict) -> str:
+    """Where a report's check was made: at its point z, else at its index k,
+    else nowhere (the l2 report)."""
+    if "z" in params:
+        return " at z = (" + ", ".join(f"{complex(re, im):.6g}" for re, im in params["z"]) + ")"
+    if "k" in params:
+        return " at k = (" + ", ".join(map(str, params["k"])) + ")"
+    return ""
+
+
 def _summary(reports, seconds: float) -> str:
     failed = sum(not r.passed for r in reports)
     undecided = sum("upper" in r.params and r.params["upper"] is None for r in reports)
     line = f"summary: {len(reports)} checks, {failed} failed, {undecided} undecided"
     if reports:
         worst = min(reports, key=lambda r: r.margin)
-        z = ", ".join(f"{complex(re, im):.6g}" for re, im in worst.params["z"])
-        line += f", worst margin {worst.margin:.6g} at z = ({z})"
+        line += f", worst margin {worst.margin:.6g}{_where(worst.params)}"
     return line + f", {seconds:.3f} s"
 
 
 def _sweep(args, check) -> int:
-    """Run check(mapping, points) on the z grid, which gives one report per
-    point, write the reports and end with a one-line summary on stderr."""
+    """Run check(mapping, points) on the z grid, write the reports and end
+    with a one-line summary on stderr."""
     start = time.perf_counter()
     mapping = load_map(args.map)
     reports = check(mapping, _z_grid(mapping.n, args.grid, args.radius_cap))
@@ -112,8 +121,8 @@ def cmd_verify(args) -> int:
     if args.method == "exact" and given:
         raise ValueError(f"--method exact takes no {' or '.join(given)} (Cauchy quadrature only)")
     spec = quadrature.QuadratureSpec(args.nodes, args.radius)
-    return _sweep(args, lambda mapping, points: [bounds.verify_derivative_bound(
-        mapping, z, args.alpha, method=args.method, tol=args.tol, spec=spec) for z in points])
+    return _sweep(args, lambda mapping, points: bounds.verify_derivative_grid(
+        mapping, points, args.alpha, method=args.method, tol=args.tol, spec=spec))
 
 
 def cmd_gradient(args) -> int:
@@ -122,20 +131,17 @@ def cmd_gradient(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    return _sweep(args, lambda mapping, points: [bounds.verify_growth_bound(
-        mapping, z, tol=args.tol) for z in points])
+    return _sweep(args, lambda mapping, points: bounds.verify_growth_grid(
+        mapping, points, tol=args.tol))
 
 
 def cmd_coeffs(args) -> int:
-    mapping = load_map(args.map)
     spec = quadrature.QuadratureSpec(args.nodes, args.radius)
-    reports = bounds.verify_coefficient_bound(mapping, args.max_degree, spec=spec, tol=args.tol)
-    reports += [bounds.verify_homogeneous_bound(mapping, m, z, tol=args.tol)
-                for z in _z_grid(mapping.n, args.grid, args.radius_cap)
-                for m in range(1, args.max_degree + 1)]
-    reports.append(bounds.verify_l2_bound(mapping, tol=args.tol))
-    _write_reports(reports, args.out, args.csv)
-    return _exit_for(reports)
+    return _sweep(args, lambda mapping, points: (
+        bounds.verify_coefficient_bound(mapping, args.max_degree, spec=spec, tol=args.tol)
+        + bounds.verify_homogeneous_grid(mapping, range(1, args.max_degree + 1), points,
+                                         tol=args.tol)
+        + [bounds.verify_l2_bound(mapping, tol=args.tol)]))
 
 
 def cmd_lemma(args) -> int:

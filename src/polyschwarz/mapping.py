@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from types import MappingProxyType
 
@@ -30,6 +30,9 @@ MAX_SAMPLE_BYTES = 256 * 2**20
 # Highest derivative order per coordinate taken of a map that is not a finite
 # series: such derivatives grow like the order's factorial, and 171! overflows a double.
 MAX_CLOSED_FORM_ORDER = 170
+# Working memory of one chunk of the rows that SeriesMap.eval_points or a stacked
+# derivative_exact contracts at once (see _row_slices), and of one chunk of check_points.
+ROW_CHUNK_BYTES = 1 << 20
 
 
 class MapFormatError(ValueError):
@@ -44,6 +47,22 @@ def check_point(z, n: int) -> np.ndarray:
     if not np.abs(zz).max() < 1.0:  # also refuses a NaN coordinate
         raise ValueError("point lies on or outside the unit polydisk")
     return zz
+
+
+def check_points(Z, n: int) -> np.ndarray:
+    """Validate a stack of points of the open polydisk, rows of n coordinates
+    (or scalars when n = 1; an empty stack has no rows), and return it as a
+    (P, n) complex array.  The moduli are checked ROW_CHUNK_BYTES at a time."""
+    ZZ = np.asarray(Z, dtype=complex)
+    if ZZ.ndim == 1 and (n == 1 or ZZ.size == 0):
+        ZZ = ZZ.reshape(-1, n)
+    if ZZ.ndim != 2 or ZZ.shape[1] != n:
+        raise ValueError(f"expected points with {n} coordinates, got shape {ZZ.shape}")
+    step = max(1, ROW_CHUNK_BYTES // (8 * n))
+    for i in range(0, len(ZZ), step):
+        if not np.abs(ZZ[i:i + step]).max() < 1.0:  # also refuses a NaN coordinate
+            raise ValueError("point lies on or outside the unit polydisk")
+    return ZZ
 
 
 def check_tensor_size(shape) -> None:
@@ -131,8 +150,9 @@ class PluriharmonicMap:
         """Evaluate on an array of points, shape (..., n) -> (..., N)."""
         raise NotImplementedError
 
-    def _derivative(self, z: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
-        """(d^alpha f, dbar^alpha f) at a checked point; see derivative_exact."""
+    def _derivative(self, Z: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
+        """(d^alpha f, dbar^alpha f), each of shape (P, N), at a (P, n) stack of
+        checked points; see derivative_exact."""
         raise ValueError(f"{type(self).__name__} has no exact derivatives; use cauchy_derivative")
 
     def eval_grid(self, axes) -> np.ndarray:
@@ -168,23 +188,14 @@ class SeriesMap(PluriharmonicMap):
         if n < 1 or N < 1:
             raise ValueError("dimensions must be >= 1")
         self.n, self.N = int(n), int(N)
-        (hk, hv), (ak, av) = self._clean_table(holo), self._clean_table(anti)
-        top = np.max(np.vstack([hk, ak]), axis=0, initial=0)
-        shape = (self.N,) + tuple(int(d) + 1 for d in top)
-        check_tensor_size(shape)
-        self.a, self.b = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
-        self.a[(slice(None),) + tuple(hk.T)] = hv.T
-        self.b[(slice(None),) + tuple(ak.T)] = av.T
+        self.a, self.b = _dense_tensors(self.n, self.N, self._clean_table(holo),
+                                        self._clean_table(anti))
         self.a.flags.writeable = self.b.flags.writeable = False
-        if certified_sup is not None:
-            certified_sup = float(certified_sup)
-            if not 0.0 <= certified_sup < math.inf:
-                raise MapFormatError(f"certified_sup must be finite and nonnegative, got {certified_sup}")
-        self.certified_sup = certified_sup
+        self.certified_sup = _certificate(certified_sup)
 
-    def _clean_table(self, table) -> tuple[np.ndarray, np.ndarray]:
-        """Indices (T, n) and values (T, N) of the validated table's nonzero terms."""
-        keys, values = [], []
+    def _clean_table(self, table) -> list[tuple]:
+        """The validated table's terms as (index, N-vector) pairs."""
+        terms = []
         for k, v in (table or {}).items():
             kk = as_index(k)
             if len(kk) != self.n:
@@ -192,14 +203,8 @@ class SeriesMap(PluriharmonicMap):
             vv = np.atleast_1d(np.asarray(v, dtype=complex))
             if vv.shape != (self.N,):
                 raise MapFormatError(f"coefficient for {kk} has shape {vv.shape}, expected ({self.N},)")
-            if vv.any():
-                keys.append(kk)
-                values.append(vv)
-        try:
-            keys = np.array(keys, dtype=int).reshape(-1, self.n)
-        except OverflowError as exc:
-            raise MapFormatError(f"an index component exceeds 64 bits ({exc})") from exc
-        return keys, np.array(values, dtype=complex).reshape(-1, self.N)
+            terms.append((kk, vv))
+        return terms
 
     @classmethod
     def from_tensors(cls, a: np.ndarray, b: np.ndarray) -> SeriesMap:
@@ -236,14 +241,19 @@ class SeriesMap(PluriharmonicMap):
 
     def _power_tables(self, axes) -> list[np.ndarray]:
         """Per coordinate j, the table x**k_j of its values x, shape (len(x), D_j)."""
-        return [x[:, None] ** np.arange(d) for x, d in zip(axes, self.a.shape[1:])]
+        return [x[:, None] ** _axis_weights(0, d)[1] for x, d in zip(axes, self.a.shape[1:])]
 
     def eval_points(self, Z) -> np.ndarray:
+        """Each point's value is the bits it gets alone; the points are
+        contracted in chunks of at most ROW_CHUNK_BYTES of working memory."""
         Z = np.asarray(Z, dtype=complex)
-        tables = self._power_tables(Z.reshape(-1, self.n).T)
-        # conj(b_k) conj(z)^k = conj(b_k z^k): both parts use the powers of z.
-        out = _contract_points(self.a, tables)
-        out += np.conj(_contract_points(self.b, tables))
+        rows = Z.reshape(-1, self.n)
+        out = np.empty((len(rows), self.N), dtype=complex)
+        for chunk in _row_slices(len(rows), self.a.shape):
+            tables = self._power_tables(rows[chunk].T)
+            # conj(b_k) conj(z)^k = conj(b_k z^k): both parts use the powers of z.
+            out[chunk] = _contract_rows(self.a, tables)
+            out[chunk] += np.conj(_contract_rows(self.b, tables))
         return out.reshape(Z.shape[:-1] + (self.N,))
 
     def eval_grid(self, axes) -> np.ndarray:
@@ -257,15 +267,70 @@ class SeriesMap(PluriharmonicMap):
         out = np.concatenate([a, b], axis=-1) @ np.concatenate([last, np.conj(last)], axis=1).T
         return np.moveaxis(out, 0, -1)
 
-    def _derivative(self, z, alpha):
-        tables = []
-        for zj, aj, dj in zip(z, alpha, self.a.shape[1:]):
-            falling = np.array([math.perm(k, aj) for k in range(aj, dj)], dtype=float)
-            tables.append((falling * zj ** np.arange(len(falling)))[None])
+    def _derivative(self, Z, alpha):
         part = (slice(None),) + tuple(slice(aj, None) for aj in alpha)
-        # The anti-holomorphic sum is conj(sum b_k (falling factorial) z^(k - alpha)).
-        return (_contract_points(self.a[part], tables)[0],
-                np.conj(_contract_points(self.b[part], tables)[0]))
+        # a over b, each cut to k_j >= alpha_j: one contraction gives both sums.
+        t = np.concatenate([self.a[part], self.b[part]])
+        A = np.empty((len(Z), self.N), dtype=complex)
+        B = np.empty_like(A)
+        for chunk in _row_slices(len(Z), t.shape):
+            tables = []
+            for zj, aj, dj in zip(Z[chunk].T, alpha, self.a.shape[1:]):
+                falling, exponents = _axis_weights(aj, dj)
+                tables.append(falling * zj[:, None] ** exponents)
+            res = _contract_rows(t, tables)
+            A[chunk] = res[:, :self.N]
+            # The anti-holomorphic sum is conj(sum b_k (falling factorial) z^(k - alpha)).
+            np.conj(res[:, self.N:], out=B[chunk])
+        return A, B
+
+
+@lru_cache(maxsize=1024)
+def _axis_weights(a: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """For an axis with D_j = d and an order a: the falling factorials
+    k!/(k - a)! as floats and the exponents k - a as complex values (so that
+    a power table needs no cast of its exponents), for a <= k < d; read-only,
+    and empty when a >= d."""
+    falling = np.array([math.perm(k, a) for k in range(a, d)], dtype=float)
+    exponents = np.arange(len(falling), dtype=complex)
+    falling.flags.writeable = exponents.flags.writeable = False
+    return falling, exponents
+
+
+def _dense_tensors(n: int, N: int, holo, anti) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient tensors a and b of validated terms, (index, N-vector)
+    pairs with indices of length n.  Zero vectors are not kept, so they do
+    not widen the tensors; an oversized shape is refused before allocation."""
+    tables = []
+    for terms in (holo, anti):
+        terms = [(k, v) for k, v in terms if v.any()]
+        try:
+            keys = np.array([k for k, _ in terms], dtype=int).reshape(-1, n)
+        except OverflowError as exc:
+            raise MapFormatError(f"an index component exceeds 64 bits ({exc})") from exc
+        tables.append((keys, np.array([v for _, v in terms], dtype=complex).reshape(-1, N)))
+    (hk, hv), (ak, av) = tables
+    top = np.max(np.vstack([hk, ak]), axis=0, initial=0)
+    shape = (N,) + tuple(int(d) + 1 for d in top)
+    check_tensor_size(shape)
+    a, b = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    a[(slice(None),) + tuple(hk.T)] = hv.T
+    b[(slice(None),) + tuple(ak.T)] = av.T
+    return a, b
+
+
+def _certificate(certified_sup) -> float | None:
+    """A declared certified_sup after its range check: None, or a finite
+    nonnegative float."""
+    if certified_sup is None:
+        return None
+    try:
+        certified_sup = float(certified_sup)
+    except (TypeError, ValueError) as exc:
+        raise MapFormatError(f"certified_sup must be a number ({exc})") from exc
+    if not 0.0 <= certified_sup < math.inf:
+        raise MapFormatError(f"certified_sup must be finite and nonnegative, got {certified_sup}")
+    return certified_sup
 
 
 def _table_view(t: np.ndarray) -> MappingProxyType:
@@ -276,12 +341,29 @@ def _table_view(t: np.ndarray) -> MappingProxyType:
     return MappingProxyType(dict(zip(map(tuple, keys.tolist()), values)))
 
 
-def _contract_points(t: np.ndarray, tables) -> np.ndarray:
-    """sum_k t[:, k] prod_j tables[j][p, k_j] for each row p, shape (P, N)."""
-    res = t @ tables[-1].T  # shape (N, D_1, ..., D_{n-1}, P)
-    for T in reversed(tables[:-1]):
-        res = np.einsum("...kp,pk->...p", res, T)
-    return res.T
+def _row_slices(P: int, shape) -> list[slice]:
+    """Slices that cover the rows 0..P-1 of a _contract_rows on a tensor of
+    this shape (N, D_1, ..., D_n), in chunks of at most ROW_CHUNK_BYTES of
+    working memory.  The rows get half of it, since numpy's broadcasting
+    ufuncs take a buffer of their own (256 KiB for the power tables)
+    whatever the row count.  Per row, everything counts twice: the per-axis
+    tables (a chunk's are built before the last chunk's are freed, and a
+    weighted table is built from an unweighted one), and the largest
+    intermediate and the result (a series contracts two tensors)."""
+    row = 2 * 16 * (sum(shape[1:]) + math.prod(shape[:-1]) + shape[0])
+    step = max(1, ROW_CHUNK_BYTES // 2 // row)
+    return [slice(i, i + step) for i in range(0, P, step)]
+
+
+def _contract_rows(t: np.ndarray, tables) -> np.ndarray:
+    """sum_k t[:, k] prod_j tables[j][p, k_j] for each row p, shape (P, N), for
+    a C-contiguous t of shape (N, D_1, ..., D_n) and tables of shape (P, D_j).
+    One stacked matrix-vector product per axis, the last axis first, so each
+    row is computed alone, by the same operations whatever the other rows."""
+    res = t[None]
+    for j in range(t.ndim - 1, 0, -1):
+        res = res.reshape(len(res), math.prod(t.shape[:j]), t.shape[j]) @ tables[j - 1][:, :, None]
+    return res.reshape(len(res), t.shape[0])
 
 
 def _contract_grid(t: np.ndarray, tables) -> np.ndarray:
@@ -296,7 +378,9 @@ def _contract_grid(t: np.ndarray, tables) -> np.ndarray:
 
 def derivative_exact(mapping: PluriharmonicMap, z, alpha) -> tuple[np.ndarray, np.ndarray]:
     """Mixed Wirtinger derivatives (d^alpha f / dz^alpha, d^alpha f / dzbar^alpha)
-    at z as complex N-vectors, exact up to rounding for every map class:
+    at z as complex N-vectors, or at a (P, n) stack of points as two (P, N)
+    arrays whose rows are the bits each point gets alone; exact up to
+    rounding for every map class:
     - SeriesMap: the tensors cut to k_j >= alpha_j, weighted per axis by
       k_j!/(k_j - alpha_j)! * z_j**(k_j - alpha_j) and summed;
     - ColonnaMap: the closed-form derivatives of log((1+psi)/(1-psi));
@@ -313,7 +397,10 @@ def derivative_exact(mapping: PluriharmonicMap, z, alpha) -> tuple[np.ndarray, n
     if not mapping.is_series and max(alpha) > MAX_CLOSED_FORM_ORDER:
         raise ValueError(f"derivative orders above {MAX_CLOSED_FORM_ORDER} are only "
                          f"taken of finite series, got {alpha}")
-    return mapping._derivative(check_point(z, mapping.n), alpha)
+    if np.ndim(z) < 2:
+        A, B = mapping._derivative(check_point(z, mapping.n)[None], alpha)
+        return A[0], B[0]
+    return mapping._derivative(check_points(z, mapping.n), alpha)
 
 
 def sup_bound_l1(mapping: PluriharmonicMap) -> float:
@@ -346,23 +433,24 @@ class ComposedMap(PluriharmonicMap):
         axes = _check_axes(axes, self.n)
         return self.outer.eval_grid([self.inner.coordinate(j, a) for j, a in enumerate(axes)])
 
-    def _derivative(self, z, alpha):
+    def _derivative(self, Z, alpha):
         # Faa di Bruno per coordinate: d^m/dz^m u(phi(z)) = sum_k u^(k)(phi(z)) * weight_k,
         # and for a Mobius phi the weight is the Lah number L(m, k) * phi'^k * r^(m - k)
         # (the t^m coefficient of (phi'(z) t / (1 - r t))^k, times m!/k!).  The factors act
         # on separate coordinates, so the weight of an outer order beta is a product.
-        w = np.empty(self.n, dtype=complex)
+        W = np.empty_like(Z)
         weights = []
         for j, m in enumerate(alpha):
-            w[j], d1, r = _mobius_jet(self.inner.center[j], self.inner.rotations[j], z[j])
+            W[:, j], d1, r = _mobius_jet(self.inner.center[j], self.inner.rotations[j], Z[:, j])
             weights.append({0: 1.0} if m == 0 else
                            {k: math.comb(m - 1, k - 1) * math.factorial(m) // math.factorial(k)
                             * d1**k * r ** (m - k) for k in range(1, m + 1)})
-        A = np.zeros(self.N, dtype=complex)
-        B = np.zeros(self.N, dtype=complex)
+        A = np.zeros((len(Z), self.N), dtype=complex)
+        B = np.zeros_like(A)
         for beta in product(*weights):
-            weight = math.prod(wj[bj] for wj, bj in zip(weights, beta))
-            dA, dB = self.outer._derivative(w, beta)
+            # One weight per point, as a column.
+            weight = np.reshape(math.prod(wj[bj] for wj, bj in zip(weights, beta)), (-1, 1))
+            dA, dB = self.outer._derivative(W, beta)
             # dbar^alpha (conj(g) o phi) = conj(d^alpha (g o phi)): the weights conjugate.
             A += weight * dA
             B += np.conj(weight) * dB
@@ -406,16 +494,24 @@ class ColonnaMap(PluriharmonicMap):
         u, v = 1.0 - lam * a + u1 * z, 1.0 + lam * a + v1 * z
         return (-1) ** (m - 1) / m * ((u1 / u) ** m - (v1 / v) ** m)
 
-    def _derivative(self, z, alpha):
-        (m,) = alpha
+    def _log_derivative(self, z, m: int):
+        """d^m/dz^m of L(psi) at a scalar z (m = 0: the value L(psi(z)))."""
         if m == 0:
-            psi = self.lam * (z[0] - self.a) / (1.0 - np.conj(self.a) * z[0])
-            dL = np.log((1.0 + psi) / (1.0 - psi))
-        else:
-            dL = math.factorial(m) * self._log_taylor(z[0], m)
+            psi = self.lam * (z - self.a) / (1.0 - np.conj(self.a) * z)
+            return np.log((1.0 + psi) / (1.0 - psi))
+        return math.factorial(m) * self._log_taylor(z, m)
+
+    def _derivative(self, Z, alpha):
+        (m,) = alpha
         # h = -(i gamma/pi) L(psi) and conj(g) = (i gamma/pi) conj(L(psi)).
         c = 1j * self.gamma / np.pi
-        return np.array([-c * dL]), np.array([c * np.conj(dL)])
+        A = np.empty((len(Z), 1), dtype=complex)
+        B = np.empty_like(A)
+        # Point by point in scalar arithmetic, the cheapest for the one point of a search step.
+        for p in range(len(Z)):
+            dL = self._log_derivative(Z[p, 0], m)
+            A[p, 0], B[p, 0] = -c * dL, c * np.conj(dL)
+        return A, B
 
     def to_series(self, max_degree: int = 32) -> SeriesMap:
         """The Taylor series at 0 cut at max_degree: a_m = -(i gamma/pi) c_m and
@@ -460,15 +556,18 @@ class BlaschkeProduct(PluriharmonicMap):
             out = out * (zz - a) / (1.0 - np.conj(a) * zz)
         return out[..., None]
 
-    def _derivative(self, z, alpha):
+    def _derivative(self, Z, alpha):
         # Each factor (z - a)/(1 - conj(a) z) is the Mobius map with c = -a and lam = 1.
         (m,) = alpha
-        series = np.zeros(m + 1, dtype=complex)  # Taylor coefficients at z, to t^m
-        series[0] = self.rotation
-        for a in self.zeros:
-            value, d1, r = _mobius_jet(-a, 1.0, z[0])
-            series = np.convolve(series, np.concatenate([[value], d1 * r ** np.arange(m)]))[: m + 1]
-        return np.array([math.factorial(m) * series[m]]), np.zeros(1, dtype=complex)
+        A = np.empty((len(Z), 1), dtype=complex)
+        for p, z in enumerate(Z[:, 0]):
+            series = np.zeros(m + 1, dtype=complex)  # Taylor coefficients at z, to t^m
+            series[0] = self.rotation
+            for a in self.zeros:
+                value, d1, r = _mobius_jet(-a, 1.0, z)
+                series = np.convolve(series, np.concatenate([[value], d1 * r ** np.arange(m)]))[: m + 1]
+            A[p] = math.factorial(m) * series[m]
+        return A, np.zeros_like(A)
 
 
 def random_bounded_map(n: int, N: int, degree: int, seed: int, margin: float = 0.05) -> SeriesMap:
@@ -543,8 +642,10 @@ def map_from_dict(data: dict) -> SeriesMap:
         raw_terms = data["terms"]
     except (KeyError, TypeError, ValueError) as exc:
         raise MapFormatError(f"map file must contain integer 'n', 'N' and a 'terms' list ({exc})") from exc
-    holo = {}
-    anti = {}
+    if n < 1 or N < 1:
+        raise MapFormatError(f"dimensions must be >= 1, got n = {n} and N = {N}")
+    # Each term is parsed and validated once, here; the tensors are built from the result.
+    seen, holo, anti = set(), [], []
     for i, term in enumerate(raw_terms):
         where = f"term {i}"
         if not isinstance(term, dict) or "k" not in term:
@@ -555,19 +656,17 @@ def map_from_dict(data: dict) -> SeriesMap:
             raise MapFormatError(f"{where}: {exc}") from exc
         if len(k) != n:
             raise MapFormatError(f"{where}: index length {len(k)} != n = {n}")
-        if k in holo or k in anti:
+        if k in seen:
             raise MapFormatError(f"{where}: duplicate index {k}")
+        seen.add(k)
         if "a" in term:
-            holo[k] = _pairs_to_vec(term["a"], N, where)
+            holo.append((k, _pairs_to_vec(term["a"], N, where)))
         if "b" in term:
-            anti[k] = _pairs_to_vec(term["b"], N, where)
-    certified_sup = data.get("certified_sup")
-    if certified_sup is not None:
-        try:
-            certified_sup = float(certified_sup)
-        except (TypeError, ValueError) as exc:
-            raise MapFormatError(f"certified_sup must be a number ({exc})") from exc
-    return SeriesMap(n, N, holo, anti, certified_sup=certified_sup)
+            anti.append((k, _pairs_to_vec(term["b"], N, where)))
+    certified_sup = _certificate(data.get("certified_sup"))
+    series = SeriesMap.from_tensors(*_dense_tensors(n, N, holo, anti))
+    series.certified_sup = certified_sup
+    return series
 
 
 def save_map(mapping: SeriesMap, path) -> None:

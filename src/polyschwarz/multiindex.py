@@ -17,12 +17,12 @@ MultiIndex = Tuple[int, ...]
 
 def as_index(k: Sequence[int]) -> MultiIndex:
     """Validate a multi-index and normalize it to a tuple of ints."""
-    idx = tuple(int(c) for c in k)
-    if len(idx) < 1:
+    idx = tuple(map(int, k))
+    if not idx:
         raise ValueError("multi-index must have length >= 1")
-    if any(c != o for c, o in zip(idx, k)):
+    if idx != tuple(k):
         raise ValueError(f"multi-index components must be integers, got {tuple(k)}")
-    if any(c < 0 for c in idx):
+    if min(idx) < 0:
         raise ValueError(f"multi-index components must be nonnegative, got {idx}")
     return idx
 

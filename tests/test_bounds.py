@@ -7,12 +7,13 @@ import pytest
 
 from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, HypothesisError,
                          PolydiskAutomorphism, QuadratureSpec, SeriesMap, cauchy_derivative,
-                         certified_sup_bound, make_report, random_bounded_map,
-                         require_certified, rhs_colonna, rhs_gradient, rhs_growth,
-                         rhs_polydisk, rhs_ruscheweyh, rhs_szasz,
+                         certified_sup_bound, derivative_exact, jacobian_pair, make_report,
+                         random_bounded_map, require_certified, rhs_colonna, rhs_gradient,
+                         rhs_growth, rhs_polydisk, rhs_ruscheweyh, rhs_szasz,
                          verify_coefficient_bound, verify_derivative_bound,
-                         verify_gradient_bound, verify_growth_bound,
-                         verify_homogeneous_bound, verify_l2_bound)
+                         verify_derivative_grid, verify_gradient_bound, verify_growth_bound,
+                         verify_growth_grid, verify_homogeneous_bound, verify_homogeneous_grid,
+                         verify_l2_bound)
 
 FOUR_OVER_PI = 4.0 / math.pi
 
@@ -269,3 +270,84 @@ def test_classical_bounds_hold_for_blaschke_derivatives():
                 A, _ = cauchy_derivative(f, [z], (order,))
                 assert abs(A[0]) <= rhs_szasz(m, abs(z)) + 1e-7
                 assert abs(A[0]) <= rhs_ruscheweyh(order, abs(z), s) + 1e-7
+
+
+# ---------------------------------------------------------------------------
+# Grids: one report per point (and degree), each the one it gets alone.
+# ---------------------------------------------------------------------------
+
+def _centred(f):
+    """f without its constant term, so that f(0) = 0."""
+    origin = (slice(None),) + (0,) * f.n
+    a, b = f.a.copy(), f.b.copy()
+    a[origin] = b[origin] = 0
+    return SeriesMap.from_tensors(a, b)
+
+
+def _complex_points(n, count, seed, cap=0.8):
+    rng = np.random.default_rng(seed)
+    return cap * np.sqrt(rng.uniform(size=(count, n))) * np.exp(2j * np.pi * rng.uniform(size=(count, n)))
+
+
+GRIDS = {
+    "derivative exact": (lambda f, Z: verify_derivative_grid(f, Z, (2,) + (1,) * (f.n - 1)),
+                         lambda f, z: [verify_derivative_bound(f, z, (2,) + (1,) * (f.n - 1))]),
+    "derivative cauchy": (lambda f, Z: verify_derivative_grid(f, Z, (1,) * f.n, method="cauchy"),
+                          lambda f, z: [verify_derivative_bound(f, z, (1,) * f.n, method="cauchy")]),
+    "growth": (lambda f, Z: verify_growth_grid(_centred(f), Z),
+               lambda f, z: [verify_growth_bound(_centred(f), z)]),
+    # points first, then degrees: the order of the coeffs subcommand's reports
+    "homogeneous": (lambda f, Z: verify_homogeneous_grid(f, [1, 2, 3], Z),
+                    lambda f, z: [verify_homogeneous_bound(f, m, z) for m in (1, 2, 3)]),
+}
+
+
+@pytest.mark.parametrize("check", list(GRIDS))
+@pytest.mark.parametrize("n, N", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_each_grid_gives_each_point_its_own_report(check, n, N):
+    grid, alone = GRIDS[check]
+    f = random_bounded_map(n, N, 6 if n == 1 else 3, seed=10 * n + N)
+    # Cauchy rules stay small inside |z_j| <= 0.5, and each point runs its own
+    Z = (_complex_points(n, 3, seed=n + N, cap=0.5) if check == "derivative cauchy"
+         else _complex_points(n, 9, seed=n + N))
+    if check.startswith("derivative") and N > 1:
+        # the derivative bound is for scalar maps; a grid refuses the rest as one point does
+        with pytest.raises(HypothesisError, match="codomain"):
+            grid(f, Z)
+        with pytest.raises(HypothesisError, match="codomain"):
+            alone(f, Z[0])
+        return
+    reports = grid(f, Z)
+    # dataclass equality compares every float bit for bit, params included
+    assert reports == [r for z in Z for r in alone(f, z)]
+    assert grid(f, np.zeros((0, n))) == [] and grid(f, []) == []
+
+
+@pytest.mark.parametrize("n, N", [(1, 1), (2, 2), (3, 2)])
+def test_stacked_derivatives_and_jacobians_give_each_point_its_own_bits(n, N):
+    f = random_bounded_map(n, N, 5, seed=n)
+    maps = [f, ComposedMap(PolydiskAutomorphism([0.3j] + [0.2] * (n - 1)), f)]
+    if n == 1:
+        maps += [ColonnaMap(1j, 0.4, -1), BlaschkeProduct([0.3, -0.5j], 1j)]
+    Z = _complex_points(n, 7, seed=3)
+    for g in maps:
+        for alpha in [(0,) * n, (1,) * n, (3,) + (0,) * (n - 1)]:
+            A, B = derivative_exact(g, Z, alpha)
+            assert A.shape == B.shape == (7, g.N)
+            for z, a, b in zip(Z, A, B):
+                alone = derivative_exact(g, z, alpha)
+                assert np.array_equal(alone[0], a) and np.array_equal(alone[1], b)
+        jp = jacobian_pair(g, Z)
+        assert jp.d.shape == jp.dbar.shape == (7, g.N, n)
+        for z, d, dbar in zip(Z, jp.d, jp.dbar):
+            alone = jacobian_pair(g, z)
+            assert np.array_equal(alone.d, d) and np.array_equal(alone.dbar, dbar)
+        A, B = derivative_exact(g, np.zeros((0, n)), (1,) * n)
+        assert A.shape == B.shape == (0, g.N)
+
+
+def test_a_growth_grid_checks_f0_before_any_point():
+    shifted = SeriesMap(2, 1, {(0, 0): [0.2], (1, 0): [0.3]})
+    for points in ([[0.1, 0.2]], []):
+        with pytest.raises(HypothesisError, match="f\\(0\\)"):
+            verify_growth_grid(shifted, points)

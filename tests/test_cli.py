@@ -4,8 +4,8 @@ import tracemalloc
 
 import pytest
 
-from polyschwarz import SeriesMap, save_map
-from polyschwarz.cli import main
+from polyschwarz import SeriesMap, bounds, save_map
+from polyschwarz.cli import _summary, main
 
 FOUR_OVER_PI = 4.0 / math.pi
 
@@ -149,6 +149,53 @@ def test_sweep_summary_names_failures_and_the_worst_point(tmp_path, capsys):
     assert summary.startswith("summary: 3 checks, 3 failed, 0 undecided, ")
     z = complex(*worst["params"]["z"][0])
     assert f"worst margin {worst['margin']:.6g} at z = ({z:.6g})," in summary
+
+
+def test_coeffs_ends_with_a_summary_that_names_the_worst_report(tmp_path, capsys):
+    path = _write_random(tmp_path, n=2, degree=3, seed=4)
+    capsys.readouterr()
+    assert main(["coeffs", "--map", str(path), "--max-degree", "2", "--grid", "2",
+                 "--tol", "-1"]) == 1
+    captured = capsys.readouterr()
+    reports = [json.loads(line) for line in captured.out.splitlines()]
+    # 5 coefficients with 1 <= |k| <= 2, 2^2 points x 2 degrees, the l2 sum
+    assert len(reports) == 5 + 8 + 1
+    # the homogeneous parts come point by point, each point's degrees in turn
+    homogeneous = [r["params"] for r in reports if r["check_id"] == "homogeneous_part"]
+    assert [p["m"] for p in homogeneous] == [1, 2] * 4
+    assert [p["z"] for p in homogeneous[::2]] == [p["z"] for p in homogeneous[1::2]]
+    worst = min(reports, key=lambda r: r["margin"])
+    failed = sum(not r["pass"] for r in reports)
+    summary = captured.err.strip()
+    assert summary.startswith(f"summary: 14 checks, {failed} failed, 0 undecided, "
+                              f"worst margin {worst['margin']:.6g}")
+    assert summary.endswith(" s")
+    if "z" in worst["params"]:
+        z = ", ".join(f"{complex(*c):.6g}" for c in worst["params"]["z"])
+        assert f" at z = ({z})," in summary
+    elif "k" in worst["params"]:
+        assert f" at k = ({', '.join(map(str, worst['params']['k']))})," in summary
+    else:
+        assert " at " not in summary
+    # the planar extremal map attains |a_1| + |b_1| = 4/pi: the worst report is that index's
+    extremal = tmp_path / "extremal.json"
+    assert main(["extremal", "--degree", "16", "--out", str(extremal)]) == 0
+    capsys.readouterr()
+    main(["coeffs", "--map", str(extremal), "--max-degree", "3", "--grid", "2"])
+    summary = capsys.readouterr().err.strip()
+    assert summary.startswith("summary: 10 checks, ") and " at k = (1), " in summary
+
+
+def test_the_summary_names_a_point_an_index_or_nothing():
+    def report(params, margin):
+        return bounds.make_report("check", params, 1.0 - margin, 1.0, 0.0)
+
+    z = report({"z": [[0.5, -0.25]]}, 0.1)
+    k = report({"k": [2, 0]}, 0.2)
+    l2 = report({}, 0.3)
+    assert ", worst margin 0.1 at z = (0.5-0.25j), " in _summary([z, k, l2], 0.0)
+    assert ", worst margin 0.2 at k = (2, 0), " in _summary([k, l2], 0.0)
+    assert _summary([l2], 0.0) == "summary: 1 checks, 0 failed, 0 undecided, worst margin 0.3, 0.000 s"
 
 
 def test_cauchy_radius_alone_keeps_the_rule_node_count(tmp_path):

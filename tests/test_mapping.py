@@ -10,6 +10,7 @@ from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, MapFormatErro
                          PluriharmonicMap, PolydiskAutomorphism, QuadratureSpec, SeriesMap, derivative_exact,
                          extract_coefficient, jacobian_pair, load_map, map_from_dict,
                          map_to_dict, random_bounded_map, save_map, sup_bound_l1)
+from polyschwarz import mapping
 from polyschwarz.multiindex import enumerate_indices
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -579,3 +580,48 @@ def test_eval_grid_fallback_past_32_axes():
     vals = Sum().eval_grid(axes)
     assert vals.shape == (2,) + (1,) * 32 + (1,)
     np.testing.assert_allclose(vals.ravel(), 0.01 * (np.array([0.1, 0.2j]) + 0.3 * 32))
+
+
+@pytest.mark.parametrize("n, N, degree", [(2, 1, 6), (1, 1, 40), (3, 2, 3)])
+def test_many_points_are_contracted_within_the_row_budget(n, N, degree):
+    # 65536 points of an n = 2, degree-6 map once peaked at 23.0 MiB in eval_points.
+    f = random_bounded_map(n, N, degree, seed=5)
+    rng = np.random.default_rng(5)
+    Z = 0.9 * rng.uniform(size=(65536, n)) * np.exp(2j * np.pi * rng.uniform(size=(65536, n)))
+    output = Z.shape[0] * N * 16
+    for run, outputs in ((lambda: f.eval_points(Z), 1), (lambda: derivative_exact(f, Z, (1,) * n), 2)):
+        run()  # numpy's first call of a kind allocates caches of its own
+        tracemalloc.start()
+        try:
+            result = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mapping.ROW_CHUNK_BYTES + outputs * output
+        # and the rows agree with the points alone
+        for p in (0, 4097, 65535):
+            alone = f(Z[p]) if outputs == 1 else derivative_exact(f, Z[p], (1,) * n)
+            assert np.array_equal(np.asarray(result)[..., p, :], np.asarray(alone))
+
+
+def test_map_files_are_parsed_once_and_build_the_same_tensors(monkeypatch):
+    f = random_bounded_map(3, 2, 3, seed=8)
+    data = json.loads(json.dumps(map_to_dict(f)))
+    data["certified_sup"] = 0.5
+
+    def refuse(*args):
+        raise AssertionError("a map file's terms were parsed a second time")
+
+    monkeypatch.setattr(SeriesMap, "_clean_table", refuse)
+    g = map_from_dict(data)
+    monkeypatch.undo()
+    assert np.array_equal(g.a, f.a) and np.array_equal(g.b, f.b) and g.certified_sup == 0.5
+    assert not g.a.flags.writeable and not g.b.flags.writeable
+    # an all-zero vector adds no term, and does not widen the tensors
+    g = map_from_dict({"n": 1, "N": 1, "terms": [{"k": [1], "a": [[0.5, 0]]},
+                                                 {"k": [7], "b": [[0.0, 0.0]]}]})
+    assert g.a.shape == (1, 2) and list(g.holo) == [(1,)] and not g.anti
+    with pytest.raises(MapFormatError, match="64 bits"):
+        map_from_dict({"n": 1, "N": 1, "terms": [{"k": [10**19], "a": [[0.1, 0]]}]})
+    with pytest.raises(MapFormatError, match="dimensions"):
+        map_from_dict({"n": 0, "N": 1, "terms": []})
