@@ -448,20 +448,20 @@ def verify_derivative_grid(mapping: PluriharmonicMap, points, alpha, method: str
     if method is None or method == "exact":
         method, default_tol = "exact", DEFAULT_TOL_EXACT
         A, B = derivative_exact(mapping, Z, alpha)
-        # abs of each scalar: numpy's vectorised complex abs can differ from it in the last bit.
-        lhs = [abs(a) + abs(b) for a, b in zip(A[:, 0].tolist(), B[:, 0].tolist())]
-        rules = [None] * len(Z)
+        A, B, rules = A[:, 0].tolist(), B[:, 0].tolist(), [None] * len(Z)
     elif method == "cauchy":
         default_tol = DEFAULT_TOL_QUAD
         rules = [cauchy_rule(z, alpha, sup, spec, mapping.N) for z in Z]
-        lhs = [abs(A[0]) + abs(B[0]) for A, B in (cauchy_derivative(mapping, z, alpha, rule)
-                                                  for z, rule in zip(Z, rules))]
+        pairs = [cauchy_derivative(mapping, z, alpha, rule) for z, rule in zip(Z, rules)]
+        A, B = [a[0] for a, _ in pairs], [b[0] for _, b in pairs]
     else:
         raise ValueError(f"unknown method {method!r}; expected 'exact' or 'cauchy'")
     tol = default_tol if tol is None else tol
     reports = []
     # as_order has checked alpha, and each t is in [0, 1).
-    for z, t, value, rule in zip(Z.tolist(), _sup_norms(Z), lhs, rules):
+    for z, t, a, b, rule in zip(Z.tolist(), _sup_norms(Z), A, B, rules):
+        # abs of each scalar: numpy's vectorised complex abs can differ from it in the last bit.
+        value = abs(a) + abs(b)
         params = {"z": to_pairs(z), "alpha": list(alpha), "method": method}
         error = None
         if rule is not None:
