@@ -20,7 +20,7 @@ import numpy as np
 
 from .multiindex import as_order, grid_rows, unit_index
 from .mapping import (BlaschkeProduct, ColonnaMap, ComposedMap, PluriharmonicMap, SeriesMap,
-                      check_points, derivative_exact, sup_bound_l1, to_pairs)
+                      check_index, check_points, derivative_exact, sup_bound_l1, to_pairs)
 from .quadrature import QuadratureSpec, cauchy_derivative, cauchy_rule, extract_coefficients
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -78,13 +78,13 @@ def make_report(check_id: str, params: dict, lhs: float, rhs: float, tol: float,
                 upper: float | None = None) -> BoundReport:
     """The report of lhs <= rhs.  `upper` is a certified upper value of an
     lhs that is only an attained value or an approximation (math.inf when
-    none could be certified); pass then requires upper <= rhs + tol."""
-    lhs = float(lhs)
-    rhs = float(rhs)
-    if not (math.isfinite(lhs) and math.isfinite(rhs)) or lhs < 0 or rhs < 0:
-        raise ValueError(f"{check_id}: lhs/rhs must be finite and nonnegative, got {lhs}, {rhs}")
+    none could be certified); pass then requires upper <= rhs + tol, so tol must be finite."""
+    lhs, rhs, tol = float(lhs), float(rhs), float(tol)
+    if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(tol)) or min(lhs, rhs) < 0:
+        raise ValueError(f"{check_id}: lhs, rhs and tol must be finite, and lhs and rhs "
+                         f"nonnegative, got {lhs}, {rhs} and {tol}")
     top = lhs if upper is None else max(lhs, float(upper))
-    return BoundReport(check_id, params, lhs, rhs, rhs - lhs, float(tol), top <= rhs + tol)
+    return BoundReport(check_id, params, lhs, rhs, rhs - lhs, tol, top <= rhs + tol)
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +121,8 @@ def rhs_colonna(z_abs: float) -> float:
 
 
 def rhs_ruscheweyh(order: int, z_abs: float, f_abs: float) -> float:
-    """Sharp higher-order bound n!(1-|f(z)|^2) / ((1-|z|)^n (1+|z|))."""
-    order = int(order)
-    if order < 1:
-        raise ValueError("derivative order must be >= 1")
+    """Sharp higher-order bound n!(1-|f(z)|^2) / ((1-|z|)^n (1+|z|)), n = order."""
+    (order,) = as_order([order])
     t = _check_radius(z_abs)
     s = _check_radius(f_abs, "f(z)")
     return math.factorial(order) * (1.0 - s * s) / ((1.0 - t) ** order * (1.0 + t))
@@ -414,11 +412,6 @@ def direction_upper(jp: JacobianPair, threshold: float) -> tuple[float | None, i
 # routine is the grid of that one point.
 # ---------------------------------------------------------------------------
 
-def _one_point(z) -> np.ndarray:
-    """z as a stack of one point for check_points (a scalar is one coordinate)."""
-    return np.asarray(z, dtype=complex)[None]
-
-
 def _sup_norms(Z: np.ndarray) -> list[float]:
     """||z||_inf of each point of a checked stack, each in [0, 1)."""
     return np.abs(Z).max(axis=1).tolist()
@@ -443,7 +436,7 @@ def verify_derivative_grid(mapping: PluriharmonicMap, points, alpha, method: str
     the one the point would get alone.
     """
     sup = require_certified(mapping, N=1)
-    alpha = as_order(alpha)
+    alpha = check_index(as_order(alpha), mapping.n)
     Z = check_points(points, mapping.n)
     if method is None or method == "exact":
         method, default_tol = "exact", DEFAULT_TOL_EXACT
@@ -490,7 +483,7 @@ def verify_derivative_bound(mapping: PluriharmonicMap, z, alpha, method: str | N
     evaluates) and the `sup_bound` it was sized for; it passes only if
     lhs + error_bound <= rhs + tol.
     """
-    return verify_derivative_grid(mapping, _one_point(z), alpha, method, tol, spec)[0]
+    return verify_derivative_grid(mapping, [z], alpha, method, tol, spec)[0]
 
 
 def verify_coefficient_bound(mapping: PluriharmonicMap, max_degree: int,
@@ -540,7 +533,7 @@ def verify_homogeneous_bound(mapping: PluriharmonicMap, m: int, z,
     The anti-holomorphic sum follows the circle-integral derivation (the
     printed statement repeats the holomorphic sum; see README notes).
     """
-    return verify_homogeneous_grid(mapping, [m], _one_point(z), tol)[0]
+    return verify_homogeneous_grid(mapping, [m], [z], tol)[0]
 
 
 def verify_l2_bound(mapping: PluriharmonicMap, tol: float | None = None) -> BoundReport:
@@ -595,7 +588,7 @@ def verify_gradient_bound(mapping: PluriharmonicMap, z, tol: float | None = None
     touches the bound, and for n >= 9 so does every case that the sum of
     the column maxima does not decide.
     """
-    return verify_gradient_grid(mapping, _one_point(z), tol)[0]
+    return verify_gradient_grid(mapping, [z], tol)[0]
 
 
 def verify_growth_grid(mapping: PluriharmonicMap, points, tol: float | None = None) -> list[BoundReport]:
@@ -619,4 +612,4 @@ def verify_growth_grid(mapping: PluriharmonicMap, points, tol: float | None = No
 def verify_growth_bound(mapping: PluriharmonicMap, z, tol: float | None = None) -> BoundReport:
     """Growth bound ||f(z)|| <= (4/pi) arctan ||z||_inf for maps with f(0) = 0
     (tol None: DEFAULT_TOL_EXACT), at one point: verify_growth_grid of [z]."""
-    return verify_growth_grid(mapping, _one_point(z), tol)[0]
+    return verify_growth_grid(mapping, [z], tol)[0]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bounds, quadrature, search
 from .bounds import HypothesisError
-from .mapping import (MAX_SAMPLE_BYTES, ColonnaMap, MapFormatError, load_map, random_bounded_map,
+from .mapping import (ColonnaMap, MapFormatError, check_tensor_size, load_map, random_bounded_map,
                       save_map)
 from .multiindex import as_order, grid_rows
 
@@ -48,14 +48,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from exc
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
 def _z_grid(n: int, points: int, cap: float):
     """Real Cartesian grid: `points` values per coordinate in [0, cap], one
-    point per row; refused when its points**n x n complex values would
-    exceed MAX_SAMPLE_BYTES."""
-    size = points**n * n * np.dtype(complex).itemsize
-    if size > MAX_SAMPLE_BYTES:
-        raise ValueError(f"a z grid of {points}^{n} points needs {size / 2**20:.0f} MiB, over the "
-                         f"{MAX_SAMPLE_BYTES // 2**20} MiB limit; use a smaller --grid")
+    point per row, under the size rule for its points**n x n complex values."""
+    check_tensor_size((points**n, n), f"a z grid of {points}^{n} points", "; use a smaller --grid")
     return grid_rows([np.linspace(0.0, cap, points)] * n).astype(complex)
 
 
@@ -200,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
         parent.add_argument(*names, **kwargs)
         return parent
 
-    tol = flag("--tol", type=float, default=None, help="tolerance override")
+    tol = flag("--tol", type=_finite_float, default=None, help="tolerance override (finite)")
     nodes = flag("--nodes", type=int, default=None, help="quadrature nodes per dimension")
     radius = flag("--radius", type=float, default=None, help="quadrature radius override")
     out = flag("--out", default=None, help="output file path")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from functools import cached_property, lru_cache
 from itertools import product
 from types import MappingProxyType
@@ -36,23 +37,13 @@ ROW_CHUNK_BYTES = 1 << 20
 
 
 class MapFormatError(ValueError):
-    """Raised when a map file or coefficient table is malformed."""
-
-
-def check_point(z, n: int) -> np.ndarray:
-    """Validate a point of the open polydisk and return it as a complex array."""
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    if zz.ndim != 1 or zz.size != n:
-        raise ValueError(f"expected a point with {n} coordinates, got shape {zz.shape}")
-    if not np.abs(zz).max() < 1.0:  # also refuses a NaN coordinate
-        raise ValueError("point lies on or outside the unit polydisk")
-    return zz
+    """Raised when a map file or coefficient table is malformed, or a tensor is too large."""
 
 
 def check_points(Z, n: int) -> np.ndarray:
-    """Validate a stack of points of the open polydisk, rows of n coordinates
-    (or scalars when n = 1; an empty stack has no rows), and return it as a
-    (P, n) complex array.  The moduli are checked ROW_CHUNK_BYTES at a time."""
+    """The point rule: validate a stack of points of the open polydisk (rows of n
+    coordinates, or scalars when n = 1; no rows when empty; [z] for one point z) and
+    return it as a (P, n) complex array, checking moduli ROW_CHUNK_BYTES at a time."""
     ZZ = np.asarray(Z, dtype=complex)
     if ZZ.ndim == 1 and (n == 1 or ZZ.size == 0):
         ZZ = ZZ.reshape(-1, n)
@@ -65,13 +56,22 @@ def check_points(Z, n: int) -> np.ndarray:
     return ZZ
 
 
-def check_tensor_size(shape) -> None:
-    """Refuse, before allocating it, a complex tensor of this shape above MAX_SAMPLE_BYTES."""
+def check_index(k, n: int) -> tuple:
+    """The length rule: k (an order or an index) as a multi-index of length n."""
+    k = as_index(k)
+    if len(k) != n:
+        raise ValueError(f"multi-index {k} has length {len(k)}, expected {n}")
+    return k
+
+
+def check_tensor_size(shape, what: str = "", hint: str = "") -> None:
+    """The size rule: refuse, before allocating it, a complex tensor of this shape above
+    MAX_SAMPLE_BYTES, named `what` (default: a coefficient tensor) with `hint` at the end."""
     size = math.prod(shape) * np.dtype(complex).itemsize
     if size > MAX_SAMPLE_BYTES:
         raise MapFormatError(
-            f"a coefficient tensor of shape {tuple(shape)} needs {size / 2**20:.0f} MiB, "
-            f"over the {MAX_SAMPLE_BYTES // 2**20} MiB limit")
+            f"{what or f'a coefficient tensor of shape {tuple(shape)}'} needs {size / 2**20:.0f} "
+            f"MiB, over the {MAX_SAMPLE_BYTES // 2**20} MiB limit{hint}")
 
 
 def _check_unimodular(w: complex, name: str) -> complex:
@@ -90,11 +90,9 @@ class PolydiskAutomorphism:
     """
 
     def __init__(self, center, rotations=None):
-        c = np.atleast_1d(np.asarray(center, dtype=complex))
-        if c.ndim != 1 or c.size < 1:
+        if np.size(center) < 1:
             raise ValueError("center must be a nonempty coordinate vector")
-        if not np.abs(c).max() < 1.0:  # also refuses NaN
-            raise ValueError("center must lie strictly inside the polydisk")
+        c = check_points([center], np.size(center))[0]
         if rotations is None:
             rot = np.ones_like(c)
         else:
@@ -164,8 +162,7 @@ class PluriharmonicMap:
         return values.reshape(tuple(len(a) for a in axes) + (self.N,))
 
     def __call__(self, z) -> np.ndarray:
-        z = check_point(z, self.n)
-        return self.eval_points(z.reshape(1, -1))[0]
+        return self.eval_points(check_points([z], self.n))[0]
 
 
 class SeriesMap(PluriharmonicMap):
@@ -197,9 +194,7 @@ class SeriesMap(PluriharmonicMap):
         """The validated table's terms as (index, N-vector) pairs."""
         terms = []
         for k, v in (table or {}).items():
-            kk = as_index(k)
-            if len(kk) != self.n:
-                raise MapFormatError(f"index {kk} has length {len(kk)}, expected {self.n}")
+            kk = check_index(k, self.n)
             vv = np.atleast_1d(np.asarray(v, dtype=complex))
             if vv.shape != (self.N,):
                 raise MapFormatError(f"coefficient for {kk} has shape {vv.shape}, expected ({self.N},)")
@@ -288,10 +283,11 @@ class SeriesMap(PluriharmonicMap):
 @lru_cache(maxsize=1024)
 def _axis_weights(a: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """For an axis with D_j = d and an order a: the falling factorials
-    k!/(k - a)! as floats and the exponents k - a as complex values (so that
-    a power table needs no cast of its exponents), for a <= k < d; read-only,
-    and empty when a >= d."""
-    falling = np.array([math.perm(k, a) for k in range(a, d)], dtype=float)
+    k!/(k - a)! as floats (inf past the largest double) and the exponents k - a
+    as complex values (so that a power table needs no cast of its exponents),
+    for a <= k < d; read-only, and empty when a >= d."""
+    falling = np.array([p if p <= sys.float_info.max else math.inf
+                        for p in (math.perm(k, a) for k in range(a, d))], dtype=float)
     exponents = np.arange(len(falling), dtype=complex)
     falling.flags.writeable = exponents.flags.writeable = False
     return falling, exponents
@@ -391,14 +387,12 @@ def derivative_exact(mapping: PluriharmonicMap, z, alpha) -> tuple[np.ndarray, n
     are not represented.  Cauchy quadrature (quadrature.cauchy_derivative)
     is the independent cross-check.
     """
-    alpha = as_index(alpha)
-    if len(alpha) != mapping.n:
-        raise ValueError(f"alpha has length {len(alpha)}, expected {mapping.n}")
+    alpha = check_index(alpha, mapping.n)
     if not mapping.is_series and max(alpha) > MAX_CLOSED_FORM_ORDER:
         raise ValueError(f"derivative orders above {MAX_CLOSED_FORM_ORDER} are only "
                          f"taken of finite series, got {alpha}")
     if np.ndim(z) < 2:
-        A, B = mapping._derivative(check_point(z, mapping.n)[None], alpha)
+        A, B = mapping._derivative(check_points([z], mapping.n), alpha)
         return A[0], B[0]
     return mapping._derivative(check_points(z, mapping.n), alpha)
 
@@ -543,10 +537,7 @@ class BlaschkeProduct(PluriharmonicMap):
     N = 1
 
     def __init__(self, zeros, rotation=1.0):
-        zs = [complex(a) for a in zeros]
-        if not all(abs(a) < 1.0 for a in zs):  # also refuses NaN
-            raise ValueError("Blaschke zeros must lie strictly inside the disk")
-        self.zeros = zs
+        self.zeros = check_points(zeros, 1)[:, 0].tolist()
         self.rotation = _check_unimodular(rotation, "rotation")
 
     def eval_points(self, Z) -> np.ndarray:
@@ -651,11 +642,9 @@ def map_from_dict(data: dict) -> SeriesMap:
         if not isinstance(term, dict) or "k" not in term:
             raise MapFormatError(f"{where}: expected an object with a 'k' index")
         try:
-            k = as_index(term["k"])
+            k = check_index(term["k"], n)
         except ValueError as exc:
             raise MapFormatError(f"{where}: {exc}") from exc
-        if len(k) != n:
-            raise MapFormatError(f"{where}: index length {len(k)} != n = {n}")
         if k in seen:
             raise MapFormatError(f"{where}: duplicate index {k}")
         seen.add(k)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .multiindex import (as_index, degree as mi_degree, enumerate_indices, factorial as mi_factorial,
                          grid_rows)
-from .mapping import MAX_SAMPLE_BYTES, PluriharmonicMap, check_point
+from .mapping import (MAX_SAMPLE_BYTES, PluriharmonicMap, check_index, check_points,
+                      check_tensor_size)
 
 DEFAULT_EXTRACTION_RADIUS = 0.5
 DEFAULT_EXTRACTION_NODES = 64
@@ -134,17 +135,12 @@ def abs_cos_integral(m: int, gamma: float, nodes: int | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_sample_size(nodes, N: int, chosen: bool = False) -> None:
-    """Refuse, before anything is allocated, a torus sample above MAX_SAMPLE_BYTES;
-    `chosen` says that a default Cauchy rule chose the nodes."""
-    size = math.prod(nodes) * N * np.dtype(complex).itemsize
-    if size > MAX_SAMPLE_BYTES:
-        grid = f"{nodes[0]}^{len(nodes)}" if len(set(nodes)) == 1 else "x".join(map(str, nodes))
-        hint = (f"the error bound {CAUCHY_ERROR_TARGET:g} needs them at this point (--nodes "
-                f"sets fewer, with a larger bound)" if chosen else
-                "use fewer quadrature nodes per dimension (--nodes)")
-        raise ValueError(f"a torus sample of {grid} x {N} complex values needs "
-                         f"{size / 2**20:.0f} MiB, over the {MAX_SAMPLE_BYTES // 2**20} MiB "
-                         f"limit; {hint}")
+    """The size rule for a torus sample; `chosen` says that a default Cauchy rule chose it."""
+    grid = f"{nodes[0]}^{len(nodes)}" if len(set(nodes)) == 1 else "x".join(map(str, nodes))
+    hint = (f"the error bound {CAUCHY_ERROR_TARGET:g} needs them at this point (--nodes "
+            f"sets fewer, with a larger bound)" if chosen else
+            "use fewer quadrature nodes per dimension (--nodes)")
+    check_tensor_size((*nodes, N), f"a torus sample of {grid} x {N} complex values", f"; {hint}")
 
 
 def _circle(r: float, M: int) -> np.ndarray:
@@ -213,9 +209,7 @@ def extract_coefficient(mapping: PluriharmonicMap, k, spec: QuadratureSpec | Non
     For k = 0 the constant split is not observable: the grid mean is returned
     in a_0 with b_0 = 0 and a warning is emitted.
     """
-    k = as_index(k)
-    if len(k) != mapping.n:
-        raise ValueError(f"index length {len(k)} != map dimension {mapping.n}")
+    k = check_index(k, mapping.n)
     spec = spec or QuadratureSpec()
     radii = spec.resolve_radii(mapping.n, DEFAULT_EXTRACTION_RADIUS)
     nodes = spec.resolve_nodes(mapping.n, DEFAULT_EXTRACTION_NODES)
@@ -375,27 +369,46 @@ def _default_nodes(t, radii, alpha, log_scale: float, cap: int):
     return nodes, tails
 
 
+def _check_radii(t, radii) -> None:
+    """The contour rule for radii at a point of moduli t: one per axis, each in (t_j, 1)."""
+    if len(radii) != len(t):
+        raise ValueError(f"expected one contour radius per axis, {len(t)}, got {len(radii)}")
+    for j, (r, tj) in enumerate(zip(radii, t)):
+        if not tj < r < 1.0:  # also refuses a NaN radius
+            raise ValueError(f"contour radius {r} on axis {j} must exceed |z_{j}| = {tj} "
+                             f"and lie below 1")
+
+
+def _check_nodes(alpha, nodes) -> None:
+    """The contour rule for node counts of an order alpha: one per axis, each above alpha_j."""
+    if len(nodes) != len(alpha):
+        raise ValueError(f"expected one node count per axis, {len(alpha)}, got {len(nodes)}")
+    for j, (M, a) in enumerate(zip(nodes, alpha)):
+        if not M > a:
+            raise ValueError(f"{M} nodes on axis {j} cannot resolve the order {a}")
+
+
 def cauchy_rule(z, alpha, sup: float = 1.0, spec: QuadratureSpec | None = None,
                 N: int = 1) -> CauchyRule:
     """The Cauchy rule for the order-alpha derivatives at z of a map with
     sup ||f|| <= sup and N components.
 
     Each axis j gets its own circle.  Its radius is the one spec gives, else
-    max(CAUCHY_MIN_RADIUS, sqrt(|z_j|)), and must exceed |z_j|.  Its node
-    count is the one spec gives, else one of the ladder 8, 12, 16, 24, ...
+    max(CAUCHY_MIN_RADIUS, sqrt(|z_j|)), and lies in (|z_j|, 1).  Its node count
+    is the one spec gives, above alpha_j, else one of the ladder 8, 12, 16, 24, ...
     (2^k and 3 * 2^(k-1)): first the fewest with T_j/S0_j + A_j/S0_j <= delta
     (for alpha_j = 0, less the 1 in A_j), where (1 + delta)^n - 1 is the
     budget CAUCHY_ERROR_TARGET / (2 alpha! sup prod S0), so that the bound
     meets CAUCHY_ERROR_TARGET; then, for n >= 2, each axis, the largest
     first, one step fewer where the bound still meets it.  Either way the
-    rule carries the bound for the radii and nodes it holds.  Raises
-    ValueError when a node count is at most alpha_j, or when the sample the
-    rule needs exceeds MAX_SAMPLE_BYTES, the only reason a default rule is
-    refused.
+    rule carries the bound for the radii and nodes it holds.  Raises ValueError
+    when z breaks the point rule (check_points, len(alpha) coordinates), a given
+    radius or node count this contour rule (_check_radii, _check_nodes), or when
+    the sample exceeds MAX_SAMPLE_BYTES, the only reason a default rule is refused.
     """
     alpha = as_index(alpha)
-    t = [abs(complex(c)) for c in z]
     n = len(alpha)
+    t = [abs(complex(c)) for c in check_points([z], n)[0]]
     sup = float(sup)
     if not 0.0 <= sup < math.inf:
         raise ValueError(f"sup must be finite and nonnegative, got {sup}")
@@ -403,9 +416,7 @@ def cauchy_rule(z, alpha, sup: float = 1.0, spec: QuadratureSpec | None = None,
         radii = [max(CAUCHY_MIN_RADIUS, math.sqrt(tj)) for tj in t]
     else:
         radii = _per_axis(spec.radii, n, "radii")
-        for j, (r, tj) in enumerate(zip(radii, t)):
-            if r <= tj:
-                raise ValueError(f"contour radius {r} on axis {j} must exceed |z_{j}| = {tj}")
+        _check_radii(t, radii)
     log_factor = math.log(2.0) + _log(sup) + sum(math.lgamma(a + 1) for a in alpha)
     log_scale = log_factor - sum((a + 1) * math.log1p(-tj) for a, tj in zip(alpha, t))
     if spec is None or spec.nodes_per_dim is None:
@@ -414,9 +425,7 @@ def cauchy_rule(z, alpha, sup: float = 1.0, spec: QuadratureSpec | None = None,
         _check_sample_size(nodes, N, chosen=True)
     else:
         nodes = spec.resolve_nodes(n, 0)
-        for j, (M, a) in enumerate(zip(nodes, alpha)):
-            if M <= a:
-                raise ValueError(f"{M} nodes on axis {j} cannot resolve the order {a}")
+        _check_nodes(alpha, nodes)
         _check_sample_size(nodes, N)
         tails = [_axis_tails(tj, r, a, M) for tj, r, a, M in zip(t, radii, alpha, nodes)]
     log_mean = log_factor
@@ -442,24 +451,25 @@ def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec=None):
     integral, so the map's point values suffice.  The order-zero case is
     rejected: the constant split a_0/b_0 cannot be recovered from values.
 
-    spec is a CauchyRule, used as it is (cauchy_rule sizes one for any sup
-    bound), or a QuadratureSpec (None: every default) that cauchy_rule
-    completes for a map with sup ||f|| <= 1, the maps into the unit ball
-    that the estimates concern.  The result carries no error claim.  The torus
-    has a circle of its own radius and node count per axis, and both
-    kernels of an axis are contracted with the sample in one matmul.  A
-    sample of at most CAUCHY_SLAB_BYTES comes from the map's sample cache;
-    a larger one is evaluated and contracted in slabs of at most that size
-    along the first axis, and none of it is kept.
+    spec is a CauchyRule, used as it is (cauchy_rule sizes one for any sup bound), or a
+    QuadratureSpec (None: every default) that cauchy_rule completes for a map with
+    sup ||f|| <= 1, the maps into the unit ball that the estimates concern.  Either way
+    the rule must meet the contour rule at z and alpha (see cauchy_rule), so one sized
+    at another point or order is refused when it cannot serve this one.  The result
+    carries no error claim.  The torus has a circle of its own radius and node count
+    per axis, and both kernels of an axis are contracted with the sample in one
+    matmul.  A sample of at most CAUCHY_SLAB_BYTES comes from the map's sample cache;
+    a larger one is evaluated and contracted in slabs of at most that size along the
+    first axis, and none of it is kept.
     """
-    alpha = as_index(alpha)
-    if len(alpha) != mapping.n:
-        raise ValueError(f"alpha length {len(alpha)} != map dimension {mapping.n}")
+    alpha = check_index(alpha, mapping.n)
     if not any(alpha):
         raise ValueError("order-zero derivative: use f(z) for values; the a_0/b_0 split "
                          "is not recoverable from point values")
-    z = check_point(z, mapping.n)
+    z = check_points([z], mapping.n)[0]
     rule = spec if isinstance(spec, CauchyRule) else cauchy_rule(z, alpha, 1.0, spec, mapping.N)
+    _check_radii([abs(complex(c)) for c in z], rule.radii)
+    _check_nodes(alpha, rule.nodes)
     circles = [_circle(r, M) for r, M in zip(rule.radii, rule.nodes)]
     # Row 0 of an axis's kernels gives A; row 1, the conjugate kernel, gives B,
     # since the anti-holomorphic part is conj(sum conj(V) K) = sum V conj(K).

@@ -14,8 +14,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .multiindex import as_order
-from .mapping import (ColonnaMap, PluriharmonicMap, SeriesMap, check_tensor_size, from_pairs,
-                      random_bounded_map, sup_bound_l1, to_pairs)
+from .mapping import (ColonnaMap, PluriharmonicMap, SeriesMap, check_index, check_tensor_size,
+                      from_pairs, random_bounded_map, sup_bound_l1, to_pairs)
 # direction_max stays bound here as well: perfbench/tracer.py wraps it as search.direction_max.
 from .bounds import direction_max, verify_derivative_bound  # noqa: F401
 
@@ -132,13 +132,9 @@ def sharpness_search(n: int, alpha, family: str = "colonna_tensor",
     it, and still counts as an evaluation against the budget, so results do
     not depend on the repeat being skipped.  No global optimality is claimed.
     """
-    alpha = as_order(alpha)
-    if len(alpha) != n:
-        raise ValueError(f"alpha length {len(alpha)} != n = {n}")
+    alpha = check_index(as_order(alpha), n)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
     rng = np.random.default_rng(seed)
     state = {"evals": 0, "best_ratio": -math.inf, "best_params": None, "best_z": None}

@@ -351,3 +351,11 @@ def test_a_growth_grid_checks_f0_before_any_point():
     for points in ([[0.1, 0.2]], []):
         with pytest.raises(HypothesisError, match="f\\(0\\)"):
             verify_growth_grid(shifted, points)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_make_report_refuses_a_tolerance_that_is_not_finite(tol):
+    with pytest.raises(ValueError, match=r"lhs, rhs and tol must be finite.* got 0.5, 1.0 and"):
+        make_report("x", {}, 0.5, 1.0, tol)
+    # a negative finite tolerance is accepted, and fails a check with room to spare
+    assert not make_report("x", {}, 0.5, 1.0, -1.0).passed

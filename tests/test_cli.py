@@ -427,3 +427,36 @@ def test_the_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert main([*verify, "--grid", "0"]) == 2
     assert main(["gradient", "--map", str(path), "--grid", "2", "--out", str(second)]) == 0
     assert len(second.read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_a_tolerance_that_is_not_finite_is_a_usage_error(tmp_path, capsys, tol):
+    # --tol nan once failed every check (exit 1) and --tol inf passed every one (exit 0).
+    path = _write_random(tmp_path, n=2, degree=3, seed=1)
+    out_path = tmp_path / "reports.jsonl"
+    capsys.readouterr()
+    for argv in (["verify", "--map", str(path), "--alpha", "1,1", "--grid", "2",
+                  "--out", str(out_path)],
+                 ["gradient", "--map", str(path), "--grid", "2", "--out", str(out_path)],
+                 ["lemma", "--m", "3"]):
+        assert main([*argv, "--tol", tol]) == 2
+        assert f"argument --tol: must be finite, got {tol}" in capsys.readouterr().err
+    assert not out_path.exists()
+    # negative finite values stay a way to ask for failures
+    assert main(["lemma", "--m", "3", "--tol", "-1"]) == 1
+
+
+@pytest.mark.parametrize("degree, alpha, method", [(3, "171", "exact"), (3, "171", "cauchy"),
+                                                   (1000, "120", "exact")])
+def test_orders_beyond_the_double_range_exit_2_without_a_traceback(tmp_path, capsys, degree,
+                                                                   alpha, method):
+    # alpha = 171 once raised OverflowError in rhs_polydisk or in cauchy_derivative's
+    # float(alpha!), and alpha = 120 on a degree-1000 series in _axis_weights.
+    path = _write_random(tmp_path, n=1, degree=degree, seed=1)
+    out_path = tmp_path / "reports.jsonl"
+    capsys.readouterr()
+    assert main(["verify", "--map", str(path), "--alpha", alpha, "--method", method,
+                 "--grid", "1", "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "error:" in err
+    assert not out_path.exists()

@@ -7,6 +7,7 @@ is derived from the other.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, Pluriharmonic
                          PolydiskAutomorphism, cauchy_derivative, derivative_exact,
                          jacobian_pair, random_bounded_map, verify_derivative_bound,
                          verify_gradient_bound)
+from polyschwarz.mapping import _axis_weights
 from polyschwarz.multiindex import degree as mi_degree, enumerate_indices
 
 REL_TOL = 1e-9
@@ -131,6 +133,19 @@ def test_high_orders_of_closed_forms():
     with pytest.raises(ValueError, match="finite series"):
         derivative_exact(ColonnaMap(1, 0, 1), [0.1], (171,))
     assert not derivative_exact(random_bounded_map(1, 1, 3, seed=0), [0.1], (171,))[0].any()
+
+
+def test_falling_factorials_past_the_largest_double_are_infinite():
+    # k!/(k - 120)! passes the largest double below k = 1000; it once raised OverflowError.
+    falling, _ = _axis_weights(120, 1001)
+    exact = [math.perm(k, 120) for k in range(120, 1001)]
+    fits = sum(p <= sys.float_info.max for p in exact)
+    assert 0 < fits < len(exact)
+    assert falling[:fits].tolist() == [float(p) for p in exact[:fits]]
+    assert np.isinf(falling[fits:]).all()
+    with np.errstate(invalid="ignore", over="ignore"):
+        A, _ = derivative_exact(random_bounded_map(1, 1, 1000, seed=1), [0.5], (120,))
+    assert not np.isfinite(A).all()
 
 
 def test_a_map_without_exact_derivatives_asks_for_cauchy():

@@ -68,3 +68,27 @@ def test_checker_flags_lazy_and_upward_imports(tmp_path):
         "mapping:4: import inside a function",
         "mapping:4: imports quadrature, which is not below mapping in the stack",
     ]
+
+
+def _size_comparisons(source: str) -> list[int]:
+    """Lines of the comparisons that read MAX_SAMPLE_BYTES."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Compare)
+                  and any(getattr(sub, "id", getattr(sub, "attr", None)) == "MAX_SAMPLE_BYTES"
+                          for sub in ast.walk(node)))
+
+
+def test_each_input_rule_has_one_home():
+    # The size rule (check_tensor_size) and the point rule (check_points) live in mapping;
+    # every other module calls them instead of repeating the comparison or the message.
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert [name for name, text in sources.items() if _size_comparisons(text)] == ["mapping"]
+    point = "point lies on or outside the unit polydisk"
+    assert {name: text.count(point) for name, text in sources.items() if point in text} \
+        == {"mapping": 1}
+
+
+def test_size_comparison_checker_sees_names_and_attributes():
+    assert _size_comparisons("if size > MAX_SAMPLE_BYTES:\n    pass\n"
+                             "ok = mapping.MAX_SAMPLE_BYTES >= size\n"
+                             "cap = MAX_SAMPLE_BYTES // 16\n") == [1, 3]

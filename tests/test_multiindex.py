@@ -70,6 +70,14 @@ def test_validation():
         mi.enumerate_indices(2, -1)
 
 
+def test_an_order_whose_factorial_is_not_a_double_is_refused():
+    # 170! = 7.3e306 is a double, 171! is not, nor is 100! * 100! = 8.7e315.
+    assert mi.as_order((170,)) == (170,) and mi.as_order((170, 2)) == (170, 2)
+    for alpha in ((171,), (100, 100), (10**9,)):
+        with pytest.raises(ValueError, match="largest double"):
+            mi.as_order(alpha)
+
+
 def test_unit_index():
     assert mi.unit_index(3, 1) == (0, 1, 0)
     with pytest.raises(ValueError):

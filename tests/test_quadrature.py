@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -357,3 +358,46 @@ def test_torus_sample_size_guard(monkeypatch):
         cauchy_derivative(f, [0.97, 0.97, 0.97], (1, 1, 1))
     with pytest.raises(ValueError, match="--nodes"):
         extract_coefficients(random_bounded_map(2, 2, 2, seed=0), 2, QuadratureSpec(4096))
+
+
+@pytest.mark.parametrize("z, message", [([0.5, 0.5], "expected points with 1 coordinates"),
+                                        ([float("nan")], "on or outside the unit polydisk"),
+                                        ([1.2], "on or outside the unit polydisk"),
+                                        ([-1.0], "on or outside the unit polydisk")])
+def test_cauchy_rule_runs_the_point_rule(z, message):
+    # These once gave "math domain error", a rule with bounds of inf, or 2 radii
+    # and 1 node count; now they get the message of check_points.
+    with pytest.raises(ValueError, match=message):
+        cauchy_rule(z, (1,))
+
+
+def test_cauchy_derivative_checks_a_rule_it_is_handed():
+    f = random_bounded_map(1, 1, 3, seed=1)
+    # A rule sized at z = 0.3 has radius sqrt(0.3) = 0.548: at z = 0.9 it once
+    # returned A = -0.0363-0.0613i against the exact -0.0329+0.0838i.
+    with pytest.raises(ValueError, match="axis 0 must exceed"):
+        cauchy_derivative(f, [0.9], (1,), cauchy_rule([0.3], (1,)))
+    g = random_bounded_map(2, 1, 3, seed=1)
+    with pytest.raises(ValueError, match="one contour radius per axis, 1, got 2"):
+        cauchy_derivative(f, [0.3], (1,), cauchy_rule([0.3, 0.1], (1, 1)))
+    rule = cauchy_rule([0.3, 0.1], (1, 1))
+    with pytest.raises(ValueError, match="one node count per axis, 2, got 1"):
+        cauchy_derivative(g, [0.3, 0.1], (1, 1), dataclasses.replace(rule, nodes=rule.nodes[:1]))
+    # a rule for a lower order does not resolve a higher one
+    rule = cauchy_rule([0.3], (1,), spec=QuadratureSpec(8))
+    with pytest.raises(ValueError, match="8 nodes on axis 0 cannot resolve the order 9"):
+        cauchy_derivative(f, [0.3], (9,), rule)
+    # a rule that serves the point is used as it is
+    rule = cauchy_rule([0.5], (2,))
+    A, B = cauchy_derivative(f, [0.3], (2,), rule)
+    A0, B0 = derivative_exact(f, [0.3], (2,))
+    assert abs(A[0] - A0[0]) + abs(B[0] - B0[0]) <= 1e-9
+
+
+def test_every_entry_point_refuses_an_index_of_the_wrong_length():
+    f = random_bounded_map(1, 1, 3, seed=1)
+    for call in (lambda: derivative_exact(f, [0.3], (1, 1)),
+                 lambda: cauchy_derivative(f, [0.3], (1, 1)),
+                 lambda: extract_coefficient(f, (1, 1))):
+        with pytest.raises(ValueError, match=r"multi-index \(1, 1\) has length 2, expected 1"):
+            call()
