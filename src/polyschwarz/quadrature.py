@@ -402,9 +402,9 @@ def cauchy_rule(z, alpha, sup: float = 1.0, spec: QuadratureSpec | None = None,
     meets CAUCHY_ERROR_TARGET; then, for n >= 2, each axis, the largest
     first, one step fewer where the bound still meets it.  Either way the
     rule carries the bound for the radii and nodes it holds.  Raises ValueError
-    when z breaks the point rule (check_points, len(alpha) coordinates), a given
-    radius or node count this contour rule (_check_radii, _check_nodes), or when
-    the sample exceeds MAX_SAMPLE_BYTES, the only reason a default rule is refused.
+    when z breaks the point rule (check_points; len(alpha) coordinates), when a
+    given radius or node count breaks the contour rule (_check_radii, _check_nodes),
+    and when the sample exceeds MAX_SAMPLE_BYTES, the only reason a default rule is refused.
     """
     alpha = as_index(alpha)
     n = len(alpha)
