@@ -12,9 +12,8 @@ from .bounds import (BoundReport, HypothesisError, JacobianPair, certified_sup_b
                      direction_max, direction_upper, jacobian_pair, make_report,
                      require_certified, rhs_colonna, rhs_gradient, rhs_growth, rhs_polydisk,
                      rhs_ruscheweyh, rhs_szasz, verify_coefficient_bound,
-                     verify_derivative_bound, verify_derivative_grid, verify_gradient_bound,
-                     verify_gradient_grid, verify_growth_bound, verify_growth_grid,
-                     verify_homogeneous_bound, verify_homogeneous_grid, verify_l2_bound)
+                     verify_derivative_bound, verify_gradient_bound, verify_growth_bound,
+                     verify_homogeneous_bound, verify_l2_bound)
 from .search import SharpnessResult, reevaluate, sharpness_ratio, sharpness_search
 
 __version__ = "0.1.0"

@@ -18,9 +18,9 @@ from itertools import product
 
 import numpy as np
 
-from .multiindex import as_order, grid_rows, unit_index
+from .multiindex import as_order, check_factorial, grid_rows, unit_index
 from .mapping import (BlaschkeProduct, ColonnaMap, ComposedMap, PluriharmonicMap, SeriesMap,
-                      check_index, check_points, derivative_exact, sup_bound_l1, to_pairs)
+                      check_index, derivative_exact, one_or_stack, sup_bound_l1, to_pairs)
 from .quadrature import QuadratureSpec, cauchy_derivative, cauchy_rule, extract_coefficients
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -129,10 +129,12 @@ def rhs_ruscheweyh(order: int, z_abs: float, f_abs: float) -> float:
 
 
 def rhs_szasz(m: int, z_abs: float) -> float:
-    """Odd-order bound (2m+1)!/(1-|z|^2)^(2m+1) * sum_k C(m,k)^2 |z|^(2k)."""
+    """Odd-order bound (2m+1)!/(1-|z|^2)^(2m+1) * sum_k C(m,k)^2 |z|^(2k), for the
+    m whose (2m+1)! is a double (check_factorial: m <= 84)."""
     m = int(m)
     if m < 1:
         raise ValueError("m must be >= 1")
+    check_factorial((2 * m + 1,))
     t = _check_radius(z_abs)
     series = sum(math.comb(m, k) ** 2 * t ** (2 * k) for k in range(m + 1))
     return math.factorial(2 * m + 1) / (1.0 - t * t) ** (2 * m + 1) * series
@@ -408,8 +410,11 @@ def direction_upper(jp: JacobianPair, threshold: float) -> tuple[float | None, i
 
 
 # ---------------------------------------------------------------------------
-# Verification routines.  Each check has a grid routine, and its one-point
-# routine is the grid of that one point.
+# Verification routines.  Each pointwise check is one routine that takes one
+# point or a (P, n) stack of them (mapping.one_or_stack): one point gives one
+# report, a stack a list of reports in order, each the one its point gets
+# alone.  The map is certified and the inputs validated once per call, and
+# the points of a stack are worked together.
 # ---------------------------------------------------------------------------
 
 def _sup_norms(Z: np.ndarray) -> list[float]:
@@ -424,54 +429,12 @@ def _row_norms(values: np.ndarray) -> list[float]:
     return np.sqrt(squares).tolist()
 
 
-def verify_derivative_grid(mapping: PluriharmonicMap, points, alpha, method: str | None = None,
-                           tol: float | None = None,
-                           spec: QuadratureSpec | None = None) -> list[BoundReport]:
-    """verify_derivative_bound at every point of `points`, in order; no
-    points give no reports.
-
-    The map is certified and alpha validated once.  The exact method takes
-    all the points' derivatives in one stacked derivative_exact call; the
-    Cauchy method still sizes and runs one rule per point.  Each report is
-    the one the point would get alone.
-    """
-    sup = require_certified(mapping, N=1)
-    alpha = check_index(as_order(alpha), mapping.n)
-    Z = check_points(points, mapping.n)
-    if method is None or method == "exact":
-        method, default_tol = "exact", DEFAULT_TOL_EXACT
-        A, B = derivative_exact(mapping, Z, alpha)
-        A, B, rules = A[:, 0].tolist(), B[:, 0].tolist(), [None] * len(Z)
-    elif method == "cauchy":
-        default_tol = DEFAULT_TOL_QUAD
-        rules = [cauchy_rule(z, alpha, sup, spec, mapping.N) for z in Z]
-        pairs = [cauchy_derivative(mapping, z, alpha, rule) for z, rule in zip(Z, rules)]
-        A, B = [a[0] for a, _ in pairs], [b[0] for _, b in pairs]
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'exact' or 'cauchy'")
-    tol = default_tol if tol is None else tol
-    reports = []
-    # as_order has checked alpha, and each t is in [0, 1).
-    for z, t, a, b, rule in zip(Z.tolist(), _sup_norms(Z), A, B, rules):
-        # abs of each scalar: numpy's vectorised complex abs can differ from it in the last bit.
-        value = abs(a) + abs(b)
-        params = {"z": to_pairs(z), "alpha": list(alpha), "method": method}
-        error = None
-        if rule is not None:
-            error = rule.error_bound + rule.rounding
-            params.update(radii=list(rule.radii), nodes=list(rule.nodes),
-                          error_bound=error if math.isfinite(error) else None, sup_bound=sup)
-        reports.append(make_report("derivative_polydisk", params, value, _rhs_polydisk(alpha, t),
-                                   tol, upper=None if error is None else value + error))
-    return reports
-
-
 def verify_derivative_bound(mapping: PluriharmonicMap, z, alpha, method: str | None = None,
-                            tol: float | None = None,
-                            spec: QuadratureSpec | None = None) -> BoundReport:
+                            tol: float | None = None, spec: QuadratureSpec | None = None
+                            ) -> BoundReport | list[BoundReport]:
     """Order-alpha derivative bound for a certified scalar map into the disk:
     |d^alpha f| + |dbar^alpha f| <= rhs_polydisk(alpha, ||z||_inf), at one
-    point: verify_derivative_grid of [z].
+    point z or at each point of a stack.
 
     method is "exact" (also when None; derivative_exact, every map class,
     tol None: DEFAULT_TOL_EXACT) or "cauchy" (tol None: DEFAULT_TOL_QUAD):
@@ -481,9 +444,39 @@ def verify_derivative_bound(mapping: PluriharmonicMap, z, alpha, method: str | N
     bound, which holds for the certified sup, plus the rounding allowance of
     CauchyRule, which assumes rather than proves how accurately the map
     evaluates) and the `sup_bound` it was sized for; it passes only if
-    lhs + error_bound <= rhs + tol.
+    lhs + error_bound <= rhs + tol.  The exact method takes a stack's
+    derivatives in one stacked derivative_exact call; the Cauchy method sizes
+    and runs one rule per point.
     """
-    return verify_derivative_grid(mapping, [z], alpha, method, tol, spec)[0]
+    sup = require_certified(mapping, N=1)
+    alpha = check_index(as_order(alpha), mapping.n)
+    Z, one = one_or_stack(z, mapping.n)
+    if method is None or method == "exact":
+        method, default_tol = "exact", DEFAULT_TOL_EXACT
+        A, B = derivative_exact(mapping, Z, alpha)
+        A, B, rules = A[:, 0].tolist(), B[:, 0].tolist(), [None] * len(Z)
+    elif method == "cauchy":
+        default_tol = DEFAULT_TOL_QUAD
+        rules = [cauchy_rule(point, alpha, sup, spec, mapping.N) for point in Z]
+        pairs = [cauchy_derivative(mapping, point, alpha, rule) for point, rule in zip(Z, rules)]
+        A, B = [a[0] for a, _ in pairs], [b[0] for _, b in pairs]
+    else:
+        raise ValueError(f"unknown method {method!r}; expected 'exact' or 'cauchy'")
+    tol = default_tol if tol is None else tol
+    reports = []
+    # as_order has checked alpha, and each t is in [0, 1).
+    for point, t, a, b, rule in zip(Z.tolist(), _sup_norms(Z), A, B, rules):
+        # abs of each scalar: numpy's vectorised complex abs can differ from it in the last bit.
+        value = abs(a) + abs(b)
+        params = {"z": to_pairs(point), "alpha": list(alpha), "method": method}
+        error = None
+        if rule is not None:
+            error = rule.error_bound + rule.rounding
+            params.update(radii=list(rule.radii), nodes=list(rule.nodes),
+                          error_bound=error if math.isfinite(error) else None, sup_bound=sup)
+        reports.append(make_report("derivative_polydisk", params, value, _rhs_polydisk(alpha, t),
+                                   tol, upper=None if error is None else value + error))
+    return reports[0] if one else reports
 
 
 def verify_coefficient_bound(mapping: PluriharmonicMap, max_degree: int,
@@ -497,43 +490,30 @@ def verify_coefficient_bound(mapping: PluriharmonicMap, max_degree: int,
             for k, (a, b) in extract_coefficients(mapping, max_degree, spec).items()]
 
 
-def verify_homogeneous_grid(mapping: PluriharmonicMap, degrees, points,
-                            tol: float | None = None) -> list[BoundReport]:
-    """verify_homogeneous_bound at every point of `points` and every degree
-    m of `degrees`, points first: the reports of the first point, one per
-    degree, then those of the next point.  No points or no degrees give no
-    reports.
-
-    The map is certified once, and each degree-m part is built once and
-    evaluated at all the points in one eval_points call.  Each report is
-    the one its point and degree would get alone.
-    """
-    degrees = [int(m) for m in degrees]
-    if any(m < 1 for m in degrees):
-        raise ValueError("homogeneous degree m must be >= 1")
-    if not mapping.is_series:
-        raise ValueError("homogeneous-part check requires a finite-series map")
-    require_certified(mapping)
-    Z = check_points(points, mapping.n)
-    tol = DEFAULT_TOL_EXACT if tol is None else tol
-    lhs = []  # per degree, the norm of its part at each point
-    for m in degrees:
-        mask = mapping.degrees == m
-        lhs.append(_row_norms(SeriesMap.from_tensors(mapping.a * mask, mapping.b * mask).eval_points(Z)))
-    return [make_report("homogeneous_part", {"m": m, "z": to_pairs(z)}, values[p], FOUR_OVER_PI, tol)
-            for p, z in enumerate(Z.tolist()) for m, values in zip(degrees, lhs)]
-
-
 def verify_homogeneous_bound(mapping: PluriharmonicMap, m: int, z,
-                             tol: float | None = None) -> BoundReport:
+                             tol: float | None = None) -> BoundReport | list[BoundReport]:
     """Degree-m homogeneous part bound (tol None: DEFAULT_TOL_EXACT):
     || sum_{|k|=m} a_k z^k + sum_{|k|=m} conj(b_k) conj(z)^k || <= 4/pi,
-    at one point and degree: verify_homogeneous_grid of [m] and [z].
+    at one point z or at each point of a stack, whose values come from one
+    eval_points call on the degree-m part.
 
     The anti-holomorphic sum follows the circle-integral derivation (the
     printed statement repeats the holomorphic sum; see README notes).
     """
-    return verify_homogeneous_grid(mapping, [m], [z], tol)[0]
+    m = int(m)
+    if m < 1:
+        raise ValueError("homogeneous degree m must be >= 1")
+    if not mapping.is_series:
+        raise ValueError("homogeneous-part check requires a finite-series map")
+    require_certified(mapping)
+    Z, one = one_or_stack(z, mapping.n)
+    tol = DEFAULT_TOL_EXACT if tol is None else tol
+    mask = mapping.degrees == m
+    values = _row_norms(SeriesMap.from_tensors(mapping.a * mask, mapping.b * mask).eval_points(Z))
+    reports = [make_report("homogeneous_part", {"m": m, "z": to_pairs(point)}, value, FOUR_OVER_PI,
+                           tol)
+               for point, value in zip(Z.tolist(), values)]
+    return reports[0] if one else reports
 
 
 def verify_l2_bound(mapping: PluriharmonicMap, tol: float | None = None) -> BoundReport:
@@ -548,36 +528,11 @@ def verify_l2_bound(mapping: PluriharmonicMap, tol: float | None = None) -> Boun
     return make_report("coefficient_l2", {}, lhs, 1.0, DEFAULT_TOL_EXACT if tol is None else tol)
 
 
-def verify_gradient_grid(mapping: PluriharmonicMap, points,
-                         tol: float | None = None) -> list[BoundReport]:
-    """verify_gradient_bound at every point of `points` (tol None:
-    DEFAULT_TOL_EXACT), in order; no points give no reports.
-
-    The map is certified once, the points' Jacobians come from one stacked
-    jacobian_pair, and they go to direction_max as one stack, so the ascent
-    runs for a whole chunk of points at once; direction_upper then decides
-    each point.  Each report is the one the point would get alone.
-    """
-    require_certified(mapping)
-    Z = check_points(points, mapping.n)
-    if not len(Z):
-        return []
-    tol = DEFAULT_TOL_EXACT if tol is None else tol
-    jp = jacobian_pair(mapping, Z)
-    _, values = direction_max(jp)
-    reports = []
-    for z, t, d, dbar, value in zip(Z.tolist(), _sup_norms(Z), jp.d, jp.dbar, values):
-        rhs = rhs_gradient(t)
-        upper, boxes = direction_upper(JacobianPair(d, dbar), rhs + tol)
-        params = {"z": to_pairs(z), "upper": upper, "boxes": boxes}
-        reports.append(make_report("gradient_direction", params, value, rhs, tol,
-                                   upper=math.inf if upper is None else upper))
-    return reports
-
-
-def verify_gradient_bound(mapping: PluriharmonicMap, z, tol: float | None = None) -> BoundReport:
+def verify_gradient_bound(mapping: PluriharmonicMap, z,
+                          tol: float | None = None) -> BoundReport | list[BoundReport]:
     """Directional derivative bound max_theta ||Df theta + Dbarf conj(theta)||
-    <= 4/(pi(1-||z||_inf^2)) at one point: verify_gradient_grid of [z].
+    <= 4/(pi(1-||z||_inf^2)) (tol None: DEFAULT_TOL_EXACT), at one point z or
+    at each point of a stack.
 
     lhs is an attained value of the directional maximum (direction_max).
     pass means the certified upper value of direction_upper is at most
@@ -586,30 +541,40 @@ def verify_gradient_bound(mapping: PluriharmonicMap, z, tol: float | None = None
     and never passes: equality cases with n >= 2 stay undecided, since
     first-order boxes cannot close a gap of tol around a maximum that
     touches the bound, and for n >= 9 so does every case that the sum of
-    the column maxima does not decide.
-    """
-    return verify_gradient_grid(mapping, [z], tol)[0]
-
-
-def verify_growth_grid(mapping: PluriharmonicMap, points, tol: float | None = None) -> list[BoundReport]:
-    """verify_growth_bound at every point of `points`, in order; no points
-    give no reports.
-
-    The map is certified and f(0) checked once, and all the points are
-    evaluated in one eval_points call.  Each report is the one the point
-    would get alone.
+    the column maxima does not decide.  A stack's Jacobians come from one
+    stacked jacobian_pair and go to direction_max as one stack, so the
+    ascent runs for a whole chunk of points at once; direction_upper then
+    decides each point.
     """
     require_certified(mapping)
-    Z = check_points(points, mapping.n)
+    Z, one = one_or_stack(z, mapping.n)
+    if not len(Z):
+        return []
+    tol = DEFAULT_TOL_EXACT if tol is None else tol
+    jp = jacobian_pair(mapping, Z)
+    _, values = direction_max(jp)
+    reports = []
+    for point, t, d, dbar, value in zip(Z.tolist(), _sup_norms(Z), jp.d, jp.dbar, values):
+        rhs = rhs_gradient(t)
+        upper, boxes = direction_upper(JacobianPair(d, dbar), rhs + tol)
+        params = {"z": to_pairs(point), "upper": upper, "boxes": boxes}
+        reports.append(make_report("gradient_direction", params, value, rhs, tol,
+                                   upper=math.inf if upper is None else upper))
+    return reports[0] if one else reports
+
+
+def verify_growth_bound(mapping: PluriharmonicMap, z,
+                        tol: float | None = None) -> BoundReport | list[BoundReport]:
+    """Growth bound ||f(z)|| <= (4/pi) arctan ||z||_inf for maps with f(0) = 0
+    (tol None: DEFAULT_TOL_EXACT), at one point z or at each point of a
+    stack, all evaluated in one eval_points call.  f(0) is checked before
+    any point."""
+    require_certified(mapping)
+    Z, one = one_or_stack(z, mapping.n)
     f0 = mapping(np.zeros(mapping.n))
     if np.linalg.norm(f0) > 1e-12:
         raise HypothesisError(f"hypothesis: f(0) != 0 (||f(0)|| = {np.linalg.norm(f0):.3g})")
     tol = DEFAULT_TOL_EXACT if tol is None else tol
-    return [make_report("growth_arctan", {"z": to_pairs(z)}, value, rhs_growth(t), tol)
-            for z, t, value in zip(Z.tolist(), _sup_norms(Z), _row_norms(mapping.eval_points(Z)))]
-
-
-def verify_growth_bound(mapping: PluriharmonicMap, z, tol: float | None = None) -> BoundReport:
-    """Growth bound ||f(z)|| <= (4/pi) arctan ||z||_inf for maps with f(0) = 0
-    (tol None: DEFAULT_TOL_EXACT), at one point: verify_growth_grid of [z]."""
-    return verify_growth_grid(mapping, [z], tol)[0]
+    reports = [make_report("growth_arctan", {"z": to_pairs(point)}, value, rhs_growth(t), tol)
+               for point, t, value in zip(Z.tolist(), _sup_norms(Z), _row_norms(mapping.eval_points(Z)))]
+    return reports[0] if one else reports

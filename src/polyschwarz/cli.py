@@ -61,7 +61,8 @@ def _finite_float(text: str) -> float:
 def _z_grid(n: int, points: int, cap: float):
     """Real Cartesian grid: `points` values per coordinate in [0, cap], one
     point per row, under the size rule for its points**n x n complex values."""
-    check_tensor_size((points**n, n), f"a z grid of {points}^{n} points", "; use a smaller --grid")
+    check_tensor_size((points**n, n), lambda: (f"a z grid of {points}^{n} points",
+                                               "; use a smaller --grid"))
     return grid_rows([np.linspace(0.0, cap, points)] * n).astype(complex)
 
 
@@ -127,27 +128,33 @@ def cmd_verify(args) -> int:
     if args.method == "exact" and given:
         raise ValueError(f"--method exact takes no {' or '.join(given)} (Cauchy quadrature only)")
     spec = quadrature.QuadratureSpec(args.nodes, args.radius)
-    return _sweep(args, lambda mapping, points: bounds.verify_derivative_grid(
+    return _sweep(args, lambda mapping, points: bounds.verify_derivative_bound(
         mapping, points, args.alpha, method=args.method, tol=args.tol, spec=spec))
 
 
 def cmd_gradient(args) -> int:
-    return _sweep(args, lambda mapping, points: bounds.verify_gradient_grid(
+    return _sweep(args, lambda mapping, points: bounds.verify_gradient_bound(
         mapping, points, tol=args.tol))
 
 
 def cmd_growth(args) -> int:
-    return _sweep(args, lambda mapping, points: bounds.verify_growth_grid(
+    return _sweep(args, lambda mapping, points: bounds.verify_growth_bound(
         mapping, points, tol=args.tol))
 
 
 def cmd_coeffs(args) -> int:
     spec = quadrature.QuadratureSpec(args.nodes, args.radius)
-    return _sweep(args, lambda mapping, points: (
-        bounds.verify_coefficient_bound(mapping, args.max_degree, spec=spec, tol=args.tol)
-        + bounds.verify_homogeneous_grid(mapping, range(1, args.max_degree + 1), points,
-                                         tol=args.tol)
-        + [bounds.verify_l2_bound(mapping, tol=args.tol)]))
+
+    def check(mapping, points):
+        reports = bounds.verify_coefficient_bound(mapping, args.max_degree, spec=spec, tol=args.tol)
+        # One homogeneous call per degree on the whole grid; the reports go
+        # point by point, each point's degrees in turn.
+        per_degree = [bounds.verify_homogeneous_bound(mapping, m, points, tol=args.tol)
+                      for m in range(1, args.max_degree + 1)]
+        reports += [r for at_point in zip(*per_degree) for r in at_point]
+        return reports + [bounds.verify_l2_bound(mapping, tol=args.tol)]
+
+    return _sweep(args, check)
 
 
 def cmd_lemma(args) -> int:

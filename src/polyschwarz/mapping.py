@@ -56,6 +56,14 @@ def check_points(Z, n: int) -> np.ndarray:
     return ZZ
 
 
+def one_or_stack(z, n: int) -> tuple[np.ndarray, bool]:
+    """The point-or-stack rule: z with np.ndim(z) < 2 is one point (n coordinates, or a
+    scalar when n = 1), any other z a (P, n) stack.  Returns (Z, one): the points as a
+    checked (P, n) array (check_points; one row for one point) and whether z was one point."""
+    one = np.ndim(z) < 2
+    return check_points([z] if one else z, n), one
+
+
 def check_index(k, n: int) -> tuple:
     """The length rule: k (an order or an index) as a multi-index of length n."""
     k = as_index(k)
@@ -64,14 +72,15 @@ def check_index(k, n: int) -> tuple:
     return k
 
 
-def check_tensor_size(shape, what: str = "", hint: str = "") -> None:
+def check_tensor_size(shape, wording=None) -> None:
     """The size rule: refuse, before allocating it, a complex tensor of this shape above
-    MAX_SAMPLE_BYTES, named `what` (default: a coefficient tensor) with `hint` at the end."""
+    MAX_SAMPLE_BYTES.  wording() gives the refusal's (what, hint), the tensor's name and a
+    text for the end, and is called only on refusal; None names a coefficient tensor."""
     size = math.prod(shape) * np.dtype(complex).itemsize
     if size > MAX_SAMPLE_BYTES:
-        raise MapFormatError(
-            f"{what or f'a coefficient tensor of shape {tuple(shape)}'} needs {size / 2**20:.0f} "
-            f"MiB, over the {MAX_SAMPLE_BYTES // 2**20} MiB limit{hint}")
+        what, hint = wording() if wording else (f"a coefficient tensor of shape {tuple(shape)}", "")
+        raise MapFormatError(f"{what} needs {size / 2**20:.0f} MiB, over the "
+                             f"{MAX_SAMPLE_BYTES // 2**20} MiB limit{hint}")
 
 
 def _check_unimodular(w: complex, name: str) -> complex:
@@ -391,10 +400,9 @@ def derivative_exact(mapping: PluriharmonicMap, z, alpha) -> tuple[np.ndarray, n
     if not mapping.is_series and max(alpha) > MAX_CLOSED_FORM_ORDER:
         raise ValueError(f"derivative orders above {MAX_CLOSED_FORM_ORDER} are only "
                          f"taken of finite series, got {alpha}")
-    if np.ndim(z) < 2:
-        A, B = mapping._derivative(check_points([z], mapping.n), alpha)
-        return A[0], B[0]
-    return mapping._derivative(check_points(z, mapping.n), alpha)
+    Z, one = one_or_stack(z, mapping.n)
+    A, B = mapping._derivative(Z, alpha)
+    return (A[0], B[0]) if one else (A, B)
 
 
 def sup_bound_l1(mapping: PluriharmonicMap) -> float:

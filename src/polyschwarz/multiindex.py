@@ -28,18 +28,24 @@ def as_index(k: Sequence[int]) -> MultiIndex:
     return idx
 
 
-def as_order(alpha: Sequence[int]) -> MultiIndex:
-    """Validate the derivative order of the polydisk bound: a multi-index with
-    every alpha_j >= 1 whose alpha! is a double (171! is not).  alpha! <= |alpha|!,
-    so only |alpha| > 170 is tested, and log(alpha!) > 710 (above log of the
-    largest double) settles it before a huge factorial is taken."""
-    alpha = as_index(alpha)
-    if any(a < 1 for a in alpha):
-        raise ValueError(f"every derivative order component must be >= 1, got {alpha}")
+def check_factorial(alpha: MultiIndex) -> MultiIndex:
+    """The rule that alpha! is a double (171! is not), for a validated multi-index
+    alpha: alpha, or ValueError.  alpha! <= |alpha|!, so only |alpha| > 170 is tested,
+    and log(alpha!) > 710 (above log of the largest double) settles it before a huge
+    factorial is taken."""
     if sum(alpha) > 170 and (sum(math.lgamma(a + 1) for a in alpha) > 710.0
                              or factorial(alpha) > sys.float_info.max):
         raise ValueError(f"alpha! exceeds the largest double for the derivative order {alpha}")
     return alpha
+
+
+def as_order(alpha: Sequence[int]) -> MultiIndex:
+    """Validate the derivative order of the polydisk bound: a multi-index with
+    every alpha_j >= 1 whose alpha! is a double (check_factorial)."""
+    alpha = as_index(alpha)
+    if any(a < 1 for a in alpha):
+        raise ValueError(f"every derivative order component must be >= 1, got {alpha}")
+    return check_factorial(alpha)
 
 
 def degree(k: Sequence[int]) -> int:

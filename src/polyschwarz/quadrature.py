@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import (as_index, degree as mi_degree, enumerate_indices, factorial as mi_factorial,
-                         grid_rows)
+from .multiindex import (as_index, check_factorial, degree as mi_degree, enumerate_indices,
+                         factorial as mi_factorial, grid_rows)
 from .mapping import (MAX_SAMPLE_BYTES, PluriharmonicMap, check_index, check_points,
                       check_tensor_size)
 
@@ -136,11 +136,13 @@ def abs_cos_integral(m: int, gamma: float, nodes: int | None = None) -> float:
 
 def _check_sample_size(nodes, N: int, chosen: bool = False) -> None:
     """The size rule for a torus sample; `chosen` says that a default Cauchy rule chose it."""
-    grid = f"{nodes[0]}^{len(nodes)}" if len(set(nodes)) == 1 else "x".join(map(str, nodes))
-    hint = (f"the error bound {CAUCHY_ERROR_TARGET:g} needs them at this point (--nodes "
-            f"sets fewer, with a larger bound)" if chosen else
-            "use fewer quadrature nodes per dimension (--nodes)")
-    check_tensor_size((*nodes, N), f"a torus sample of {grid} x {N} complex values", f"; {hint}")
+    def wording():
+        grid = f"{nodes[0]}^{len(nodes)}" if len(set(nodes)) == 1 else "x".join(map(str, nodes))
+        hint = (f"the error bound {CAUCHY_ERROR_TARGET:g} needs them at this point (--nodes "
+                f"sets fewer, with a larger bound)" if chosen else
+                "use fewer quadrature nodes per dimension (--nodes)")
+        return f"a torus sample of {grid} x {N} complex values", f"; {hint}"
+    check_tensor_size((*nodes, N), wording)
 
 
 def _circle(r: float, M: int) -> np.ndarray:
@@ -150,8 +152,9 @@ def _circle(r: float, M: int) -> np.ndarray:
 
 def _torus_samples(mapping: PluriharmonicMap, radii, nodes, circles=None) -> np.ndarray:
     """The map's values on the torus of these radii and node counts (whose
-    circles a caller that has them passes along), from the cache if it holds them."""
-    _check_sample_size(nodes, mapping.N)
+    circles a caller that has them passes along), from the cache if it holds them.
+    The caller keeps the size rule: _fourier_table checks it, and cauchy_derivative
+    takes a sample whole only within CAUCHY_SLAB_BYTES."""
     cache = mapping.__dict__.setdefault("_quad_cache", {})
     key = (tuple(radii), tuple(nodes))
     entry = cache.pop(key, None)
@@ -166,6 +169,7 @@ def _torus_samples(mapping: PluriharmonicMap, radii, nodes, circles=None) -> np.
 
 
 def _fourier_table(mapping: PluriharmonicMap, radii, nodes) -> np.ndarray:
+    _check_sample_size(nodes, mapping.N)
     vals = _torus_samples(mapping, radii, nodes)
     entry = mapping._quad_cache[(tuple(radii), tuple(nodes))]
     if "fft" not in entry:
@@ -455,14 +459,15 @@ def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec=None):
     QuadratureSpec (None: every default) that cauchy_rule completes for a map with
     sup ||f|| <= 1, the maps into the unit ball that the estimates concern.  Either way
     the rule must meet the contour rule at z and alpha (see cauchy_rule), so one sized
-    at another point or order is refused when it cannot serve this one.  The result
-    carries no error claim.  The torus has a circle of its own radius and node count
+    at another point or order is refused when it cannot serve this one.  An order whose
+    alpha! is not a double (check_factorial) is refused before anything is sampled.  The
+    result carries no error claim.  The torus has a circle of its own radius and node count
     per axis, and both kernels of an axis are contracted with the sample in one
     matmul.  A sample of at most CAUCHY_SLAB_BYTES comes from the map's sample cache;
     a larger one is evaluated and contracted in slabs of at most that size along the
     first axis, and none of it is kept.
     """
-    alpha = check_index(alpha, mapping.n)
+    alpha = check_factorial(check_index(alpha, mapping.n))
     if not any(alpha):
         raise ValueError("order-zero derivative: use f(z) for values; the a_0/b_0 split "
                          "is not recoverable from point values")

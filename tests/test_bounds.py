@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, HypothesisError,
+from polyschwarz import (BlaschkeProduct, BoundReport, ColonnaMap, ComposedMap, HypothesisError,
                          PolydiskAutomorphism, QuadratureSpec, SeriesMap, cauchy_derivative,
                          certified_sup_bound, derivative_exact, jacobian_pair, make_report,
                          random_bounded_map, require_certified, rhs_colonna, rhs_gradient,
                          rhs_growth, rhs_polydisk, rhs_ruscheweyh, rhs_szasz,
                          verify_coefficient_bound, verify_derivative_bound,
-                         verify_derivative_grid, verify_gradient_bound, verify_growth_bound,
-                         verify_growth_grid, verify_homogeneous_bound, verify_homogeneous_grid,
+                         verify_gradient_bound, verify_growth_bound, verify_homogeneous_bound,
                          verify_l2_bound)
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -67,6 +66,14 @@ def test_rhs_szasz_values():
     assert rhs_szasz(2, 0.3) == pytest.approx(263.0826012555678, abs=1e-9)
     with pytest.raises(ValueError):
         rhs_szasz(0, 0.3)
+
+
+def test_rhs_szasz_refuses_an_order_whose_factorial_is_not_a_double():
+    # (2m+1)! = 173! at m = 86 once died with "int too large to convert to float"
+    for m in (85, 86):
+        with pytest.raises(ValueError, match="alpha! exceeds the largest double"):
+            rhs_szasz(m, 0.1)
+    assert rhs_szasz(84, 0.0) == float(math.factorial(169))
 
 
 def test_rhs_consistency_identities():
@@ -290,14 +297,15 @@ def _complex_points(n, count, seed, cap=0.8):
 
 
 GRIDS = {
-    "derivative exact": (lambda f, Z: verify_derivative_grid(f, Z, (2,) + (1,) * (f.n - 1)),
+    "derivative exact": (lambda f, Z: verify_derivative_bound(f, Z, (2,) + (1,) * (f.n - 1)),
                          lambda f, z: [verify_derivative_bound(f, z, (2,) + (1,) * (f.n - 1))]),
-    "derivative cauchy": (lambda f, Z: verify_derivative_grid(f, Z, (1,) * f.n, method="cauchy"),
+    "derivative cauchy": (lambda f, Z: verify_derivative_bound(f, Z, (1,) * f.n, method="cauchy"),
                           lambda f, z: [verify_derivative_bound(f, z, (1,) * f.n, method="cauchy")]),
-    "growth": (lambda f, Z: verify_growth_grid(_centred(f), Z),
+    "growth": (lambda f, Z: verify_growth_bound(_centred(f), Z),
                lambda f, z: [verify_growth_bound(_centred(f), z)]),
     # points first, then degrees: the order of the coeffs subcommand's reports
-    "homogeneous": (lambda f, Z: verify_homogeneous_grid(f, [1, 2, 3], Z),
+    "homogeneous": (lambda f, Z: [r for at_point in zip(*(verify_homogeneous_bound(f, m, Z)
+                                                          for m in (1, 2, 3))) for r in at_point],
                     lambda f, z: [verify_homogeneous_bound(f, m, z) for m in (1, 2, 3)]),
 }
 
@@ -320,7 +328,7 @@ def test_each_grid_gives_each_point_its_own_report(check, n, N):
     reports = grid(f, Z)
     # dataclass equality compares every float bit for bit, params included
     assert reports == [r for z in Z for r in alone(f, z)]
-    assert grid(f, np.zeros((0, n))) == [] and grid(f, []) == []
+    assert grid(f, np.zeros((0, n))) == []
 
 
 @pytest.mark.parametrize("n, N", [(1, 1), (2, 2), (3, 2)])
@@ -346,11 +354,38 @@ def test_stacked_derivatives_and_jacobians_give_each_point_its_own_bits(n, N):
         assert A.shape == B.shape == (0, g.N)
 
 
+ONE_POINT = {
+    "derivative": lambda f, z: verify_derivative_bound(f, z, (1,) * f.n),
+    "gradient": lambda f, z: verify_gradient_bound(f, z),
+    "growth": lambda f, z: verify_growth_bound(_centred(f), z),
+    "homogeneous": lambda f, z: verify_homogeneous_bound(f, 2, z),
+}
+
+
+@pytest.mark.parametrize("check", list(ONE_POINT))
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_stack_of_one_point_gives_a_list_of_its_report(check, n):
+    verify = ONE_POINT[check]
+    f = random_bounded_map(n, 1, 3, seed=n)
+    z = _complex_points(n, 1, seed=n)[0]
+    alone = verify(f, z)
+    assert isinstance(alone, BoundReport)
+    assert verify(f, z[None]) == [alone]
+    if n == 1:
+        # a scalar is one point; so is a 1-D array of scalars, here one with 2 coordinates
+        assert verify(f, z[0]) == alone
+        with pytest.raises(ValueError, match="expected points with 1 coordinates"):
+            verify(f, np.array([0.1, 0.2]))
+    # a stack is 2-D: [] is one point with no coordinates
+    with pytest.raises(ValueError, match="expected points"):
+        verify(f, [])
+
+
 def test_a_growth_grid_checks_f0_before_any_point():
     shifted = SeriesMap(2, 1, {(0, 0): [0.2], (1, 0): [0.3]})
-    for points in ([[0.1, 0.2]], []):
+    for points in ([[0.1, 0.2]], np.zeros((0, 2))):
         with pytest.raises(HypothesisError, match="f\\(0\\)"):
-            verify_growth_grid(shifted, points)
+            verify_growth_bound(shifted, points)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])

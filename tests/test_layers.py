@@ -92,3 +92,33 @@ def test_size_comparison_checker_sees_names_and_attributes():
     assert _size_comparisons("if size > MAX_SAMPLE_BYTES:\n    pass\n"
                              "ok = mapping.MAX_SAMPLE_BYTES >= size\n"
                              "cap = MAX_SAMPLE_BYTES // 16\n") == [1, 3]
+
+
+def _ndim_homes(path: Path) -> set[tuple[str, str | None]]:
+    """(module, innermost enclosing function) of each line that mentions np.ndim(."""
+    text = path.read_text()
+    funcs = [f for f in ast.walk(ast.parse(text))
+             if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    homes = set()
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if "np.ndim(" in line:
+            inside = [f.name for f in funcs if f.lineno <= lineno <= f.end_lineno]
+            homes.add((path.stem, inside[-1] if inside else None))
+    return homes
+
+
+def test_the_point_or_stack_rule_has_one_home():
+    # One point or a stack is decided by np.ndim in mapping.one_or_stack alone;
+    # derivative_exact and the verify_*_bound routines call it.
+    homes = set().union(*(_ndim_homes(p) for p in PACKAGE.glob("*.py")))
+    assert homes == {("mapping", "one_or_stack")}
+
+
+def test_ndim_checker_names_the_enclosing_function(tmp_path):
+    path = tmp_path / "bounds.py"
+    path.write_text("one = np.ndim(z) < 2\n"
+                    "def f(z):\n"
+                    "    def g():\n"
+                    "        return np.ndim(z)\n"
+                    "    return np.ndim(z)\n")
+    assert _ndim_homes(path) == {("bounds", None), ("bounds", "g"), ("bounds", "f")}

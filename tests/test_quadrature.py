@@ -394,6 +394,15 @@ def test_cauchy_derivative_checks_a_rule_it_is_handed():
     assert abs(A[0] - A0[0]) + abs(B[0] - B0[0]) <= 1e-9
 
 
+def test_cauchy_derivative_refuses_an_order_whose_factorial_is_not_a_double(monkeypatch):
+    # (171,) once sampled 512 nodes and died with "int too large to convert to float"
+    monkeypatch.setattr(SeriesMap, "eval_grid", lambda *args: pytest.fail("sampled the map"))
+    for n, alpha in ((1, (171,)), (2, (171, 0)), (2, (100, 100))):
+        f = random_bounded_map(n, 1, 3, seed=1)
+        with pytest.raises(ValueError, match="alpha! exceeds the largest double"):
+            cauchy_derivative(f, [0.1] * n, alpha, QuadratureSpec(512))
+
+
 def test_every_entry_point_refuses_an_index_of_the_wrong_length():
     f = random_bounded_map(1, 1, 3, seed=1)
     for call in (lambda: derivative_exact(f, [0.3], (1, 1)),

@@ -6,8 +6,7 @@ import pytest
 
 from polyschwarz import (ColonnaMap, JacobianPair, SeriesMap, direction_max, direction_upper,
                          jacobian_pair, make_report, random_bounded_map, reevaluate,
-                         sharpness_ratio, sharpness_search, verify_gradient_bound,
-                         verify_gradient_grid)
+                         sharpness_ratio, sharpness_search, verify_gradient_bound)
 from polyschwarz import bounds, search
 from polyschwarz.search import FAMILIES, golden_max
 
@@ -228,7 +227,7 @@ def test_gradient_grid_gives_each_point_its_own_report(monkeypatch):
     points = 0.9 * rng.uniform(size=(25, 2)) * np.exp(2j * np.pi * rng.uniform(size=(25, 2)))
     calls = []
     monkeypatch.setattr(bounds, "direction_max", lambda jp: calls.append(jp) or direction_max(jp))
-    reports = verify_gradient_grid(f, points)
+    reports = verify_gradient_bound(f, points)
     assert len(calls) == 1 and calls[0].d.shape == (25, 2, 2)
     monkeypatch.undo()
     assert len(reports) == 25
@@ -237,8 +236,7 @@ def test_gradient_grid_gives_each_point_its_own_report(monkeypatch):
         assert r.lhs == pytest.approx(alone.lhs, rel=1e-12, abs=0)
         assert (r.rhs, r.tol, r.passed, r.params) == (alone.rhs, alone.tol, alone.passed,
                                                        alone.params)
-    assert verify_gradient_grid(f, []) == []
-    assert verify_gradient_grid(f, np.zeros((0, 2))) == []
+    assert verify_gradient_bound(f, np.zeros((0, 2))) == []
 
 
 def test_gradient_equality_case_with_one_variable_is_decided():
