@@ -548,8 +548,6 @@ def verify_gradient_bound(mapping: PluriharmonicMap, z,
     """
     require_certified(mapping)
     Z, one = one_or_stack(z, mapping.n)
-    if not len(Z):
-        return []
     tol = DEFAULT_TOL_EXACT if tol is None else tol
     jp = jacobian_pair(mapping, Z)
     _, values = direction_max(jp)
