@@ -19,8 +19,8 @@ from itertools import product
 import numpy as np
 
 from .multiindex import as_order, check_factorial, grid_rows, unit_index
-from .mapping import (BlaschkeProduct, ColonnaMap, ComposedMap, PluriharmonicMap, SeriesMap,
-                      check_index, derivative_exact, one_or_stack, sup_bound_l1, to_pairs)
+from .mapping import (PluriharmonicMap, SeriesMap, check_index, derivative_exact, one_or_stack,
+                      to_pairs)
 from .quadrature import QuadratureSpec, cauchy_derivative, cauchy_rule, extract_coefficients
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -153,28 +153,15 @@ def rhs_growth(z_inf: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis certification.  A map counts as evidence only through the
-# rigorous coefficient l1 bound or closed-form range knowledge.
+# Hypothesis certification.  A map counts as evidence only through the range
+# bound its class states (PluriharmonicMap.sup_bound): the coefficient l1 norm
+# of a series, closed-form range knowledge, or a declared bound.
 # ---------------------------------------------------------------------------
 
-def certified_sup_bound(mapping: PluriharmonicMap) -> float:
-    """A rigorous upper bound for sup ||f||, or +inf if none is available."""
-    if isinstance(mapping, (ColonnaMap, BlaschkeProduct)):
-        return 1.0
-    if isinstance(mapping, ComposedMap):
-        return certified_sup_bound(mapping.outer)
-    if mapping.is_series:
-        bound = sup_bound_l1(mapping)
-        if mapping.certified_sup is not None:
-            bound = min(bound, mapping.certified_sup)
-        return bound
-    return math.inf
-
-
 def require_certified(mapping: PluriharmonicMap, N: int | None = None) -> float:
-    """The map's certified_sup_bound; HypothesisError when it exceeds 1
+    """The map's sup_bound; HypothesisError when it exceeds 1
     (beyond CERTIFICATION_SLACK), or when N is given and differs from mapping.N."""
-    bound = certified_sup_bound(mapping)
+    bound = mapping.sup_bound
     if not bound <= 1.0 + CERTIFICATION_SLACK:  # also refuses a NaN bound
         raise HypothesisError(
             f"hypothesis: map not certified into the unit disk (sup bound {bound:.6g} > 1)")
@@ -503,7 +490,7 @@ def verify_homogeneous_bound(mapping: PluriharmonicMap, m: int, z,
     m = int(m)
     if m < 1:
         raise ValueError("homogeneous degree m must be >= 1")
-    if not mapping.is_series:
+    if not isinstance(mapping, SeriesMap):
         raise ValueError("homogeneous-part check requires a finite-series map")
     require_certified(mapping)
     Z, one = one_or_stack(z, mapping.n)
@@ -519,7 +506,7 @@ def verify_homogeneous_bound(mapping: PluriharmonicMap, m: int, z,
 def verify_l2_bound(mapping: PluriharmonicMap, tol: float | None = None) -> BoundReport:
     """Coefficient l2 bound ||f(0)||^2 + sum_{|k|>=1}(||a_k||^2 + ||b_k||^2) <= 1
     (tol None: DEFAULT_TOL_EXACT)."""
-    if not mapping.is_series:
+    if not isinstance(mapping, SeriesMap):
         raise ValueError("the l2 coefficient check requires a finite-series map")
     require_certified(mapping)
     higher = mapping.degrees >= 1

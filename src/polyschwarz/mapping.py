@@ -147,11 +147,13 @@ def _check_axes(axes, n: int) -> list[np.ndarray]:
 
 
 class PluriharmonicMap:
-    """Common interface: dimensions n, N and vectorized pointwise evaluation."""
+    """Common interface: dimensions n, N, vectorized pointwise evaluation and
+    sup_bound, a rigorous upper bound for sup ||f|| over the polydisk that the
+    class itself states (math.inf when it knows none)."""
 
     n: int
     N: int
-    is_series = False
+    sup_bound = math.inf
 
     def eval_points(self, Z) -> np.ndarray:
         """Evaluate on an array of points, shape (..., n) -> (..., N)."""
@@ -184,11 +186,10 @@ class SeriesMap(PluriharmonicMap):
 
     certified_sup, when set, declares a sup-norm bound known from closed-form
     range information (e.g. a truncation of an extremal whose coefficients
-    below the truncation degree are exact); the coefficient l1 norm is always
-    available as the fallback rigorous bound.
+    below the truncation degree are exact).  sup_bound is the l1 norm, which
+    rigorously dominates sup ||f|| over the closed polydisk, or the declared
+    bound when that is smaller.
     """
-
-    is_series = True
 
     def __init__(self, n: int, N: int, holo=None, anti=None, certified_sup=None):
         if n < 1 or N < 1:
@@ -211,24 +212,30 @@ class SeriesMap(PluriharmonicMap):
         return terms
 
     @classmethod
-    def from_tensors(cls, a: np.ndarray, b: np.ndarray) -> SeriesMap:
+    def from_tensors(cls, a: np.ndarray, b: np.ndarray, certified_sup=None) -> SeriesMap:
         """The series with complex tensors a and b of one shape (N, D_1, ..., D_n), held
-        without a copy and made read-only, and no certified_sup.  No table is parsed."""
+        without a copy and made read-only, and a declared certified_sup.  No table is parsed."""
         if a.ndim < 2 or a.shape[0] < 1:
             raise ValueError("dimensions must be >= 1")
         out = cls.__new__(cls)
         out.n, out.N = a.ndim - 1, a.shape[0]
         out.a, out.b = a, b
         a.flags.writeable = b.flags.writeable = False
-        out.certified_sup = None
+        out.certified_sup = _certificate(certified_sup)
         return out
 
     # Read-only {k: a_k} and {k: b_k} over the nonzero terms, built once, on first read.
     holo = cached_property(lambda self: _table_view(self.a))
     anti = cached_property(lambda self: _table_view(self.b))
-    # sum_k ||a_k|| + ||b_k||, see sup_bound_l1.
+    # sum_k ||a_k|| + ||b_k||, which bounds sup ||f|| since |z^k| <= 1 on the closed polydisk.
     l1_norm = cached_property(lambda self: float(np.linalg.norm(self.a, axis=0).sum()
                                                  + np.linalg.norm(self.b, axis=0).sum()))
+
+    @property
+    def sup_bound(self) -> float:
+        if self.certified_sup is None:
+            return self.l1_norm
+        return min(self.l1_norm, self.certified_sup)
 
     @property
     def degrees(self) -> np.ndarray:
@@ -281,7 +288,9 @@ class SeriesMap(PluriharmonicMap):
             tables = []
             for zj, aj, dj in zip(Z[chunk].T, alpha, self.a.shape[1:]):
                 falling, exponents = _axis_weights(aj, dj)
-                tables.append(falling * zj[:, None] ** exponents)
+                table = zj[:, None] ** exponents
+                # A zero power stays a zero term, also where its falling factorial is inf.
+                tables.append(np.multiply(falling, table, out=table, where=table != 0))
             res = _contract_rows(t, tables)
             A[chunk] = res[:, :self.N]
             # The anti-holomorphic sum is conj(sum b_k (falling factorial) z^(k - alpha)).
@@ -397,20 +406,12 @@ def derivative_exact(mapping: PluriharmonicMap, z, alpha) -> tuple[np.ndarray, n
     is the independent cross-check.
     """
     alpha = check_index(alpha, mapping.n)
-    if not mapping.is_series and max(alpha) > MAX_CLOSED_FORM_ORDER:
+    if not isinstance(mapping, SeriesMap) and max(alpha) > MAX_CLOSED_FORM_ORDER:
         raise ValueError(f"derivative orders above {MAX_CLOSED_FORM_ORDER} are only "
                          f"taken of finite series, got {alpha}")
     Z, one = one_or_stack(z, mapping.n)
     A, B = mapping._derivative(Z, alpha)
     return (A[0], B[0]) if one else (A, B)
-
-
-def sup_bound_l1(mapping: PluriharmonicMap) -> float:
-    """Coefficient l1 norm: a certified upper bound for sup ||f|| over the
-    closed polydisk.  Read from the map's cached l1_norm."""
-    if not mapping.is_series:
-        raise ValueError("the l1 sup bound requires a finite-series map")
-    return mapping.l1_norm
 
 
 class ComposedMap(PluriharmonicMap):
@@ -426,6 +427,11 @@ class ComposedMap(PluriharmonicMap):
         self.outer = outer
         self.n = inner.n
         self.N = outer.N
+
+    @property
+    def sup_bound(self) -> float:
+        # The automorphism maps the polydisk onto itself, so f o phi has the range of f.
+        return self.outer.sup_bound
 
     def eval_points(self, Z) -> np.ndarray:
         return self.outer.eval_points(self.inner(np.asarray(Z, dtype=complex)))
@@ -470,6 +476,8 @@ class ColonnaMap(PluriharmonicMap):
 
     n = 1
     N = 1
+    # (1+psi)/(1-psi) has positive real part, so its arg lies in (-pi/2, pi/2) and |f| < 1.
+    sup_bound = 1.0
 
     def __init__(self, gamma=1.0, a=0.0, lam=1.0):
         self.gamma = _check_unimodular(gamma, "gamma")
@@ -527,12 +535,10 @@ class ColonnaMap(PluriharmonicMap):
         c[1:] = self._log_taylor(0.0, np.arange(1, max_degree + 1))
         a, b = -1j * self.gamma / np.pi * c, -1j * np.conj(self.gamma) / np.pi * c
         a[0] = self(0.0)[0]
-        series = SeriesMap.from_tensors(a[None], b[None])
         # Declared, not checked: the truncation itself reaches |f| = 1.1665 on
         # |z| = 0.999 (the FOUND on this stamp in CHANGES.md), so this bound is
         # unsound; ROADMAP item 1 removes the stamp.
-        series.certified_sup = 1.0
-        return series
+        return SeriesMap.from_tensors(a[None], b[None], certified_sup=1.0)
 
 
 class BlaschkeProduct(PluriharmonicMap):
@@ -543,6 +549,8 @@ class BlaschkeProduct(PluriharmonicMap):
 
     n = 1
     N = 1
+    # Each Mobius factor has modulus below 1 on the disk, and the rotation modulus 1.
+    sup_bound = 1.0
 
     def __init__(self, zeros, rotation=1.0):
         self.zeros = check_points(zeros, 1)[:, 0].tolist()
@@ -590,7 +598,7 @@ def random_bounded_map(n: int, N: int, degree: int, seed: int, margin: float = 0
     a[where] = (x[:, 0] + 1j * x[:, 1]).T
     b[where] = (x[:, 2] + 1j * x[:, 3]).T
     raw = SeriesMap.from_tensors(a, b)
-    return raw.scaled((1.0 - margin) / sup_bound_l1(raw))
+    return raw.scaled((1.0 - margin) / raw.l1_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +617,7 @@ def from_pairs(pairs) -> np.ndarray:
 
 
 def map_to_dict(mapping: SeriesMap) -> dict:
-    if not mapping.is_series:
+    if not isinstance(mapping, SeriesMap):
         raise MapFormatError("only finite-series maps are serializable")
     holo, anti = mapping.holo, mapping.anti
     keys = sorted(set(holo) | set(anti), key=lambda k: (mi_degree(k), k))
@@ -660,10 +668,7 @@ def map_from_dict(data: dict) -> SeriesMap:
             holo.append((k, _pairs_to_vec(term["a"], N, where)))
         if "b" in term:
             anti.append((k, _pairs_to_vec(term["b"], N, where)))
-    certified_sup = _certificate(data.get("certified_sup"))
-    series = SeriesMap.from_tensors(*_dense_tensors(n, N, holo, anti))
-    series.certified_sup = certified_sup
-    return series
+    return SeriesMap.from_tensors(*_dense_tensors(n, N, holo, anti), data.get("certified_sup"))
 
 
 def save_map(mapping: SeriesMap, path) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .multiindex import (as_index, check_factorial, degree as mi_degree, enumerate_indices,
                          factorial as mi_factorial, grid_rows)
-from .mapping import (MAX_SAMPLE_BYTES, PluriharmonicMap, check_index, check_points,
+from .mapping import (MAX_SAMPLE_BYTES, PluriharmonicMap, SeriesMap, check_index, check_points,
                       check_tensor_size)
 
 DEFAULT_EXTRACTION_RADIUS = 0.5
@@ -192,7 +192,7 @@ def _read_coefficient(F: np.ndarray, k, radii, nodes):
 def _check_extraction_nodes(mapping, k, nodes):
     if any(2 * kj >= M for kj, M in zip(k, nodes)):
         raise ValueError(f"nodes_per_dim={_nodes_text(nodes)} cannot resolve index {k}")
-    if mapping.is_series and min(nodes) <= 2 * mapping.degree:
+    if isinstance(mapping, SeriesMap) and min(nodes) <= 2 * mapping.degree:
         warnings.warn(
             f"node count {min(nodes)} is at or below Nyquist for series degree "
             f"{mapping.degree}; extracted coefficients will alias",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .multiindex import as_order
 from .mapping import (ColonnaMap, PluriharmonicMap, SeriesMap, check_index, check_tensor_size,
-                      from_pairs, random_bounded_map, sup_bound_l1, to_pairs)
+                      from_pairs, random_bounded_map, to_pairs)
 # direction_max stays bound here as well: perfbench/tracer.py wraps it as search.direction_max.
 from .bounds import direction_max, verify_derivative_bound  # noqa: F401
 
@@ -65,7 +65,7 @@ def _tensor_colonna_map(a_params) -> SeriesMap:
         a = np.multiply.outer(a, factor.a[0])
         b = np.multiply.outer(b, factor.b[0])
     out = SeriesMap.from_tensors(a, b)
-    l1 = sup_bound_l1(out)
+    l1 = out.l1_norm
     if l1 > 1.0:
         out = out.scaled((1.0 - 1e-12) / l1)
     return out

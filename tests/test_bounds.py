@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from polyschwarz import (BlaschkeProduct, BoundReport, ColonnaMap, ComposedMap, HypothesisError,
-                         PolydiskAutomorphism, QuadratureSpec, SeriesMap, cauchy_derivative,
-                         certified_sup_bound, derivative_exact, jacobian_pair, make_report,
+                         MapFormatError, PluriharmonicMap, PolydiskAutomorphism, QuadratureSpec,
+                         SeriesMap, cauchy_derivative, derivative_exact, jacobian_pair, make_report,
                          random_bounded_map, require_certified, rhs_colonna, rhs_gradient,
                          rhs_growth, rhs_polydisk, rhs_ruscheweyh, rhs_szasz,
                          verify_coefficient_bound, verify_derivative_bound,
@@ -135,16 +135,48 @@ def test_report_json_matches_the_asdict_form_byte_for_byte():
         assert r.to_json() == _asdict_json(r)
 
 
-def test_certified_sup_bound_cases():
-    assert certified_sup_bound(ColonnaMap(1, 0, 1)) == 1.0
-    assert certified_sup_bound(BlaschkeProduct([0.3])) == 1.0
+def test_each_map_class_states_its_sup_bound():
+    assert ColonnaMap(1, 0, 1).sup_bound == 1.0
+    assert BlaschkeProduct([0.3]).sup_bound == 1.0
     f = SeriesMap(1, 1, {(1,): [0.6]}, {(2,): [0.3]})
-    assert certified_sup_bound(f) == pytest.approx(0.9)
-    T = ComposedMap(PolydiskAutomorphism([0.2]), f)
-    assert certified_sup_bound(T) == pytest.approx(0.9)
+    assert f.sup_bound == f.l1_norm == pytest.approx(0.9)
+    # an automorphism maps the polydisk onto itself, so a composition keeps its outer bound
+    phi = PolydiskAutomorphism([0.2])
+    assert ComposedMap(phi, f).sup_bound == f.sup_bound
+    assert ComposedMap(phi, ColonnaMap(1j, 0.3, 1)).sup_bound == 1.0
+    assert ComposedMap(phi, BlaschkeProduct([0.3, -0.5j])).sup_bound == 1.0
+    # a declared bound counts where it is below the l1 norm
+    assert SeriesMap.from_tensors(f.a, f.b, certified_sup=0.5).sup_bound == 0.5
+    assert SeriesMap.from_tensors(f.a, f.b, certified_sup=2.0).sup_bound == f.l1_norm
+    assert SeriesMap(1, 1, f.holo, f.anti, certified_sup=0.25).sup_bound == 0.25
     # the truncated extremal series carries a range certificate despite l1 > 1
     s = ColonnaMap(1, 0, 1).to_series(32)
-    assert certified_sup_bound(s) == 1.0
+    assert s.l1_norm > 1.0 and s.sup_bound == 1.0
+    # a class that states no bound has none
+    assert PluriharmonicMap().sup_bound == math.inf
+    for bad in (-0.5, math.nan, math.inf, "one"):
+        with pytest.raises(MapFormatError, match="certified_sup"):
+            SeriesMap.from_tensors(np.zeros((1, 2), complex), np.zeros((1, 2), complex),
+                                   certified_sup=bad)
+
+
+def test_require_certified_reads_the_bound_the_class_states():
+    class Stated(PluriharmonicMap):
+        n = N = 1
+        sup_bound = 0.5
+
+    assert require_certified(Stated()) == 0.5
+    Stated.sup_bound = 1.5
+    with pytest.raises(HypothesisError, match=r"sup bound 1\.5 > 1"):
+        require_certified(Stated())
+
+
+@pytest.mark.xfail(strict=True, reason="ColonnaMap.to_series stamps certified_sup = 1.0 on a "
+                   "truncation that reaches |f| = 1.16645 (FOUND in CHANGES.md, ROADMAP item 1)")
+def test_a_truncated_extremal_series_stays_within_its_sup_bound():
+    s = ColonnaMap().to_series(32)
+    z = 0.999 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 20001))
+    assert np.abs(s.eval_points(z[:, None])).max() <= s.sup_bound
 
 
 def test_require_certified_refuses_unbounded_map():

@@ -451,12 +451,24 @@ def test_a_tolerance_that_is_not_finite_is_a_usage_error(tmp_path, capsys, tol):
 def test_orders_beyond_the_double_range_exit_2_without_a_traceback(tmp_path, capsys, degree,
                                                                    alpha, method):
     # alpha = 171 once raised OverflowError in rhs_polydisk or in cauchy_derivative's
-    # float(alpha!), and alpha = 120 on a degree-1000 series in _axis_weights.
+    # float(alpha!), and alpha = 120 on a degree-1000 series in _axis_weights.  That
+    # derivative is finite at z = 0, so its case takes the grid's z = 0.9 point too.
     path = _write_random(tmp_path, n=1, degree=degree, seed=1)
     out_path = tmp_path / "reports.jsonl"
     capsys.readouterr()
     assert main(["verify", "--map", str(path), "--alpha", alpha, "--method", method,
-                 "--grid", "1", "--out", str(out_path)]) == 2
+                 "--grid", "2" if alpha == "120" else "1", "--out", str(out_path)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "error:" in err
     assert not out_path.exists()
+
+
+def test_an_order_past_the_double_range_of_its_weights_is_checked_at_zero(tmp_path, capsys):
+    # At z = 0 only the k = alpha term of the derivative is nonzero; it once came out NaN.
+    path = _write_random(tmp_path, n=1, degree=1000, seed=1)
+    out_path = tmp_path / "reports.jsonl"
+    assert main(["verify", "--map", str(path), "--alpha", "120", "--grid", "1",
+                 "--out", str(out_path)]) == 0
+    (report,) = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert report["pass"] and 0 < report["lhs"] < math.inf
+    assert "Warning" not in capsys.readouterr().err

@@ -8,6 +8,7 @@ is derived from the other.
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,16 @@ def test_falling_factorials_past_the_largest_double_are_infinite():
     with np.errstate(invalid="ignore", over="ignore"):
         A, _ = derivative_exact(random_bounded_map(1, 1, 1000, seed=1), [0.5], (120,))
     assert not np.isfinite(A).all()
+
+
+def test_a_series_derivative_past_the_double_range_of_its_weights_is_finite_at_zero():
+    # At z = 0 the inf weights of k > alpha multiply zero powers; that once gave NaN.
+    f = random_bounded_map(1, 1, 1000, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        A, B = derivative_exact(f, [0.0], (120,))
+    weight = float(math.factorial(120))
+    assert A[0] == weight * f.a[0, 120] and B[0] == np.conj(weight * f.b[0, 120])
 
 
 def test_a_map_without_exact_derivatives_asks_for_cauchy():

@@ -122,3 +122,49 @@ def test_ndim_checker_names_the_enclosing_function(tmp_path):
                     "        return np.ndim(z)\n"
                     "    return np.ndim(z)\n")
     assert _ndim_homes(path) == {("bounds", None), ("bounds", "g"), ("bounds", "f")}
+
+
+def _map_classes(source: str) -> set[str]:
+    """PluriharmonicMap and every class of the source derived from one of them."""
+    found = {"PluriharmonicMap"}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) in found
+                                                  for b in node.bases):
+            found.add(node.name)
+    return found
+
+
+def _named_map_classes(path: Path, classes: set[str]) -> set[str]:
+    """The classes of `classes` that a module imports by name or reads as an attribute."""
+    tree = ast.parse(path.read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return names & classes
+
+
+def test_the_range_certificate_has_one_home():
+    # Each map class states its sup_bound in mapping, and a declared bound is read there
+    # alone; bounds and quadrature dispatch on no closed-form class.
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert [name for name, text in sources.items() if "certified_sup" in text] == ["mapping"]
+    classes = _map_classes(sources["mapping"])
+    assert {"SeriesMap", "ColonnaMap", "BlaschkeProduct", "ComposedMap"} <= classes
+    for name in ("bounds", "quadrature"):
+        assert _named_map_classes(PACKAGE / f"{name}.py", classes) \
+            <= {"PluriharmonicMap", "SeriesMap"}
+
+
+def test_map_class_checker_sees_subclasses_imports_and_attributes(tmp_path):
+    assert _map_classes("class PluriharmonicMap:\n    pass\n"
+                        "class A(PluriharmonicMap):\n    pass\n"
+                        "class B(A):\n    pass\n"
+                        "class C:\n    pass\n") == {"PluriharmonicMap", "A", "B"}
+    path = tmp_path / "bounds.py"
+    path.write_text("from .mapping import (ColonnaMap, SeriesMap, to_pairs)\n"
+                    "from polyschwarz.mapping import ComposedMap\n"
+                    "from . import mapping\n"
+                    "kind = mapping.BlaschkeProduct\n")
+    assert _named_map_classes(path, {"SeriesMap", "ColonnaMap", "ComposedMap", "BlaschkeProduct",
+                                     "PluriharmonicMap"}) \
+        == {"SeriesMap", "ColonnaMap", "ComposedMap", "BlaschkeProduct"}

@@ -9,7 +9,7 @@ import pytest
 from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, MapFormatError,
                          PluriharmonicMap, PolydiskAutomorphism, QuadratureSpec, SeriesMap, derivative_exact,
                          extract_coefficient, jacobian_pair, load_map, map_from_dict,
-                         map_to_dict, random_bounded_map, save_map, sup_bound_l1)
+                         map_to_dict, random_bounded_map, save_map)
 from polyschwarz import mapping
 from polyschwarz.multiindex import enumerate_indices
 
@@ -268,7 +268,7 @@ def test_automorphism_validation():
 def test_random_bounded_map_contract():
     for seed in (0, 7, 123):
         f = random_bounded_map(2, 1, 5, seed=seed, margin=0.05)
-        assert sup_bound_l1(f) <= 0.95 + 1e-12
+        assert f.l1_norm <= 0.95 + 1e-12
     g1 = random_bounded_map(2, 1, 5, seed=7)
     g2 = random_bounded_map(2, 1, 5, seed=7)
     assert set(g1.holo) == set(g2.holo)
@@ -284,7 +284,7 @@ def _random_map_through_dicts(n, N, degree, seed, margin=0.05):
     x = np.random.default_rng(seed).standard_normal((len(indices), 4, N))
     raw = SeriesMap(n, N, dict(zip(indices, x[:, 0] + 1j * x[:, 1])),
                     dict(zip(indices, x[:, 2] + 1j * x[:, 3])))
-    return raw.scaled((1.0 - margin) / sup_bound_l1(raw))
+    return raw.scaled((1.0 - margin) / raw.l1_norm)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -516,14 +516,14 @@ def test_l1_norm_is_cached_per_map_and_equals_a_fresh_sum():
         for m in (f, SeriesMap(n, N, f.holo, f.anti), g):
             assert "l1_norm" not in vars(m)
             fresh = np.linalg.norm(m.a, axis=0).sum() + np.linalg.norm(m.b, axis=0).sum()
-            assert sup_bound_l1(m) == fresh
+            assert m.l1_norm == fresh
             assert vars(m)["l1_norm"] == fresh
             # the cache is sound only because the tensors cannot be written
             with pytest.raises(ValueError):
                 m.a[(0,) * (n + 1)] = 1.0
         # a derived map gets its own value, not its source's
-        assert sup_bound_l1(g) == pytest.approx(0.5 * sup_bound_l1(f), rel=1e-15)
-        assert sup_bound_l1(g) != sup_bound_l1(f)
+        assert g.l1_norm == pytest.approx(0.5 * f.l1_norm, rel=1e-15)
+        assert g.l1_norm != f.l1_norm
 
 
 def test_zero_valued_terms_are_not_kept():

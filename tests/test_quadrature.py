@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, QuadratureSpec, SeriesMap,
-                         abs_cos_integral, cauchy_derivative, cauchy_rule, certified_sup_bound,
-                         derivative_exact, extract_coefficient, extract_coefficients,
-                         jacobian_pair, random_bounded_map, sup_bound_l1, torus_trapezoid,
+                         abs_cos_integral, cauchy_derivative, cauchy_rule, derivative_exact,
+                         extract_coefficient, extract_coefficients, jacobian_pair,
+                         random_bounded_map, torus_trapezoid,
                          verify_derivative_bound, PolydiskAutomorphism)
 from polyschwarz.multiindex import degree as mi_degree, enumerate_indices
 
@@ -205,7 +205,7 @@ def _near_boundary_maps():
 def test_cauchy_error_bound_holds_up_to_the_boundary(f):
     # Points up to t = 0.98, where the old default rule raised (t >= 0.95) or was off
     # by up to 5e4 at t = 0.94 while its reports said pass.
-    sup = certified_sup_bound(f)
+    sup = f.sup_bound
     alphas = [(1,), (2,), (3,)] if f.n == 1 else [(1, 1), (2, 1), (1, 2), (3, 1)]
     for t in np.linspace(0.5, 0.98, 9):
         z = [t] if f.n == 1 else [t, 0.3j * t]
@@ -307,13 +307,12 @@ def test_sample_cache_holds_only_the_latest_keys():
 
 def test_sup_bound_l1():
     f = SeriesMap(2, 1, {(1, 0): [0.6]}, {(0, 1): [0.3]})
-    assert sup_bound_l1(f) == pytest.approx(0.9)
+    assert f.l1_norm == pytest.approx(0.9)
     const = SeriesMap(1, 1, {(0,): [0.25j]})
-    assert sup_bound_l1(const) == pytest.approx(0.25)
-    assert sup_bound_l1(random_bounded_map(2, 1, 3, seed=1, margin=0.05)) <= 0.95 + 1e-12
+    assert const.l1_norm == pytest.approx(0.25)
+    assert random_bounded_map(2, 1, 3, seed=1, margin=0.05).l1_norm <= 0.95 + 1e-12
     T = ComposedMap(PolydiskAutomorphism([0.1, 0.1]), f)
-    with pytest.raises(ValueError):
-        sup_bound_l1(T)
+    assert T.sup_bound == f.l1_norm
 
 
 def test_parseval_consistency():
