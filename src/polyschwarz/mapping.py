@@ -284,17 +284,20 @@ class SeriesMap(PluriharmonicMap):
         t = np.concatenate([self.a[part], self.b[part]])
         A = np.empty((len(Z), self.N), dtype=complex)
         B = np.empty_like(A)
-        for chunk in _row_slices(len(Z), t.shape):
-            tables = []
-            for zj, aj, dj in zip(Z[chunk].T, alpha, self.a.shape[1:]):
-                falling, exponents = _axis_weights(aj, dj)
-                table = zj[:, None] ** exponents
-                # A zero power stays a zero term, also where its falling factorial is inf.
-                tables.append(np.multiply(falling, table, out=table, where=table != 0))
-            res = _contract_rows(t, tables)
-            A[chunk] = res[:, :self.N]
-            # The anti-holomorphic sum is conj(sum b_k (falling factorial) z^(k - alpha)).
-            np.conj(res[:, self.N:], out=B[chunk])
+        # A term past the double range is inf or NaN (inf times a zero imaginary part), and
+        # so is the result, which make_report refuses; numpy need not warn on the way.
+        with np.errstate(invalid="ignore", over="ignore"):
+            for chunk in _row_slices(len(Z), t.shape):
+                tables = []
+                for zj, aj, dj in zip(Z[chunk].T, alpha, self.a.shape[1:]):
+                    falling, exponents = _axis_weights(aj, dj)
+                    table = zj[:, None] ** exponents
+                    # A zero power stays a zero term, also where its falling factorial is inf.
+                    tables.append(np.multiply(falling, table, out=table, where=table != 0))
+                res = _contract_rows(t, tables)
+                A[chunk] = res[:, :self.N]
+                # The anti-holomorphic sum is conj(sum b_k (falling factorial) z^(k - alpha)).
+                np.conj(res[:, self.N:], out=B[chunk])
         return A, B
 
 

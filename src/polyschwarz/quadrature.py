@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,8 +23,8 @@ from .mapping import (MAX_SAMPLE_BYTES, PluriharmonicMap, SeriesMap, check_index
 DEFAULT_EXTRACTION_RADIUS = 0.5
 DEFAULT_EXTRACTION_NODES = 64
 DEFAULT_LEMMA_NODES = 4096
-# Torus samples (with their FFTs) kept per map: two, so that comparing two
-# contour radii or node counts at one point does not rebuild each sample.
+# Whole Cauchy samples kept, over all maps: two, so that two orders or two
+# contour rules used in turn at nearby points do not rebuild each sample.
 QUAD_CACHE_ENTRIES = 2
 MIN_NODES = 8
 # The a priori error bound a default Cauchy rule is sized for: a hundredth
@@ -31,9 +32,9 @@ MIN_NODES = 8
 CAUCHY_ERROR_TARGET = 1e-9
 # Contour radius of an axis with |z_j| <= 0.25; farther out it is sqrt(|z_j|).
 CAUCHY_MIN_RADIUS = 0.5
-# The largest torus sample a Cauchy derivative takes whole (and caches); a
-# larger one is evaluated in slabs of at most this size, so that no grid-sized
-# array is allocated and faulted in for every point.
+# The largest torus sample a Cauchy derivative takes whole (from _torus_sample);
+# a larger one is evaluated in slabs of at most this size, none of them cached,
+# so that no grid-sized array is allocated and faulted in for every point.
 CAUCHY_SLAB_BYTES = 1 << 20
 EPS = float(np.finfo(float).eps)
 
@@ -125,13 +126,13 @@ def abs_cos_integral(m: int, gamma: float, nodes: int | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Shared torus sampling.  Maps are immutable after construction, so grid
-# values and their FFTs are cached on the map object keyed by (radii, nodes),
-# for the QUAD_CACHE_ENTRIES most recently used keys: coefficient extractions
-# at one spec, and Cauchy derivatives whose rules agree, share one sample.
-# The grid is the tensor product of one circle per axis, with its own radius
-# and node count, and is evaluated through eval_grid, which series maps
-# contract axis by axis.
+# Shared torus sampling.  The grid is the tensor product of one circle per
+# axis, with its own radius and node count, and is evaluated through
+# eval_grid, which series maps contract axis by axis.  Maps hold no samples:
+# _torus_sample keeps the QUAD_CACHE_ENTRIES whole Cauchy samples used last,
+# keyed by the map (by identity, since no map class defines __eq__), the radii
+# and the node counts, so Cauchy derivatives whose rules agree share one.
+# Coefficient tables are sampled and transformed on every call.
 # ---------------------------------------------------------------------------
 
 def _check_sample_size(nodes, N: int, chosen: bool = False) -> None:
@@ -145,36 +146,27 @@ def _check_sample_size(nodes, N: int, chosen: bool = False) -> None:
     check_tensor_size((*nodes, N), wording)
 
 
-def _circle(r: float, M: int) -> np.ndarray:
-    """The M nodes r e^(2 pi i m / M) of one axis."""
-    return r * np.exp(2j * np.pi * np.arange(M) / M)
+def _circles(radii, nodes) -> tuple[np.ndarray, ...]:
+    """Per axis, the M nodes r e^(2 pi i m / M) of its radius r and node count M."""
+    return tuple(r * np.exp(2j * np.pi * np.arange(M) / M) for r, M in zip(radii, nodes))
 
 
-def _torus_samples(mapping: PluriharmonicMap, radii, nodes, circles=None) -> np.ndarray:
-    """The map's values on the torus of these radii and node counts (whose
-    circles a caller that has them passes along), from the cache if it holds them.
-    The caller keeps the size rule: _fourier_table checks it, and cauchy_derivative
-    takes a sample whole only within CAUCHY_SLAB_BYTES."""
-    cache = mapping.__dict__.setdefault("_quad_cache", {})
-    key = (tuple(radii), tuple(nodes))
-    entry = cache.pop(key, None)
-    if entry is None:
-        if len(cache) >= QUAD_CACHE_ENTRIES:
-            del cache[next(iter(cache))]  # release the oldest sample before building the next
-        if circles is None:
-            circles = [_circle(r, M) for r, M in zip(radii, nodes)]
-        entry = {"samples": mapping.eval_grid(circles)}
-    cache[key] = entry  # the most recently used key goes last
-    return entry["samples"]
+@lru_cache(maxsize=QUAD_CACHE_ENTRIES)
+def _torus_sample(mapping: PluriharmonicMap, radii: tuple, nodes: tuple) -> tuple:
+    """The circles of the torus of these radii and node counts and the map's values
+    on it, all read-only.  The caller keeps the size rule: cauchy_derivative takes a
+    sample from here only within CAUCHY_SLAB_BYTES."""
+    circles = _circles(radii, nodes)
+    samples = mapping.eval_grid(circles)
+    for values in (*circles, samples):
+        values.flags.writeable = False
+    return circles, samples
 
 
 def _fourier_table(mapping: PluriharmonicMap, radii, nodes) -> np.ndarray:
     _check_sample_size(nodes, mapping.N)
-    vals = _torus_samples(mapping, radii, nodes)
-    entry = mapping._quad_cache[(tuple(radii), tuple(nodes))]
-    if "fft" not in entry:
-        entry["fft"] = np.fft.fftn(vals, axes=tuple(range(mapping.n))) / math.prod(nodes)
-    return entry["fft"]
+    vals = mapping.eval_grid(_circles(radii, nodes))
+    return np.fft.fftn(vals, axes=tuple(range(mapping.n))) / math.prod(nodes)
 
 
 def _read_coefficient(F: np.ndarray, k, radii, nodes):
@@ -463,9 +455,10 @@ def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec=None):
     alpha! is not a double (check_factorial) is refused before anything is sampled.  The
     result carries no error claim.  The torus has a circle of its own radius and node count
     per axis, and both kernels of an axis are contracted with the sample in one
-    matmul.  A sample of at most CAUCHY_SLAB_BYTES comes from the map's sample cache;
-    a larger one is evaluated and contracted in slabs of at most that size along the
-    first axis, and none of it is kept.
+    matmul.  A sample of at most CAUCHY_SLAB_BYTES comes whole, with its circles, from
+    _torus_sample, which keeps the QUAD_CACHE_ENTRIES used last over all maps; a larger
+    one is evaluated and contracted in slabs of at most that size along the first axis,
+    and none of it is kept.
     """
     alpha = check_factorial(check_index(alpha, mapping.n))
     if not any(alpha):
@@ -475,7 +468,10 @@ def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec=None):
     rule = spec if isinstance(spec, CauchyRule) else cauchy_rule(z, alpha, 1.0, spec, mapping.N)
     _check_radii([abs(complex(c)) for c in z], rule.radii)
     _check_nodes(alpha, rule.nodes)
-    circles = [_circle(r, M) for r, M in zip(rule.radii, rule.nodes)]
+    first, rest = rule.nodes[0], math.prod(rule.nodes[1:]) * mapping.N
+    rows = max(1, CAUCHY_SLAB_BYTES // (rest * np.dtype(complex).itemsize))
+    circles, samples = (_torus_sample(mapping, rule.radii, rule.nodes) if rows >= first
+                        else (_circles(rule.radii, rule.nodes), None))
     # Row 0 of an axis's kernels gives A; row 1, the conjugate kernel, gives B,
     # since the anti-holomorphic part is conj(sum conj(V) K) = sum V conj(K).
     kernels = []
@@ -484,10 +480,8 @@ def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec=None):
         np.divide(eta, (eta - zj) ** (aj + 1), out=K[0])
         np.conj(K[0], out=K[1])
         kernels.append(K)
-    first, rest = rule.nodes[0], math.prod(rule.nodes[1:]) * mapping.N
-    rows = max(1, CAUCHY_SLAB_BYTES // (rest * np.dtype(complex).itemsize))
-    if rows >= first:
-        res = kernels[0] @ _torus_samples(mapping, rule.radii, rule.nodes, circles).reshape(first, rest)
+    if samples is not None:
+        res = kernels[0] @ samples.reshape(first, rest)
     else:
         res = sum(kernels[0][:, i:i + rows]
                   @ mapping.eval_grid([circles[0][i:i + rows], *circles[1:]]).reshape(-1, rest)

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -461,6 +462,16 @@ def test_orders_beyond_the_double_range_exit_2_without_a_traceback(tmp_path, cap
     err = capsys.readouterr().err
     assert "Traceback" not in err and "error:" in err
     assert not out_path.exists()
+
+
+def test_an_order_past_the_double_range_is_refused_without_a_numpy_warning(tmp_path):
+    # At z = 0.9 the weights past the largest double once made numpy warn "invalid
+    # value encountered in multiply" (and "in matmul") on stderr before the refusal.
+    path = _write_random(tmp_path, n=1, degree=1000, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--map", str(path), "--alpha", "120", "--grid", "2",
+                     "--out", str(tmp_path / "reports.jsonl")]) == 2
 
 
 def test_an_order_past_the_double_range_of_its_weights_is_checked_at_zero(tmp_path, capsys):

@@ -168,3 +168,26 @@ def test_map_class_checker_sees_subclasses_imports_and_attributes(tmp_path):
     assert _named_map_classes(path, {"SeriesMap", "ColonnaMap", "ComposedMap", "BlaschkeProduct",
                                      "PluriharmonicMap"}) \
         == {"SeriesMap", "ColonnaMap", "ComposedMap", "BlaschkeProduct"}
+
+
+
+def _dict_names(source: str) -> list[int]:
+    """Lines that name __dict__, as an attribute, a name or a string."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if "__dict__" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                    getattr(node, "value", None)))
+
+
+def test_no_module_names_an_object_dict():
+    # A map holds what its constructor built and its cached_property values; no
+    # module stores anything else in it through its __dict__.
+    assert {p.stem: lines for p in PACKAGE.glob("*.py") if (lines := _dict_names(p.read_text()))} \
+        == {}
+
+
+def test_dict_checker_sees_attributes_names_and_strings():
+    assert _dict_names("cache = mapping.__dict__.setdefault('c', {})\n"
+                       "d = __dict__\n"
+                       "e = getattr(f, '__dict__')\n"
+                       "g = vars(f)\n"
+                       "h = f.dict\n") == [1, 2, 3]

@@ -1,5 +1,6 @@
 import json
 import math
+from functools import cached_property
 
 import tracemalloc
 
@@ -8,8 +9,9 @@ import pytest
 
 from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, MapFormatError,
                          PluriharmonicMap, PolydiskAutomorphism, QuadratureSpec, SeriesMap, derivative_exact,
-                         extract_coefficient, jacobian_pair, load_map, map_from_dict,
-                         map_to_dict, random_bounded_map, save_map)
+                         cauchy_derivative, extract_coefficient, extract_coefficients, jacobian_pair,
+                         load_map, map_from_dict, map_to_dict, random_bounded_map, save_map,
+                         verify_derivative_bound)
 from polyschwarz import mapping
 from polyschwarz.multiindex import enumerate_indices
 
@@ -544,17 +546,24 @@ def test_oversized_coefficient_tensor_is_refused_before_allocation():
         tracemalloc.stop()
 
 
-def test_derived_series_start_with_an_empty_quadrature_cache():
+def test_quadrature_leaves_every_map_as_it_was_built():
+    # A map holds what its constructor built and its cached_property values; the
+    # quadrature routines keep their samples elsewhere.
     f = random_bounded_map(1, 1, 3, seed=2)
-    extract_coefficient(f, (1,))
-    assert f._quad_cache
-    g = f.scaled(0.5)
     part = SeriesMap.from_tensors(f.a * (f.degrees == 2), f.b * (f.degrees == 2))
-    for derived in (g, part):
-        assert "_quad_cache" not in vars(derived)
-        extract_coefficient(derived, (1,))
-        assert derived._quad_cache is not f._quad_cache
-    np.testing.assert_allclose(g.a, 0.5 * f.a)
+    maps = (f, f.scaled(0.5), part, random_bounded_map(2, 1, 3, seed=1), ColonnaMap(),
+            BlaschkeProduct([0.3, -0.2j]), ComposedMap(PolydiskAutomorphism([0.2]), f))
+    for g in maps:
+        built = dict(vars(g))
+        z = [0.3] * g.n
+        cauchy_derivative(g, z, (1,) * g.n)
+        extract_coefficient(g, (1,) * g.n)
+        extract_coefficients(g, 2)
+        verify_derivative_bound(g, z, (1,) * g.n, method="cauchy")
+        added = vars(g).keys() - built.keys()
+        assert all(isinstance(getattr(type(g), name, None), cached_property) for name in added), added
+        assert all(vars(g)[name] is value for name, value in built.items())
+    np.testing.assert_allclose(maps[1].a, 0.5 * f.a)
 
 
 def test_derivative_of_an_order_above_the_degree_is_zero_and_allocates_nothing():

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from polyschwarz import quadrature
 from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, QuadratureSpec, SeriesMap,
                          abs_cos_integral, cauchy_derivative, cauchy_rule, derivative_exact,
                          extract_coefficient, extract_coefficients, jacobian_pair,
@@ -290,7 +291,11 @@ def test_sample_cache_holds_only_the_latest_keys():
     assert keys[:2] == [((0.5, 0.5), (32, 32)), ((0.5, 0.5), (48, 48))]
     assert [k[1] for k in keys[-2:]] == [(512, 48), (768, 64)]
     assert len(builds) == 17
-    assert list(f._quad_cache) == keys[-2:]
+    assert quadrature._torus_sample.cache_info().currsize == 2
+    # The cache holds the latest two keys: they are served again without a build.
+    for alpha in ((3, 1), (1, 1)):
+        cauchy_derivative(f, [ts[-1], 0.3j * ts[-1]], alpha)
+    assert len(builds) == 17
     # The n first-order Cauchy derivatives of a Jacobian no longer share one sample:
     # the axis differentiated once needs more nodes than the other, (64, 48) for
     # (1, 0) and (48, 64) for (0, 1) at |z_j| = 0.3, so they take two samples.
@@ -299,10 +304,26 @@ def test_sample_cache_holds_only_the_latest_keys():
     for alpha in ((1, 0), (0, 1)):
         cauchy_derivative(T, [0.3, -0.3j], alpha)
     assert [len(axis) for axes in builds for axis in axes] == [64, 48, 48, 64]
-    assert len(T._quad_cache) == 2
+    assert quadrature._torus_sample.cache_info().currsize == 2
     # jacobian_pair is exact for composed maps and samples nothing
     jacobian_pair(T, [0.3, -0.2j])
     assert len(builds) == 2
+
+
+def test_slabs_agree_with_the_whole_sample_and_are_not_cached(monkeypatch):
+    # The default rule at this point has 192 x 64 nodes, a 384 KiB sample that is
+    # taken whole; with 4 KiB slabs the same sum is taken 2 rows of 64 x 2 at a time.
+    f = random_bounded_map(2, 2, 4, seed=3)
+    z, alpha = [0.6, 0.3j], (2, 1)
+    assert cauchy_rule(z, alpha).nodes == (192, 64)
+    whole = cauchy_derivative(f, z, alpha)
+    info = quadrature._torus_sample.cache_info()
+    monkeypatch.setattr(quadrature, "CAUCHY_SLAB_BYTES", 4096)
+    builds = _count_grid_builds(f)
+    slabs = cauchy_derivative(f, z, alpha)
+    assert len(builds) == 96
+    np.testing.assert_allclose(np.array(slabs), np.array(whole), rtol=1e-14, atol=0)
+    assert quadrature._torus_sample.cache_info() == info
 
 
 def test_sup_bound_l1():
