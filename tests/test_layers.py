@@ -170,7 +170,6 @@ def test_map_class_checker_sees_subclasses_imports_and_attributes(tmp_path):
         == {"SeriesMap", "ColonnaMap", "ComposedMap", "BlaschkeProduct"}
 
 
-
 def _dict_names(source: str) -> list[int]:
     """Lines that name __dict__, as an attribute, a name or a string."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
