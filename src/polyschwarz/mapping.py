@@ -172,6 +172,22 @@ class PluriharmonicMap:
         values = self.eval_points(grid_rows(axes))
         return values.reshape(tuple(len(a) for a in axes) + (self.N,))
 
+    def kernel_sums(self, axes, kernels) -> np.ndarray:
+        """The sums over the tensor grid of n per-axis point arrays eta_j of
+        prod_j K_j[p, m_j] f(eta_m), p = 0, 1, shape (2, N), for kernels K_j of shape
+        (2, M_j) whose second row is the conjugate of the first.  Generic fallback:
+        eval_grid in slabs of at most ROW_CHUNK_BYTES along the first axis, each
+        contracted with the kernels of that axis, then the other axes in turn."""
+        axes = _check_axes(axes, self.n)
+        rest = math.prod(len(a) for a in axes[1:]) * self.N
+        rows = max(1, ROW_CHUNK_BYTES // (rest * np.dtype(complex).itemsize))
+        res = sum(kernels[0][:, i:i + rows]
+                  @ self.eval_grid([axes[0][i:i + rows], *axes[1:]]).reshape(-1, rest)
+                  for i in range(0, len(axes[0]), rows))
+        for K in kernels[1:]:
+            res = (K[:, None, :] @ res.reshape(2, K.shape[1], -1))[:, 0]
+        return res
+
     def __call__(self, z) -> np.ndarray:
         return self.eval_points(check_points([z], self.n))[0]
 
@@ -277,6 +293,15 @@ class SeriesMap(PluriharmonicMap):
         b = np.moveaxis(_contract_grid(np.conj(self.b), [np.conj(T) for T in tables]), 1, -1)
         out = np.concatenate([a, b], axis=-1) @ np.concatenate([last, np.conj(last)], axis=1).T
         return np.moveaxis(out, 0, -1)
+
+    def kernel_sums(self, axes, kernels) -> np.ndarray:
+        """Separable: the grid values are the tensors contracted with one power table
+        T_j per axis, so each axis's kernels are contracted with its table first,
+        H_j = K_j @ T_j of shape (2, D_j), and then the tensors with those; no
+        grid-sized array is built.  The kernels of row p sum conj(b_k eta^k) to
+        conj(b . H[1 - p]), since the rows of each K_j are conjugates."""
+        H = [K @ T for K, T in zip(kernels, self._power_tables(_check_axes(axes, self.n)))]
+        return _contract_rows(self.a, H) + np.conj(_contract_rows(self.b, H)[::-1])
 
     def _derivative(self, Z, alpha):
         part = (slice(None),) + tuple(slice(aj, None) for aj in alpha)
@@ -439,10 +464,15 @@ class ComposedMap(PluriharmonicMap):
     def eval_points(self, Z) -> np.ndarray:
         return self.outer.eval_points(self.inner(np.asarray(Z, dtype=complex)))
 
-    def eval_grid(self, axes) -> np.ndarray:
+    def _inner_axes(self, axes) -> list[np.ndarray]:
         # The automorphism acts coordinatewise, so it maps the grid's axes.
-        axes = _check_axes(axes, self.n)
-        return self.outer.eval_grid([self.inner.coordinate(j, a) for j, a in enumerate(axes)])
+        return [self.inner.coordinate(j, a) for j, a in enumerate(_check_axes(axes, self.n))]
+
+    def eval_grid(self, axes) -> np.ndarray:
+        return self.outer.eval_grid(self._inner_axes(axes))
+
+    def kernel_sums(self, axes, kernels) -> np.ndarray:
+        return self.outer.kernel_sums(self._inner_axes(axes), kernels)
 
     def _derivative(self, Z, alpha):
         # Faa di Bruno per coordinate: d^m/dz^m u(phi(z)) = sum_k u^(k)(phi(z)) * weight_k,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,19 +22,12 @@ from .mapping import (MAX_SAMPLE_BYTES, PluriharmonicMap, SeriesMap, check_index
 DEFAULT_EXTRACTION_RADIUS = 0.5
 DEFAULT_EXTRACTION_NODES = 64
 DEFAULT_LEMMA_NODES = 4096
-# Whole Cauchy samples kept, over all maps: two, so that two orders or two
-# contour rules used in turn at nearby points do not rebuild each sample.
-QUAD_CACHE_ENTRIES = 2
 MIN_NODES = 8
 # The a priori error bound a default Cauchy rule is sized for: a hundredth
 # of the quadrature tolerance, bounds.DEFAULT_TOL_QUAD.
 CAUCHY_ERROR_TARGET = 1e-9
 # Contour radius of an axis with |z_j| <= 0.25; farther out it is sqrt(|z_j|).
 CAUCHY_MIN_RADIUS = 0.5
-# The largest torus sample a Cauchy derivative takes whole (from _torus_sample);
-# a larger one is evaluated in slabs of at most this size, none of them cached,
-# so that no grid-sized array is allocated and faulted in for every point.
-CAUCHY_SLAB_BYTES = 1 << 20
 EPS = float(np.finfo(float).eps)
 
 
@@ -126,13 +118,10 @@ def abs_cos_integral(m: int, gamma: float, nodes: int | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Shared torus sampling.  The grid is the tensor product of one circle per
-# axis, with its own radius and node count, and is evaluated through
-# eval_grid, which series maps contract axis by axis.  Maps hold no samples:
-# _torus_sample keeps the QUAD_CACHE_ENTRIES whole Cauchy samples used last,
-# keyed by the map (by identity, since no map class defines __eq__), the radii
-# and the node counts, so Cauchy derivatives whose rules agree share one.
-# Coefficient tables are sampled and transformed on every call.
+# Torus grids.  The grid is the tensor product of one circle per axis, with
+# its own radius and node count.  Coefficient tables sample it through
+# eval_grid and transform the sample; Cauchy derivatives contract it with
+# their kernels through kernel_sums.  Nothing is kept between calls.
 # ---------------------------------------------------------------------------
 
 def _check_sample_size(nodes, N: int, chosen: bool = False) -> None:
@@ -149,18 +138,6 @@ def _check_sample_size(nodes, N: int, chosen: bool = False) -> None:
 def _circles(radii, nodes) -> tuple[np.ndarray, ...]:
     """Per axis, the M nodes r e^(2 pi i m / M) of its radius r and node count M."""
     return tuple(r * np.exp(2j * np.pi * np.arange(M) / M) for r, M in zip(radii, nodes))
-
-
-@lru_cache(maxsize=QUAD_CACHE_ENTRIES)
-def _torus_sample(mapping: PluriharmonicMap, radii: tuple, nodes: tuple) -> tuple:
-    """The circles of the torus of these radii and node counts and the map's values
-    on it, all read-only.  The caller keeps the size rule: cauchy_derivative takes a
-    sample from here only within CAUCHY_SLAB_BYTES."""
-    circles = _circles(radii, nodes)
-    samples = mapping.eval_grid(circles)
-    for values in (*circles, samples):
-        values.flags.writeable = False
-    return circles, samples
 
 
 def _fourier_table(mapping: PluriharmonicMap, radii, nodes) -> np.ndarray:
@@ -268,11 +245,13 @@ class CauchyRule:
       (M + 2) units in the last place per axis of M nodes (twice the bound
       sqrt(2) gamma_(M+2) on a complex dot product of length M; Higham,
       Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
-      section 3.6) plus 16 for each sampled value, times 2 alpha! S and the
-      kernels' grid means.  The 16 units per value assume that the map
-      evaluates to within 16 S ulps; that is not derived, and a series
-      with many terms or a closed form near the boundary (conditioning
-      about 1/(1 - |z|)) can err by more.
+      section 3.6) plus 16 for each grid value, times 2 alpha! S and the
+      kernels' grid means.  The 16 units per value assume that the map's
+      values, which a series forms implicitly by the contraction of its
+      tensors with per-axis power tables in kernel_sums and a closed form
+      by evaluation, are within 16 S ulps; that is assumed, not derived,
+      and a series with many terms or a closed form near the boundary
+      (conditioning about 1/(1 - |z|)) can err by more.
     Either is math.inf when it overflows."""
 
     radii: tuple
@@ -452,13 +431,12 @@ def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec=None):
     sup ||f|| <= 1, the maps into the unit ball that the estimates concern.  Either way
     the rule must meet the contour rule at z and alpha (see cauchy_rule), so one sized
     at another point or order is refused when it cannot serve this one.  An order whose
-    alpha! is not a double (check_factorial) is refused before anything is sampled.  The
+    alpha! is not a double (check_factorial) is refused before the map is evaluated.  The
     result carries no error claim.  The torus has a circle of its own radius and node count
-    per axis, and both kernels of an axis are contracted with the sample in one
-    matmul.  A sample of at most CAUCHY_SLAB_BYTES comes whole, with its circles, from
-    _torus_sample, which keeps the QUAD_CACHE_ENTRIES used last over all maps; a larger
-    one is evaluated and contracted in slabs of at most that size along the first axis,
-    and none of it is kept.
+    per axis, with two kernels, and the map's kernel_sums gives both trapezoid sums: a
+    series (also one composed with an automorphism) contracts each axis's kernels with its
+    power table and never builds the grid; any other map is sampled in slabs of at most
+    ROW_CHUNK_BYTES along the first axis.  Nothing is kept between calls.
     """
     alpha = check_factorial(check_index(alpha, mapping.n))
     if not any(alpha):
@@ -468,10 +446,7 @@ def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec=None):
     rule = spec if isinstance(spec, CauchyRule) else cauchy_rule(z, alpha, 1.0, spec, mapping.N)
     _check_radii([abs(complex(c)) for c in z], rule.radii)
     _check_nodes(alpha, rule.nodes)
-    first, rest = rule.nodes[0], math.prod(rule.nodes[1:]) * mapping.N
-    rows = max(1, CAUCHY_SLAB_BYTES // (rest * np.dtype(complex).itemsize))
-    circles, samples = (_torus_sample(mapping, rule.radii, rule.nodes) if rows >= first
-                        else (_circles(rule.radii, rule.nodes), None))
+    circles = _circles(rule.radii, rule.nodes)
     # Row 0 of an axis's kernels gives A; row 1, the conjugate kernel, gives B,
     # since the anti-holomorphic part is conj(sum conj(V) K) = sum V conj(K).
     kernels = []
@@ -480,14 +455,7 @@ def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec=None):
         np.divide(eta, (eta - zj) ** (aj + 1), out=K[0])
         np.conj(K[0], out=K[1])
         kernels.append(K)
-    if samples is not None:
-        res = kernels[0] @ samples.reshape(first, rest)
-    else:
-        res = sum(kernels[0][:, i:i + rows]
-                  @ mapping.eval_grid([circles[0][i:i + rows], *circles[1:]]).reshape(-1, rest)
-                  for i in range(0, first, rows))
-    for K, M in zip(kernels[1:], rule.nodes[1:]):
-        res = (K[:, None, :] @ res.reshape(2, M, -1))[:, 0]
+    res = mapping.kernel_sums(circles, kernels)
     res *= float(mi_factorial(alpha)) / math.prod(rule.nodes)
     if not np.all(np.isfinite(res)):
         raise ValueError("non-finite Cauchy quadrature result")

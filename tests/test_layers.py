@@ -190,3 +190,31 @@ def test_dict_checker_sees_attributes_names_and_strings():
                        "e = getattr(f, '__dict__')\n"
                        "g = vars(f)\n"
                        "h = f.dict\n") == [1, 2, 3]
+
+
+def _cache_decorators(source: str) -> list[int]:
+    """Lines of the decorators that name lru_cache or cache, called or not, as a name
+    or as an attribute (functools.cache)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "id", getattr(target, "attr", None)) in ("lru_cache", "cache"):
+                    found.append(dec.lineno)
+    return sorted(found)
+
+
+def test_quadrature_keeps_no_cache():
+    # A cache keyed on a map keeps the map and its tensors alive after the caller drops
+    # it; quadrature recomputes what it needs.  The integer-keyed caches of bounds and
+    # mapping (_start_grid, _axis_weights) hold no map.
+    assert _cache_decorators((PACKAGE / "quadrature.py").read_text()) == []
+
+
+def test_cache_checker_sees_names_attributes_and_calls():
+    assert _cache_decorators("@lru_cache(maxsize=2)\ndef f(m):\n    pass\n"
+                             "@functools.cache\ndef g(m):\n    pass\n"
+                             "@cache\ndef h(m):\n    pass\n"
+                             "@functools.lru_cache\ndef k(m):\n    pass\n"
+                             "@cached_property\ndef p(self):\n    pass\n") == [1, 4, 7, 10]

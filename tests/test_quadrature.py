@@ -1,12 +1,15 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from polyschwarz import quadrature
-from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, QuadratureSpec, SeriesMap,
+from polyschwarz import mapping
+from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, PluriharmonicMap,
+                         QuadratureSpec, SeriesMap,
                          abs_cos_integral, cauchy_derivative, cauchy_rule, derivative_exact,
                          extract_coefficient, extract_coefficients, jacobian_pair,
                          random_bounded_map, torus_trapezoid,
@@ -271,59 +274,66 @@ def _count_grid_builds(mapping) -> list:
     return builds
 
 
-def test_sample_cache_holds_only_the_latest_keys():
-    f = random_bounded_map(2, 1, 4, seed=3)
-    builds = _count_grid_builds(f)
-    ts = np.linspace(0.0, 0.85, 10)
-    keys = []
-    for t in ts:
-        for alpha in ((1, 1), (3, 1)):
-            rule = cauchy_rule([t, 0.3j * t], alpha, 1.0)
-            keys.append((rule.radii, rule.nodes))
-            cauchy_derivative(f, [t, 0.3j * t], alpha)
-    # The rule sizes the nodes per order, so two orders at a point share a sample
-    # only where their rules agree; here (3, 1) needs more nodes than (1, 1) at every
-    # point, from (32, 32) and (48, 48) at t = 0 to (512, 48) and (768, 64) at 0.85,
-    # with samples of 1024 to 49152 points.  Below t = 0.25 every radius is 0.5 and
-    # the key of (3, 1), nodes (48, 48), recurs at the next points, so the cache
-    # serves 3 of the 20 derivatives: 17 samples.
-    assert all(k1 != k2 for k1, k2 in zip(keys[::2], keys[1::2]))
-    assert keys[:2] == [((0.5, 0.5), (32, 32)), ((0.5, 0.5), (48, 48))]
-    assert [k[1] for k in keys[-2:]] == [(512, 48), (768, 64)]
-    assert len(builds) == 17
-    assert quadrature._torus_sample.cache_info().currsize == 2
-    # The cache holds the latest two keys: they are served again without a build.
-    for alpha in ((3, 1), (1, 1)):
-        cauchy_derivative(f, [ts[-1], 0.3j * ts[-1]], alpha)
-    assert len(builds) == 17
-    # The n first-order Cauchy derivatives of a Jacobian no longer share one sample:
-    # the axis differentiated once needs more nodes than the other, (64, 48) for
-    # (1, 0) and (48, 64) for (0, 1) at |z_j| = 0.3, so they take two samples.
-    T = ComposedMap(PolydiskAutomorphism([0.2, 0.1j]), f)
-    builds = _count_grid_builds(T)
-    for alpha in ((1, 0), (0, 1)):
-        cauchy_derivative(T, [0.3, -0.3j], alpha)
-    assert [len(axis) for axes in builds for axis in axes] == [64, 48, 48, 64]
-    assert quadrature._torus_sample.cache_info().currsize == 2
-    # jacobian_pair is exact for composed maps and samples nothing
-    jacobian_pair(T, [0.3, -0.2j])
-    assert len(builds) == 2
-
-
-def test_slabs_agree_with_the_whole_sample_and_are_not_cached(monkeypatch):
-    # The default rule at this point has 192 x 64 nodes, a 384 KiB sample that is
-    # taken whole; with 4 KiB slabs the same sum is taken 2 rows of 64 x 2 at a time.
+def test_cauchy_derivatives_of_series_sample_no_grid(monkeypatch):
+    # A series, plain or composed with an automorphism, contracts each axis's kernels
+    # with its power table, so no Cauchy derivative of one evaluates the map on the grid.
+    for cls in (PluriharmonicMap, SeriesMap, ComposedMap):
+        monkeypatch.setattr(cls, "eval_grid", lambda *args: pytest.fail("sampled the grid"))
     f = random_bounded_map(2, 2, 4, seed=3)
+    T = ComposedMap(PolydiskAutomorphism([0.2, 0.1j], [1j, -1.0]), f)
+    for g, z, alpha in ((f, [0.6, 0.3j], (2, 1)), (f, [0.96, 0.288j], (3, 1)),
+                        (T, [0.3, -0.3j], (1, 0)), (T, [0.5j, 0.4], (1, 2))):
+        rule = cauchy_rule(z, alpha, 1.0, N=2)
+        A, B = cauchy_derivative(g, z, alpha)
+        A0, B0 = derivative_exact(g, z, alpha)
+        assert np.abs(A - A0).max() + np.abs(B - B0).max() <= rule.error_bound + rule.rounding
+
+
+def test_cauchy_derivative_near_the_boundary_stays_small():
+    # At (0.95, 0.1, 0.1) the rule takes 1536 x 48 x 48 nodes, a 54 MiB grid that was
+    # once sampled in 1 MiB slabs; the kernel sums need a few power tables of one axis each.
+    f = random_bounded_map(3, 1, 4, seed=5)
+    z, alpha = [0.95, 0.1, 0.1], (1, 1, 1)
+    rule = cauchy_rule(z, alpha)
+    assert rule.nodes == (1536, 48, 48)
+    tracemalloc.start()
+    try:
+        A, B = cauchy_derivative(f, z, alpha, rule)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    A0, B0 = derivative_exact(f, z, alpha)
+    assert abs(A[0] - A0[0]) + abs(B[0] - B0[0]) <= rule.error_bound + rule.rounding
+
+
+def test_separable_kernel_sums_agree_with_the_sampled_ones(monkeypatch):
+    # The generic kernel_sums samples the grid in slabs of ROW_CHUNK_BYTES; with 4 KiB
+    # slabs it takes the 192 x 64 x 2 grid of this point 2 rows at a time.
+    f = random_bounded_map(2, 2, 4, seed=3)
+    T = ComposedMap(PolydiskAutomorphism([0.2, 0.1j]), f)
     z, alpha = [0.6, 0.3j], (2, 1)
     assert cauchy_rule(z, alpha).nodes == (192, 64)
-    whole = cauchy_derivative(f, z, alpha)
-    info = quadrature._torus_sample.cache_info()
-    monkeypatch.setattr(quadrature, "CAUCHY_SLAB_BYTES", 4096)
+    separable = [cauchy_derivative(g, z, alpha) for g in (f, T)]
+    monkeypatch.setattr(mapping, "ROW_CHUNK_BYTES", 4096)
+    monkeypatch.setattr(SeriesMap, "kernel_sums", PluriharmonicMap.kernel_sums)
     builds = _count_grid_builds(f)
-    slabs = cauchy_derivative(f, z, alpha)
-    assert len(builds) == 96
-    np.testing.assert_allclose(np.array(slabs), np.array(whole), rtol=1e-14, atol=0)
-    assert quadrature._torus_sample.cache_info() == info
+    sampled = [cauchy_derivative(g, z, alpha) for g in (f, T)]
+    assert [len(axes[0]) for axes in builds] == [2] * 192
+    np.testing.assert_allclose(np.array(separable), np.array(sampled), rtol=1e-13, atol=0)
+
+
+def test_a_cauchy_derivative_keeps_no_reference_to_its_map():
+    # A map-keyed sample cache once kept the last two maps alive, with their tensors.
+    a = np.zeros((1, 2000, 2000), dtype=complex)
+    b = np.zeros_like(a)
+    a[0, 1, 0], b[0, 0, 1] = 0.5, 0.25
+    f = SeriesMap.from_tensors(a, b)
+    del a, b
+    A, B = cauchy_derivative(f, [0.3, 0.2], (1, 0))
+    assert abs(A[0] - 0.5) + abs(B[0]) < 1e-9
+    ref = weakref.ref(f)
+    del f
+    assert ref() is None
 
 
 def test_sup_bound_l1():
@@ -370,6 +380,7 @@ def test_torus_sample_size_guard(monkeypatch):
         raise AssertionError("the guard must refuse before evaluating the grid")
 
     monkeypatch.setattr(SeriesMap, "eval_grid", no_allocation)
+    monkeypatch.setattr(SeriesMap, "kernel_sums", no_allocation)
     # 512 Cauchy nodes per axis at n = 3: 512^3 complex values, 2048 MiB
     with pytest.raises(ValueError, match="2048 MiB"):
         cauchy_derivative(f, [0.1, 0.2, 0.3], (1, 1, 1), QuadratureSpec(512))
@@ -416,7 +427,7 @@ def test_cauchy_derivative_checks_a_rule_it_is_handed():
 
 def test_cauchy_derivative_refuses_an_order_whose_factorial_is_not_a_double(monkeypatch):
     # (171,) once sampled 512 nodes and died with "int too large to convert to float"
-    monkeypatch.setattr(SeriesMap, "eval_grid", lambda *args: pytest.fail("sampled the map"))
+    monkeypatch.setattr(SeriesMap, "kernel_sums", lambda *args: pytest.fail("sampled the map"))
     for n, alpha in ((1, (171,)), (2, (171, 0)), (2, (100, 100))):
         f = random_bounded_map(n, 1, 3, seed=1)
         with pytest.raises(ValueError, match="alpha! exceeds the largest double"):
