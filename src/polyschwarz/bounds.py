@@ -444,7 +444,7 @@ def verify_derivative_bound(mapping: PluriharmonicMap, z, alpha, method: str | N
         A, B, rules = A[:, 0].tolist(), B[:, 0].tolist(), [None] * len(Z)
     elif method == "cauchy":
         default_tol = DEFAULT_TOL_QUAD
-        rules = [cauchy_rule(point, alpha, sup, spec, mapping.N) for point in Z]
+        rules = [cauchy_rule(point, alpha, sup, spec) for point in Z]
         pairs = [cauchy_derivative(mapping, point, alpha, rule) for point, rule in zip(Z, rules)]
         A, B = [a[0] for a, _ in pairs], [b[0] for _, b in pairs]
     else:

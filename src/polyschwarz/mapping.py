@@ -24,9 +24,9 @@ import numpy as np
 from .multiindex import as_index, degree as mi_degree, enumerate_indices, grid_rows
 
 MODULUS_TOL = 1e-12
-# Largest coefficient tensor or torus sample (nodes**n * N complex values).
-# A quadrature holds two samples at once and the FFT table a third, so the cap
-# keeps that under a GiB; 512 nodes per axis at n = 3 (2 GiB) is out.
+# Largest complex array built to a size the caller chose: a coefficient tensor, one
+# axis's quadrature kernels (rows x nodes), or one row of the torus grid that the
+# generic kernel_sums samples (the grid of all but the first axis, times N).
 MAX_SAMPLE_BYTES = 256 * 2**20
 # Highest derivative order per coordinate taken of a map that is not a finite
 # series: such derivatives grow like the order's factorial, and 171! overflows a double.
@@ -174,18 +174,21 @@ class PluriharmonicMap:
 
     def kernel_sums(self, axes, kernels) -> np.ndarray:
         """The sums over the tensor grid of n per-axis point arrays eta_j of
-        prod_j K_j[p, m_j] f(eta_m), p = 0, 1, shape (2, N), for kernels K_j of shape
-        (2, M_j) whose second row is the conjugate of the first.  Generic fallback:
-        eval_grid in slabs of at most ROW_CHUNK_BYTES along the first axis, each
-        contracted with the kernels of that axis, then the other axes in turn."""
+        prod_j K_j[p, m_j] f(eta_m), p = 0, ..., R - 1, shape (R, N), for kernels K_j
+        of shape (R, M_j) whose row R - 1 - p is the conjugate of row p (a series
+        relies on that).  Generic fallback: eval_grid in slabs of at most
+        ROW_CHUNK_BYTES along the first axis, each contracted with the kernels of
+        that axis, then the other axes in turn.  A slab of one row, the grid of the
+        other axes, above MAX_SAMPLE_BYTES is refused before the map is evaluated."""
         axes = _check_axes(axes, self.n)
-        rest = math.prod(len(a) for a in axes[1:]) * self.N
-        rows = max(1, ROW_CHUNK_BYTES // (rest * np.dtype(complex).itemsize))
-        res = sum(kernels[0][:, i:i + rows]
-                  @ self.eval_grid([axes[0][i:i + rows], *axes[1:]]).reshape(-1, rest)
-                  for i in range(0, len(axes[0]), rows))
+        row = tuple(len(a) for a in axes[1:]) + (self.N,)
+        check_tensor_size(row, lambda: (f"a torus grid row of shape {row}",
+                                        "; use fewer quadrature nodes per dimension (--nodes)"))
+        rest = math.prod(row)
+        res = _slab_products(kernels[0], rest, lambda s: self.eval_grid(
+            [axes[0][s], *axes[1:]]).reshape(-1, rest))
         for K in kernels[1:]:
-            res = (K[:, None, :] @ res.reshape(2, K.shape[1], -1))[:, 0]
+            res = (K[:, None, :] @ res.reshape(len(K), K.shape[1], -1))[:, 0]
         return res
 
     def __call__(self, z) -> np.ndarray:
@@ -266,10 +269,6 @@ class SeriesMap(PluriharmonicMap):
         """The series times a real factor (no certified_sup is carried over)."""
         return SeriesMap.from_tensors(factor * self.a, factor * self.b)
 
-    def _power_tables(self, axes) -> list[np.ndarray]:
-        """Per coordinate j, the table x**k_j of its values x, shape (len(x), D_j)."""
-        return [x[:, None] ** _axis_weights(0, d)[1] for x, d in zip(axes, self.a.shape[1:])]
-
     def eval_points(self, Z) -> np.ndarray:
         """Each point's value is the bits it gets alone; the points are
         contracted in chunks of at most ROW_CHUNK_BYTES of working memory."""
@@ -277,31 +276,27 @@ class SeriesMap(PluriharmonicMap):
         rows = Z.reshape(-1, self.n)
         out = np.empty((len(rows), self.N), dtype=complex)
         for chunk in _row_slices(len(rows), self.a.shape):
-            tables = self._power_tables(rows[chunk].T)
+            tables = [_powers(x, d) for x, d in zip(rows[chunk].T, self.a.shape[1:])]
             # conj(b_k) conj(z)^k = conj(b_k z^k): both parts use the powers of z.
             out[chunk] = _contract_rows(self.a, tables)
             out[chunk] += np.conj(_contract_rows(self.b, tables))
         return out.reshape(Z.shape[:-1] + (self.N,))
 
-    def eval_grid(self, axes) -> np.ndarray:
-        """Separable evaluation: each tensor is contracted axis by axis with
-        power tables, up to the last axis, which contracts both parts at once:
-        their exponents side by side, so the grid-sized result is written once."""
-        *tables, last = self._power_tables(_check_axes(axes, self.n))
-        # a and b get shape (N, M_1, ..., M_{n-1}, D_n); conj(b_k) conj(z)^k = conj(b_k z^k).
-        a = np.moveaxis(_contract_grid(self.a, tables), 1, -1)
-        b = np.moveaxis(_contract_grid(np.conj(self.b), [np.conj(T) for T in tables]), 1, -1)
-        out = np.concatenate([a, b], axis=-1) @ np.concatenate([last, np.conj(last)], axis=1).T
-        return np.moveaxis(out, 0, -1)
-
     def kernel_sums(self, axes, kernels) -> np.ndarray:
         """Separable: the grid values are the tensors contracted with one power table
         T_j per axis, so each axis's kernels are contracted with its table first,
-        H_j = K_j @ T_j of shape (2, D_j), and then the tensors with those; no
-        grid-sized array is built.  The kernels of row p sum conj(b_k eta^k) to
-        conj(b . H[1 - p]), since the rows of each K_j are conjugates."""
-        H = [K @ T for K, T in zip(kernels, self._power_tables(_check_axes(axes, self.n)))]
-        return _contract_rows(self.a, H) + np.conj(_contract_rows(self.b, H)[::-1])
+        H_j = K_j @ T_j of shape (R, D_j) with T_j built in slabs of ROW_CHUNK_BYTES,
+        and then the tensors with those, R rows at a time as _row_slices allows; no
+        grid-sized array is built.  Row p sums conj(b_k eta^k) to conj(b . H[R-1-p]),
+        since row R - 1 - p of each K_j is the conjugate of row p."""
+        H = [_slab_products(K, d, lambda s: _powers(x[s], d))
+             for K, x, d in zip(kernels, _check_axes(axes, self.n), self.a.shape[1:])]
+        A = np.empty((len(H[0]), self.N), dtype=complex)
+        B = np.empty_like(A)
+        for chunk in _row_slices(len(A), self.a.shape):
+            tables = [h[chunk] for h in H]
+            A[chunk], B[chunk] = _contract_rows(self.a, tables), _contract_rows(self.b, tables)
+        return A + np.conj(B[::-1])
 
     def _derivative(self, Z, alpha):
         part = (slice(None),) + tuple(slice(aj, None) for aj in alpha)
@@ -337,6 +332,21 @@ def _axis_weights(a: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     exponents = np.arange(len(falling), dtype=complex)
     falling.flags.writeable = exponents.flags.writeable = False
     return falling, exponents
+
+
+def _powers(x: np.ndarray, d: int) -> np.ndarray:
+    """The table x**k of the values x of a coordinate with D_j = d, shape (len(x), d)."""
+    return x[:, None] ** _axis_weights(0, d)[1]
+
+
+def _slab_products(K: np.ndarray, width: int, rows) -> np.ndarray:
+    """K @ X for the (K.shape[1], width) complex matrix X whose rows s (a slice) rows(s)
+    builds, in slabs of at most ROW_CHUNK_BYTES of X."""
+    step = max(1, ROW_CHUNK_BYTES // (width * np.dtype(complex).itemsize))
+    res = K[:, :step] @ rows(slice(0, step))
+    for i in range(step, K.shape[1], step):
+        res += K[:, i:i + step] @ rows(slice(i, i + step))
+    return res
 
 
 def _dense_tensors(n: int, N: int, holo, anti) -> tuple[np.ndarray, np.ndarray]:
@@ -408,16 +418,6 @@ def _contract_rows(t: np.ndarray, tables) -> np.ndarray:
     return res.reshape(len(res), t.shape[0])
 
 
-def _contract_grid(t: np.ndarray, tables) -> np.ndarray:
-    """t contracted over the exponents of its first k = len(tables) coordinates
-    with tables[j][m_j, k_j], shape (N, D_{k+1}, ..., D_n, M_1, ..., M_k)."""
-    for T in tables:
-        # Contracting axis 1 (the exponents of the next coordinate) appends
-        # that coordinate's grid axis.
-        t = np.tensordot(t, T, axes=(1, 1))
-    return t
-
-
 def derivative_exact(mapping: PluriharmonicMap, z, alpha) -> tuple[np.ndarray, np.ndarray]:
     """Mixed Wirtinger derivatives (d^alpha f / dz^alpha, d^alpha f / dzbar^alpha)
     at z as complex N-vectors, or at a (P, n) stack of points as two (P, N)
@@ -464,15 +464,10 @@ class ComposedMap(PluriharmonicMap):
     def eval_points(self, Z) -> np.ndarray:
         return self.outer.eval_points(self.inner(np.asarray(Z, dtype=complex)))
 
-    def _inner_axes(self, axes) -> list[np.ndarray]:
-        # The automorphism acts coordinatewise, so it maps the grid's axes.
-        return [self.inner.coordinate(j, a) for j, a in enumerate(_check_axes(axes, self.n))]
-
-    def eval_grid(self, axes) -> np.ndarray:
-        return self.outer.eval_grid(self._inner_axes(axes))
-
     def kernel_sums(self, axes, kernels) -> np.ndarray:
-        return self.outer.kernel_sums(self._inner_axes(axes), kernels)
+        # The automorphism acts coordinatewise, so it maps the grid's axes.
+        return self.outer.kernel_sums(
+            [self.inner.coordinate(j, a) for j, a in enumerate(_check_axes(axes, self.n))], kernels)
 
     def _derivative(self, Z, alpha):
         # Faa di Bruno per coordinate: d^m/dz^m u(phi(z)) = sum_k u^(k)(phi(z)) * weight_k,

@@ -119,43 +119,29 @@ def abs_cos_integral(m: int, gamma: float, nodes: int | None = None) -> float:
 
 # ---------------------------------------------------------------------------
 # Torus grids.  The grid is the tensor product of one circle per axis, with
-# its own radius and node count.  Coefficient tables sample it through
-# eval_grid and transform the sample; Cauchy derivatives contract it with
-# their kernels through kernel_sums.  Nothing is kept between calls.
+# its own radius and node count.  Coefficient extraction and Cauchy
+# derivatives both contract it with per-axis kernels through the map's
+# kernel_sums, which never builds the grid of a series.  Nothing is kept
+# between calls.
 # ---------------------------------------------------------------------------
-
-def _check_sample_size(nodes, N: int, chosen: bool = False) -> None:
-    """The size rule for a torus sample; `chosen` says that a default Cauchy rule chose it."""
-    def wording():
-        grid = f"{nodes[0]}^{len(nodes)}" if len(set(nodes)) == 1 else "x".join(map(str, nodes))
-        hint = (f"the error bound {CAUCHY_ERROR_TARGET:g} needs them at this point (--nodes "
-                f"sets fewer, with a larger bound)" if chosen else
-                "use fewer quadrature nodes per dimension (--nodes)")
-        return f"a torus sample of {grid} x {N} complex values", f"; {hint}"
-    check_tensor_size((*nodes, N), wording)
-
 
 def _circles(radii, nodes) -> tuple[np.ndarray, ...]:
     """Per axis, the M nodes r e^(2 pi i m / M) of its radius r and node count M."""
     return tuple(r * np.exp(2j * np.pi * np.arange(M) / M) for r, M in zip(radii, nodes))
 
 
-def _fourier_table(mapping: PluriharmonicMap, radii, nodes) -> np.ndarray:
-    _check_sample_size(nodes, mapping.N)
-    vals = mapping.eval_grid(_circles(radii, nodes))
-    return np.fft.fftn(vals, axes=tuple(range(mapping.n))) / math.prod(nodes)
+def _check_kernels(rows: int, nodes) -> None:
+    """The size rule for the kernels of a torus quadrature, `rows` per axis of M_j nodes."""
+    for M in nodes:
+        check_tensor_size((rows, M), lambda: (
+            f"an axis of {M} nodes with {rows} kernels",
+            "; use fewer quadrature nodes per dimension (--nodes)"))
 
 
-def _read_coefficient(F: np.ndarray, k, radii, nodes):
-    rk = 1.0
-    for kj, r in zip(k, radii):
-        rk *= r**kj
-    a = F[k] / rk
-    if mi_degree(k) == 0:
-        return a, np.zeros_like(a)
-    neg = tuple((-kj) % M for kj, M in zip(k, nodes))
-    b = np.conj(F[neg]) / rk
-    return a, b
+def _axis_kernels(first: np.ndarray) -> np.ndarray:
+    """An axis's kernels from their first rows: those rows, then their conjugates in
+    reverse order, so that row R - 1 - p is the conjugate of row p (see kernel_sums)."""
+    return np.concatenate([first, np.conj(first[::-1])])
 
 
 def _check_extraction_nodes(mapping, k, nodes):
@@ -173,6 +159,28 @@ def _nodes_text(nodes) -> str:
     return str(nodes[0]) if len(set(nodes)) == 1 else str(tuple(nodes))
 
 
+def _extract(mapping: PluriharmonicMap, indices, spec: QuadratureSpec | None) -> list[tuple]:
+    """The pairs (a_k, b_k) of the indices k from one kernel_sums call.  Axis j's
+    kernels are e^(-i k_j theta)/M_j for each k, then their conjugates, so row p is
+    the torus mean of f e^(-i k.theta), the FFT entry F[k], and row R - 1 - p that of
+    f e^(i k.theta), F[-k]: a_k = F[k]/r^k and b_k = conj(F[-k])/r^k, with the FFT's
+    aliasing, summed in another order."""
+    spec = spec or QuadratureSpec()
+    radii = spec.resolve_radii(mapping.n, DEFAULT_EXTRACTION_RADIUS)
+    nodes = spec.resolve_nodes(mapping.n, DEFAULT_EXTRACTION_NODES)
+    _check_extraction_nodes(mapping, max(indices, key=mi_degree), nodes)
+    m = len(indices)
+    _check_kernels(2 * m, nodes)
+    k = np.array(indices).reshape(m, mapping.n)
+    # Node l of axis j has the phase 2 pi (k_j l mod M_j) / M_j: below 2 pi, so its
+    # rounding does not grow with k_j l.
+    kernels = [_axis_kernels(np.exp(-2j * np.pi * (np.outer(kj, np.arange(M)) % M / M)) / M)
+               for kj, M in zip(k.T, nodes)]
+    S = mapping.kernel_sums(_circles(radii, nodes), kernels)
+    rk = np.array([math.prod(r**kj for r, kj in zip(radii, kk)) for kk in indices])[:, None]
+    return list(zip(S[:m] / rk, np.conj(S[::-1][:m]) / rk))
+
+
 def extract_coefficient(mapping: PluriharmonicMap, k, spec: QuadratureSpec | None = None):
     """Coefficient pair (a_k, b_k) recovered by torus quadrature.
 
@@ -183,28 +191,20 @@ def extract_coefficient(mapping: PluriharmonicMap, k, spec: QuadratureSpec | Non
     in a_0 with b_0 = 0 and a warning is emitted.
     """
     k = check_index(k, mapping.n)
-    spec = spec or QuadratureSpec()
-    radii = spec.resolve_radii(mapping.n, DEFAULT_EXTRACTION_RADIUS)
-    nodes = spec.resolve_nodes(mapping.n, DEFAULT_EXTRACTION_NODES)
-    _check_extraction_nodes(mapping, k, nodes)
     if mi_degree(k) == 0:
         warnings.warn("k = 0: the a_0/b_0 split is not observable; reporting the mean as a_0",
                       RuntimeWarning)
-    F = _fourier_table(mapping, radii, nodes)
-    return _read_coefficient(F, k, radii, nodes)
+    ((a, b),) = _extract(mapping, [k], spec)
+    return (a, np.zeros_like(a)) if mi_degree(k) == 0 else (a, b)
 
 
 def extract_coefficients(mapping: PluriharmonicMap, max_degree: int,
                          spec: QuadratureSpec | None = None):
-    """All coefficient pairs with 1 <= |k| <= max_degree from a single FFT."""
-    spec = spec or QuadratureSpec()
-    radii = spec.resolve_radii(mapping.n, DEFAULT_EXTRACTION_RADIUS)
-    nodes = spec.resolve_nodes(mapping.n, DEFAULT_EXTRACTION_NODES)
+    """All coefficient pairs with 1 <= |k| <= max_degree from one kernel_sums call,
+    which for a series (also one composed with an automorphism) contracts per-axis
+    kernels with power tables and never samples the torus grid."""
     indices = [k for k in enumerate_indices(mapping.n, max_degree) if mi_degree(k) >= 1]
-    if indices:
-        _check_extraction_nodes(mapping, max(indices, key=mi_degree), nodes)
-    F = _fourier_table(mapping, radii, nodes)
-    return {k: _read_coefficient(F, k, radii, nodes) for k in indices}
+    return dict(zip(indices, _extract(mapping, indices, spec))) if indices else {}
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +355,19 @@ def _check_radii(t, radii) -> None:
 
 
 def _check_nodes(alpha, nodes) -> None:
-    """The contour rule for node counts of an order alpha: one per axis, each above alpha_j."""
+    """The contour rule for node counts of an order alpha: one per axis, each above alpha_j,
+    with two kernels per axis that meet the size rule (_check_kernels)."""
     if len(nodes) != len(alpha):
         raise ValueError(f"expected one node count per axis, {len(alpha)}, got {len(nodes)}")
     for j, (M, a) in enumerate(zip(nodes, alpha)):
         if not M > a:
             raise ValueError(f"{M} nodes on axis {j} cannot resolve the order {a}")
+    _check_kernels(2, nodes)
 
 
-def cauchy_rule(z, alpha, sup: float = 1.0, spec: QuadratureSpec | None = None,
-                N: int = 1) -> CauchyRule:
+def cauchy_rule(z, alpha, sup: float = 1.0, spec: QuadratureSpec | None = None) -> CauchyRule:
     """The Cauchy rule for the order-alpha derivatives at z of a map with
-    sup ||f|| <= sup and N components.
+    sup ||f|| <= sup.
 
     Each axis j gets its own circle.  Its radius is the one spec gives, else
     max(CAUCHY_MIN_RADIUS, sqrt(|z_j|)), and lies in (|z_j|, 1).  Its node count
@@ -379,7 +380,9 @@ def cauchy_rule(z, alpha, sup: float = 1.0, spec: QuadratureSpec | None = None,
     rule carries the bound for the radii and nodes it holds.  Raises ValueError
     when z breaks the point rule (check_points; len(alpha) coordinates), when a
     given radius or node count breaks the contour rule (_check_radii, _check_nodes),
-    and when the sample exceeds MAX_SAMPLE_BYTES, the only reason a default rule is refused.
+    and when an axis's two kernels (2 x M_j complex values, which cauchy_derivative
+    allocates) exceed MAX_SAMPLE_BYTES (_check_kernels), the only reason a default
+    rule is refused.
     """
     alpha = as_index(alpha)
     n = len(alpha)
@@ -396,12 +399,11 @@ def cauchy_rule(z, alpha, sup: float = 1.0, spec: QuadratureSpec | None = None,
     log_scale = log_factor - sum((a + 1) * math.log1p(-tj) for a, tj in zip(alpha, t))
     if spec is None or spec.nodes_per_dim is None:
         nodes, tails = _default_nodes(t, radii, alpha, log_scale,
-                                      MAX_SAMPLE_BYTES // (N * np.dtype(complex).itemsize))
-        _check_sample_size(nodes, N, chosen=True)
+                                      MAX_SAMPLE_BYTES // (2 * np.dtype(complex).itemsize))
+        _check_kernels(2, nodes)
     else:
         nodes = spec.resolve_nodes(n, 0)
         _check_nodes(alpha, nodes)
-        _check_sample_size(nodes, N)
         tails = [_axis_tails(tj, r, a, M) for tj, r, a, M in zip(t, radii, alpha, nodes)]
     log_mean = log_factor
     for tj, r, a, M in zip(t, radii, alpha, nodes):
@@ -430,31 +432,29 @@ def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec=None):
     QuadratureSpec (None: every default) that cauchy_rule completes for a map with
     sup ||f|| <= 1, the maps into the unit ball that the estimates concern.  Either way
     the rule must meet the contour rule at z and alpha (see cauchy_rule), so one sized
-    at another point or order is refused when it cannot serve this one.  An order whose
+    at another point or order is refused when it cannot serve this one, as is one whose
+    kernels break the size rule (an axis past 2^23 nodes).  An order whose
     alpha! is not a double (check_factorial) is refused before the map is evaluated.  The
     result carries no error claim.  The torus has a circle of its own radius and node count
-    per axis, with two kernels, and the map's kernel_sums gives both trapezoid sums: a
+    per axis, with two kernels, the second the conjugate of the first, and the map's
+    kernel_sums gives both trapezoid sums, as it gives extract_coefficients' sums: a
     series (also one composed with an automorphism) contracts each axis's kernels with its
-    power table and never builds the grid; any other map is sampled in slabs of at most
-    ROW_CHUNK_BYTES along the first axis.  Nothing is kept between calls.
+    power table, built in slabs, and never builds the grid; any other map is sampled in
+    slabs of at most ROW_CHUNK_BYTES along the first axis.  Nothing is kept between calls.
     """
     alpha = check_factorial(check_index(alpha, mapping.n))
     if not any(alpha):
         raise ValueError("order-zero derivative: use f(z) for values; the a_0/b_0 split "
                          "is not recoverable from point values")
     z = check_points([z], mapping.n)[0]
-    rule = spec if isinstance(spec, CauchyRule) else cauchy_rule(z, alpha, 1.0, spec, mapping.N)
+    rule = spec if isinstance(spec, CauchyRule) else cauchy_rule(z, alpha, 1.0, spec)
     _check_radii([abs(complex(c)) for c in z], rule.radii)
     _check_nodes(alpha, rule.nodes)
     circles = _circles(rule.radii, rule.nodes)
     # Row 0 of an axis's kernels gives A; row 1, the conjugate kernel, gives B,
     # since the anti-holomorphic part is conj(sum conj(V) K) = sum V conj(K).
-    kernels = []
-    for eta, zj, aj in zip(circles, z, alpha):
-        K = np.empty((2, len(eta)), dtype=complex)
-        np.divide(eta, (eta - zj) ** (aj + 1), out=K[0])
-        np.conj(K[0], out=K[1])
-        kernels.append(K)
+    kernels = [_axis_kernels((eta / (eta - zj) ** (aj + 1))[None])
+               for eta, zj, aj in zip(circles, z, alpha)]
     res = mapping.kernel_sums(circles, kernels)
     res *= float(mi_factorial(alpha)) / math.prod(rule.nodes)
     if not np.all(np.isfinite(res)):

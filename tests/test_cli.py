@@ -296,15 +296,19 @@ def test_unused_flags_are_rejected(tmp_path, capsys):
 
 def test_cauchy_sample_too_large_is_a_usage_error(tmp_path, capsys):
     path = _write_random(tmp_path, n=3, degree=2)
+    # 2^24 nodes give an axis two kernels of 512 MiB, refused before they are built.
     assert main(["verify", "--map", str(path), "--alpha", "1,1,1", "--method", "cauchy",
-                 "--grid", "1", "--nodes", "512"]) == 2
+                 "--grid", "1", "--nodes", str(2**24)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "512^3" in err and "MiB" in err
-    # The rule's own nodes are refused only when the error bound needs such a sample.
+    assert err.startswith("error:") and "16777216 nodes" in err and "512 MiB" in err
+    # The whole torus grid is never allocated, so the rule's own 4096^3 nodes at
+    # (0.97, 0.97, 0.97), once refused for a 1 TiB sample, now run.
+    out = tmp_path / "near.jsonl"
     assert main(["verify", "--map", str(path), "--alpha", "1,1,1", "--method", "cauchy",
-                 "--grid", "2", "--radius-cap", "0.97"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "the error bound 1e-09 needs them" in err
+                 "--grid", "2", "--radius-cap", "0.97", "--out", str(out)]) == 0
+    reports = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(reports) == 8 and all(r["pass"] for r in reports)
+    assert reports[-1]["params"]["nodes"] == [4096] * 3
 
 
 @pytest.mark.parametrize("command", [["verify", "--alpha", ",".join(["1"] * 33)],
@@ -321,7 +325,7 @@ def test_maps_with_more_than_32_coordinates_never_crash(tmp_path, capsys, comman
                  "--out", str(tmp_path / "reports.jsonl")])
     err = capsys.readouterr().err
     assert code in (0, 2) and "Traceback" not in err
-    assert code == (0 if grid == "1" and "cauchy" not in command else 2)
+    assert code == (0 if grid == "1" else 2)
     if code == 2:
         assert err.startswith("error:") and "MiB" in err
 

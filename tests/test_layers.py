@@ -218,3 +218,32 @@ def test_cache_checker_sees_names_attributes_and_calls():
                              "@cache\ndef h(m):\n    pass\n"
                              "@functools.lru_cache\ndef k(m):\n    pass\n"
                              "@cached_property\ndef p(self):\n    pass\n") == [1, 4, 7, 10]
+
+
+def _sampling_names(source: str) -> list[int]:
+    """Lines that name eval_grid, eval_points or an FFT as a name, an attribute, a
+    definition or an import (not in a string)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        for name in (getattr(node, key, None) for key in ("id", "attr", "name", "module")):
+            if isinstance(name, str) and any(part in ("eval_grid", "eval_points")
+                                             or part.startswith("fft")
+                                             for part in name.split(".")):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_quadrature_reaches_map_values_only_through_kernel_sums():
+    # Coefficient extraction and Cauchy derivatives are both kernel_sums calls, so
+    # quadrature neither samples a grid nor runs an FFT of its own.
+    assert _sampling_names((PACKAGE / "quadrature.py").read_text()) == []
+
+
+def test_sampling_name_checker_sees_imports_attributes_and_definitions():
+    assert _sampling_names("import numpy.fft\n"
+                           "from numpy.fft import fftn\n"
+                           "v = f.eval_grid(axes)\n"
+                           "F = np.fft.fftn(v)\n"
+                           "def eval_points(Z):\n    pass\n"
+                           "s = 'eval_grid, fft'\n"
+                           "g = grid_rows(axes)\n") == [1, 2, 3, 4, 5]

@@ -277,13 +277,13 @@ def _count_grid_builds(mapping) -> list:
 def test_cauchy_derivatives_of_series_sample_no_grid(monkeypatch):
     # A series, plain or composed with an automorphism, contracts each axis's kernels
     # with its power table, so no Cauchy derivative of one evaluates the map on the grid.
-    for cls in (PluriharmonicMap, SeriesMap, ComposedMap):
-        monkeypatch.setattr(cls, "eval_grid", lambda *args: pytest.fail("sampled the grid"))
+    monkeypatch.setattr(PluriharmonicMap, "eval_grid",
+                        lambda *args: pytest.fail("sampled the grid"))
     f = random_bounded_map(2, 2, 4, seed=3)
     T = ComposedMap(PolydiskAutomorphism([0.2, 0.1j], [1j, -1.0]), f)
     for g, z, alpha in ((f, [0.6, 0.3j], (2, 1)), (f, [0.96, 0.288j], (3, 1)),
                         (T, [0.3, -0.3j], (1, 0)), (T, [0.5j, 0.4], (1, 2))):
-        rule = cauchy_rule(z, alpha, 1.0, N=2)
+        rule = cauchy_rule(z, alpha)
         A, B = cauchy_derivative(g, z, alpha)
         A0, B0 = derivative_exact(g, z, alpha)
         assert np.abs(A - A0).max() + np.abs(B - B0).max() <= rule.error_bound + rule.rounding
@@ -373,22 +373,129 @@ def test_quadrature_spec_validation():
     assert QuadratureSpec(64).resolve_radii(2, 0.7) == (0.7, 0.7)
 
 
-def test_torus_sample_size_guard(monkeypatch):
+def _peak_bytes(call):
+    """call()'s result and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("t, nodes", [(0.75, (256, 384, 384)), (0.97, (4096,) * 3)])
+def test_cauchy_rules_past_the_old_grid_limit_run_small(t, nodes):
+    # Both grids once were refused by a size rule on the whole torus sample (576 MiB and
+    # 1 TiB), which a series never allocates; only the kernels and power tables are built.
+    f = random_bounded_map(3, 1, 4, seed=5)
+    z, alpha = [t] * 3, (1, 1, 1)
+    rule = cauchy_rule(z, alpha)
+    assert rule.nodes == nodes
+    (A, B), peak = _peak_bytes(lambda: cauchy_derivative(f, z, alpha, rule))
+    assert peak < 2 * 2**20
+    A0, B0 = derivative_exact(f, z, alpha)
+    assert abs(A[0] - A0[0]) + abs(B[0] - B0[0]) <= rule.error_bound + rule.rounding
+
+
+def test_oversized_quadrature_kernels_are_refused_before_evaluation(monkeypatch):
+    monkeypatch.setattr(SeriesMap, "kernel_sums", lambda *args: pytest.fail("evaluated the map"))
     f = random_bounded_map(3, 1, 2, seed=0)
+    # 2^24 nodes give an axis two kernels of 512 MiB, so the rule refuses them.
+    with pytest.raises(mapping.MapFormatError, match="16777216 nodes .* 512 MiB"):
+        cauchy_derivative(f, [0.1, 0.2, 0.3], (1, 1, 1), QuadratureSpec(2**24))
+    with pytest.raises(mapping.MapFormatError, match="512 MiB"):
+        extract_coefficient(f, (1, 0, 0), QuadratureSpec(2**24))
+    # a rule handed to cauchy_derivative is held to the same rule
+    rule = dataclasses.replace(cauchy_rule([0.1, 0.2, 0.3], (1, 1, 1)), nodes=(8, 8, 2**24))
+    with pytest.raises(mapping.MapFormatError, match="512 MiB"):
+        cauchy_derivative(f, [0.1, 0.2, 0.3], (1, 1, 1), rule)
 
-    def no_allocation(self, axes):
-        raise AssertionError("the guard must refuse before evaluating the grid")
 
-    monkeypatch.setattr(SeriesMap, "eval_grid", no_allocation)
-    monkeypatch.setattr(SeriesMap, "kernel_sums", no_allocation)
-    # 512 Cauchy nodes per axis at n = 3: 512^3 complex values, 2048 MiB
-    with pytest.raises(ValueError, match="2048 MiB"):
-        cauchy_derivative(f, [0.1, 0.2, 0.3], (1, 1, 1), QuadratureSpec(512))
-    # the default rule is refused by the same guard, and only by it
-    with pytest.raises(ValueError, match="the error bound 1e-09 needs them"):
-        cauchy_derivative(f, [0.97, 0.97, 0.97], (1, 1, 1))
-    with pytest.raises(ValueError, match="--nodes"):
-        extract_coefficients(random_bounded_map(2, 2, 2, seed=0), 2, QuadratureSpec(4096))
+def test_the_generic_kernel_sums_refuses_an_oversized_slab_before_evaluating():
+    # A slab row of the sampled grid is the second axis times N: 8192 x 4096 values, 512 MiB.
+    class Wide(PluriharmonicMap):
+        n, N = 2, 4096
+
+        def eval_points(self, Z):
+            pytest.fail("evaluated the map")
+
+    with pytest.raises(mapping.MapFormatError, match=r"\(8192, 4096\) needs 512 MiB"):
+        cauchy_derivative(Wide(), [0.1, 0.2], (1, 1), QuadratureSpec(8192))
+
+
+def test_extraction_past_the_old_grid_limit_runs():
+    # 4096^2 x 2 values (512 MiB) were once sampled for this table and refused.
+    f = random_bounded_map(2, 2, 2, seed=0)
+    table, peak = _peak_bytes(lambda: extract_coefficients(f, 2, QuadratureSpec(4096)))
+    assert peak < 2 * 2**20
+    for k, (a, b) in table.items():
+        np.testing.assert_allclose(a, f.holo.get(k, np.zeros(2)), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(b, f.anti.get(k, np.zeros(2)), rtol=0, atol=1e-13)
+
+
+def _fft_reference(g, max_degree, radii, M):
+    """The coefficient table by np.fft over eval_points on the torus grid's rows."""
+    axes = [r * np.exp(2j * np.pi * np.arange(M) / M) for r in radii]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    F = np.fft.fftn(g.eval_points(grid), axes=tuple(range(g.n))) / M**g.n
+    table = {}
+    for k in enumerate_indices(g.n, max_degree):
+        if mi_degree(k) >= 1:
+            rk = np.prod(np.asarray(radii) ** np.asarray(k))
+            table[k] = F[k] / rk, np.conj(F[tuple(-kj % M for kj in k)]) / rk
+    return table
+
+
+@pytest.mark.parametrize("case", ["series", "aliased series", "composed", "colonna", "blaschke",
+                                  "composed colonna"])
+def test_extraction_agrees_with_an_fft_reference(case):
+    f = random_bounded_map(2, 2, 4, seed=7)
+    g, max_degree, radii, M = {
+        "series": (f, 4, (0.6, 0.45), 16),
+        # degree 6 on 8 nodes aliases; both sums alias alike
+        "aliased series": (random_bounded_map(2, 1, 6, seed=2), 3, (0.5, 0.5), 8),
+        "composed": (ComposedMap(PolydiskAutomorphism([0.3j, -0.2], [1j, 1.0]), f), 5,
+                     (0.5, 0.7), 32),
+        "colonna": (ColonnaMap(np.exp(0.3j), 0.4 - 0.2j, np.exp(-1j)), 12, (0.6,), 64),
+        "blaschke": (BlaschkeProduct([0.3, -0.5j, 0.2 + 0.2j], np.exp(0.5j)), 12, (0.7,), 64),
+        "composed colonna": (ComposedMap(PolydiskAutomorphism([0.2j]), ColonnaMap()), 8,
+                             (0.5,), 32),
+    }[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the aliasing warning
+        table = extract_coefficients(g, max_degree, QuadratureSpec(M, radii))
+        single = {k: extract_coefficient(g, k, QuadratureSpec(M, radii)) for k in table}
+    reference = _fft_reference(g, max_degree, radii, M)
+    assert table.keys() == reference.keys()
+    for k, (a, b) in table.items():
+        for got in ((a, b), single[k]):
+            np.testing.assert_allclose(got[0], reference[k][0], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(got[1], reference[k][1], rtol=0, atol=1e-13)
+
+
+def test_extraction_from_series_samples_no_grid_and_stays_small(monkeypatch):
+    monkeypatch.setattr(PluriharmonicMap, "eval_grid",
+                        lambda *args: pytest.fail("sampled the grid"))
+    f = random_bounded_map(3, 1, 4, seed=4)
+    T = ComposedMap(PolydiskAutomorphism([0.2, 0.1j, -0.3]), f)
+    for g in (f, T):
+        # 64^3 nodes by default, a 4 MiB grid once sampled whole
+        table, peak = _peak_bytes(lambda: extract_coefficients(g, 4))
+        assert peak < 2**20 and len(table) == 34
+    for k, (a, b) in extract_coefficients(f, 4).items():
+        np.testing.assert_allclose(a, f.holo.get(k, np.zeros(1)), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(b, f.anti.get(k, np.zeros(1)), rtol=0, atol=1e-13)
+
+
+def test_series_kernel_sums_build_power_tables_in_slabs():
+    # At 4096 nodes a degree-300 power table is 19 MiB; it is built ROW_CHUNK_BYTES at a time.
+    f = random_bounded_map(1, 1, 300, seed=1)
+    z, alpha = [0.98], (1,)
+    rule = cauchy_rule(z, alpha, f.sup_bound)
+    assert rule.nodes == (4096,)
+    (A, B), peak = _peak_bytes(lambda: cauchy_derivative(f, z, alpha, rule))
+    assert peak < 2 * 2**20
+    A0, B0 = derivative_exact(f, z, alpha)
+    assert abs(A[0] - A0[0]) + abs(B[0] - B0[0]) <= rule.error_bound + rule.rounding
 
 
 @pytest.mark.parametrize("z, message", [([0.5, 0.5], "expected points with 1 coordinates"),
