@@ -16,8 +16,8 @@ import numpy as np
 
 from .multiindex import (as_index, check_factorial, degree as mi_degree, enumerate_indices,
                          factorial as mi_factorial, grid_rows)
-from .mapping import (MAX_SAMPLE_BYTES, PluriharmonicMap, SeriesMap, check_index, check_points,
-                      check_tensor_size)
+from .mapping import (MAX_SAMPLE_BYTES, ROW_CHUNK_BYTES, PluriharmonicMap, SeriesMap, check_index,
+                      check_points, check_tensor_size)
 
 DEFAULT_EXTRACTION_RADIUS = 0.5
 DEFAULT_EXTRACTION_NODES = 64
@@ -46,8 +46,8 @@ class QuadratureSpec:
     Either may be None, meaning each operation picks its documented default:
     DEFAULT_EXTRACTION_NODES and DEFAULT_EXTRACTION_RADIUS for coefficient
     extraction; for Cauchy derivatives, cauchy_rule's radius sqrt(|z_j|)
-    (CAUCHY_MIN_RADIUS at least) and the fewest nodes per axis whose error
-    bound meets CAUCHY_ERROR_TARGET.  A value that is given is used as it is.
+    (CAUCHY_MIN_RADIUS at least) and the fewest ladder nodes per axis that
+    meet an equal share of CAUCHY_ERROR_TARGET.  A value that is given is used as it is.
     """
 
     def __init__(self, nodes_per_dim: int | None = None, radii=None):
@@ -130,12 +130,12 @@ def _circles(radii, nodes) -> tuple[np.ndarray, ...]:
     return tuple(r * np.exp(2j * np.pi * np.arange(M) / M) for r, M in zip(radii, nodes))
 
 
-def _check_kernels(rows: int, nodes) -> None:
-    """The size rule for the kernels of a torus quadrature, `rows` per axis of M_j nodes."""
-    for M in nodes:
-        check_tensor_size((rows, M), lambda: (
-            f"an axis of {M} nodes with {rows} kernels",
-            "; use fewer quadrature nodes per dimension (--nodes)"))
+def _check_kernels(rows: int, nodes,
+                   hint=lambda j: "; use fewer quadrature nodes per dimension (--nodes)") -> None:
+    """The size rule for the kernels of a torus quadrature, `rows` per axis of M_j nodes;
+    hint(j) ends the refusal of axis j."""
+    for j, M in enumerate(nodes):
+        check_tensor_size((rows, M), lambda: (f"an axis of {M} nodes with {rows} kernels", hint(j)))
 
 
 def _axis_kernels(first: np.ndarray) -> np.ndarray:
@@ -160,25 +160,31 @@ def _nodes_text(nodes) -> str:
 
 
 def _extract(mapping: PluriharmonicMap, indices, spec: QuadratureSpec | None) -> list[tuple]:
-    """The pairs (a_k, b_k) of the indices k from one kernel_sums call.  Axis j's
-    kernels are e^(-i k_j theta)/M_j for each k, then their conjugates, so row p is
-    the torus mean of f e^(-i k.theta), the FFT entry F[k], and row R - 1 - p that of
-    f e^(i k.theta), F[-k]: a_k = F[k]/r^k and b_k = conj(F[-k])/r^k, with the FFT's
-    aliasing, summed in another order."""
+    """The pairs (a_k, b_k) of the indices k, from one kernel_sums call per chunk of
+    indices whose kernels stay within ROW_CHUNK_BYTES per axis.  Axis j's kernels are
+    e^(-i k_j theta)/M_j for each k, then their conjugates, so row p is the torus mean
+    of f e^(-i k.theta), the FFT entry F[k], and row R - 1 - p that of f e^(i k.theta),
+    F[-k]: a_k = F[k]/r^k and b_k = conj(F[-k])/r^k, with the FFT's aliasing, summed in
+    another order."""
     spec = spec or QuadratureSpec()
     radii = spec.resolve_radii(mapping.n, DEFAULT_EXTRACTION_RADIUS)
     nodes = spec.resolve_nodes(mapping.n, DEFAULT_EXTRACTION_NODES)
     _check_extraction_nodes(mapping, max(indices, key=mi_degree), nodes)
-    m = len(indices)
-    _check_kernels(2 * m, nodes)
-    k = np.array(indices).reshape(m, mapping.n)
-    # Node l of axis j has the phase 2 pi (k_j l mod M_j) / M_j: below 2 pi, so its
-    # rounding does not grow with k_j l.
-    kernels = [_axis_kernels(np.exp(-2j * np.pi * (np.outer(kj, np.arange(M)) % M / M)) / M)
-               for kj, M in zip(k.T, nodes)]
-    S = mapping.kernel_sums(_circles(radii, nodes), kernels)
-    rk = np.array([math.prod(r**kj for r, kj in zip(radii, kk)) for kk in indices])[:, None]
-    return list(zip(S[:m] / rk, np.conj(S[::-1][:m]) / rk))
+    _check_kernels(2, nodes)  # a chunk of one index; a longer one fits in ROW_CHUNK_BYTES
+    step = max(1, ROW_CHUNK_BYTES // (2 * max(nodes) * np.dtype(complex).itemsize))
+    pairs = []
+    for i in range(0, len(indices), step):
+        chunk = indices[i:i + step]
+        m = len(chunk)
+        k = np.array(chunk).reshape(m, mapping.n)
+        # Node l of axis j has the phase 2 pi (k_j l mod M_j) / M_j: below 2 pi, so its
+        # rounding does not grow with k_j l.
+        kernels = [_axis_kernels(np.exp(-2j * np.pi * (np.outer(kj, np.arange(M)) % M / M)) / M)
+                   for kj, M in zip(k.T, nodes)]
+        S = mapping.kernel_sums(_circles(radii, nodes), kernels)
+        rk = np.array([math.prod(r**kj for r, kj in zip(radii, kk)) for kk in chunk])[:, None]
+        pairs += zip(S[:m] / rk, np.conj(S[::-1][:m]) / rk)
+    return pairs
 
 
 def extract_coefficient(mapping: PluriharmonicMap, k, spec: QuadratureSpec | None = None):
@@ -200,9 +206,10 @@ def extract_coefficient(mapping: PluriharmonicMap, k, spec: QuadratureSpec | Non
 
 def extract_coefficients(mapping: PluriharmonicMap, max_degree: int,
                          spec: QuadratureSpec | None = None):
-    """All coefficient pairs with 1 <= |k| <= max_degree from one kernel_sums call,
-    which for a series (also one composed with an automorphism) contracts per-axis
-    kernels with power tables and never samples the torus grid."""
+    """All coefficient pairs with 1 <= |k| <= max_degree from one kernel_sums call per
+    chunk of indices (see _extract), which for a series (also one composed with an
+    automorphism) contracts per-axis kernels with power tables and never samples the
+    torus grid."""
     indices = [k for k in enumerate_indices(mapping.n, max_degree) if mi_degree(k) >= 1]
     return dict(zip(indices, _extract(mapping, indices, spec))) if indices else {}
 
@@ -297,13 +304,6 @@ def _ladder(x: float) -> int:
     return 3 * p // 4 if 3 * p // 4 >= x else p
 
 
-def _step(M: int, up: bool) -> int:
-    """The ladder's node count next above (or below) M."""
-    if (M & (M - 1)) == 0:
-        return M * 3 // 2 if up else M * 3 // 4
-    return M * 4 // 3 if up else M * 2 // 3
-
-
 def _combine(log_scale: float, t, alpha, tails) -> float:
     """The a priori bound 2 alpha! S (prod (S0 + T) - prod S0 + prod A), as
     exp(log_scale) (prod (1 + T/S0) - 1 + prod A/S0) with log_scale =
@@ -328,19 +328,9 @@ def _default_nodes(t, radii, alpha, log_scale: float, cap: int):
             tail = _axis_tails(tj, r, a, M)
             if M > cap or _log_sum(tail[0], tail[1] - log_s0) <= log_delta:
                 break
-            M = _step(M, up=True)
+            M = _ladder(M + 1)
         nodes.append(M)
         tails.append(tail)
-    # The equal share overpays an axis whose tail sits far below it, which
-    # matters most where another axis is near the boundary: at z = (0, 0.999),
-    # alpha = (1, 2), this trims 96 x 196608 nodes (288 MiB, refused) to 64 x 196608.
-    if n > 1:
-        for j in sorted(range(n), key=lambda j: -nodes[j]):
-            M = _step(nodes[j], up=False)
-            if M > alpha[j] and M >= MIN_NODES:
-                trial = tails[:j] + [_axis_tails(t[j], radii[j], alpha[j], M)] + tails[j + 1:]
-                if _combine(log_scale, t, alpha, trial) <= CAUCHY_ERROR_TARGET:
-                    nodes[j], tails = M, trial
     return nodes, tails
 
 
@@ -371,18 +361,17 @@ def cauchy_rule(z, alpha, sup: float = 1.0, spec: QuadratureSpec | None = None) 
 
     Each axis j gets its own circle.  Its radius is the one spec gives, else
     max(CAUCHY_MIN_RADIUS, sqrt(|z_j|)), and lies in (|z_j|, 1).  Its node count
-    is the one spec gives, above alpha_j, else one of the ladder 8, 12, 16, 24, ...
-    (2^k and 3 * 2^(k-1)): first the fewest with T_j/S0_j + A_j/S0_j <= delta
-    (for alpha_j = 0, less the 1 in A_j), where (1 + delta)^n - 1 is the
-    budget CAUCHY_ERROR_TARGET / (2 alpha! sup prod S0), so that the bound
-    meets CAUCHY_ERROR_TARGET; then, for n >= 2, each axis, the largest
-    first, one step fewer where the bound still meets it.  Either way the
-    rule carries the bound for the radii and nodes it holds.  Raises ValueError
-    when z breaks the point rule (check_points; len(alpha) coordinates), when a
-    given radius or node count breaks the contour rule (_check_radii, _check_nodes),
-    and when an axis's two kernels (2 x M_j complex values, which cauchy_derivative
+    is the one spec gives, above alpha_j, else the fewest of the ladder 8, 12, 16,
+    24, ... (2^k and 3 * 2^(k-1)) with T_j/S0_j + A_j/S0_j <= delta (for
+    alpha_j = 0, less the 1 in A_j), where (1 + delta)^n - 1 is the budget
+    CAUCHY_ERROR_TARGET / (2 alpha! sup prod S0), so that each axis takes an
+    equal share and the bound meets CAUCHY_ERROR_TARGET.  Either way the rule
+    carries the bound for the radii and nodes it holds.  Raises ValueError when z
+    breaks the point rule (check_points; len(alpha) coordinates), when a given
+    radius or node count breaks the contour rule (_check_radii, _check_nodes), and
+    when an axis's two kernels (2 x M_j complex values, which cauchy_derivative
     allocates) exceed MAX_SAMPLE_BYTES (_check_kernels), the only reason a default
-    rule is refused.
+    rule is refused; that refusal names the axis and its |z_j|.
     """
     alpha = as_index(alpha)
     n = len(alpha)
@@ -400,7 +389,8 @@ def cauchy_rule(z, alpha, sup: float = 1.0, spec: QuadratureSpec | None = None) 
     if spec is None or spec.nodes_per_dim is None:
         nodes, tails = _default_nodes(t, radii, alpha, log_scale,
                                       MAX_SAMPLE_BYTES // (2 * np.dtype(complex).itemsize))
-        _check_kernels(2, nodes)
+        _check_kernels(2, nodes, lambda j: f"; the error bound {CAUCHY_ERROR_TARGET:g} needs "
+                                           f"them on axis {j}, where |z_{j}| = {t[j]!r}")
     else:
         nodes = spec.resolve_nodes(n, 0)
         _check_nodes(alpha, nodes)

@@ -311,6 +311,17 @@ def test_cauchy_sample_too_large_is_a_usage_error(tmp_path, capsys):
     assert reports[-1]["params"]["nodes"] == [4096] * 3
 
 
+def test_a_refused_default_cauchy_rule_names_the_point_and_the_target(tmp_path, capsys):
+    # No --nodes was given, so the refusal names the axis and |z_j| whose error target
+    # needs the nodes, not --nodes.
+    path = _write_random(tmp_path, n=2, degree=2)
+    assert main(["verify", "--map", str(path), "--alpha", "1,1", "--method", "cauchy",
+                 "--grid", "2", "--radius-cap", "0.99999"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err and "--nodes" not in err
+    assert "the error bound 1e-09 needs them on axis 1, where |z_1| = 0.99999" in err
+
+
 @pytest.mark.parametrize("command", [["verify", "--alpha", ",".join(["1"] * 33)],
                                      ["verify", "--alpha", ",".join(["1"] * 33),
                                       "--method", "cauchy"],

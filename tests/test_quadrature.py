@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -15,6 +16,7 @@ from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, Pluriharmonic
                          random_bounded_map, torus_trapezoid,
                          verify_derivative_bound, PolydiskAutomorphism)
 from polyschwarz.multiindex import degree as mi_degree, enumerate_indices
+from polyschwarz.quadrature import CAUCHY_ERROR_TARGET
 
 
 def test_trapezoid_constant():
@@ -290,12 +292,12 @@ def test_cauchy_derivatives_of_series_sample_no_grid(monkeypatch):
 
 
 def test_cauchy_derivative_near_the_boundary_stays_small():
-    # At (0.95, 0.1, 0.1) the rule takes 1536 x 48 x 48 nodes, a 54 MiB grid that was
-    # once sampled in 1 MiB slabs; the kernel sums need a few power tables of one axis each.
+    # At (0.95, 0.1, 0.1) the rule takes 1536 x 64 x 64 nodes, a 96 MiB grid; the
+    # kernel sums need a few power tables of one axis each.
     f = random_bounded_map(3, 1, 4, seed=5)
     z, alpha = [0.95, 0.1, 0.1], (1, 1, 1)
     rule = cauchy_rule(z, alpha)
-    assert rule.nodes == (1536, 48, 48)
+    assert rule.nodes == (1536, 64, 64)
     tracemalloc.start()
     try:
         A, B = cauchy_derivative(f, z, alpha, rule)
@@ -304,6 +306,35 @@ def test_cauchy_derivative_near_the_boundary_stays_small():
         tracemalloc.stop()
     A0, B0 = derivative_exact(f, z, alpha)
     assert abs(A[0] - A0[0]) + abs(B[0] - B0[0]) <= rule.error_bound + rule.rounding
+
+
+@pytest.mark.parametrize("z, alpha, nodes", [
+    ([0.95, 0.1, 0.1], (1, 1, 1), (1536, 64, 64)),
+    ([0.0, 0.999], (1, 2), (96, 196608)),
+    ([0.9, 0.27j], (3, 1), (1536, 96)),  # a band point of the cauchy_sweep benchmark
+])
+def test_default_cauchy_rules_size_each_axis_on_its_own(z, alpha, nodes):
+    # Each axis takes the fewest ladder nodes whose own tails meet an equal share of the
+    # error target, and none steps back down the ladder afterwards.
+    f = random_bounded_map(len(z), 1, 4, seed=3)
+    rule = cauchy_rule(z, alpha, f.sup_bound)
+    assert rule.nodes == nodes and rule.error_bound <= CAUCHY_ERROR_TARGET
+    A, B = cauchy_derivative(f, z, alpha, rule)
+    A0, B0 = derivative_exact(f, z, alpha)
+    assert abs(A[0] - A0[0]) + abs(B[0] - B0[0]) <= rule.error_bound + rule.rounding
+
+
+def test_a_refused_default_rule_names_its_axis_and_the_target(monkeypatch):
+    monkeypatch.setattr(SeriesMap, "kernel_sums", lambda *args: pytest.fail("evaluated the map"))
+    f = random_bounded_map(2, 1, 2, seed=0)
+    # The ladder passes 2^23 nodes, whose two kernels fill MAX_SAMPLE_BYTES, between
+    # 1 - |z_0| = 1.6e-5 and 1.46e-5 at this order.
+    for t in (1 - 1e-5, 1 - 1.46e-5):
+        with pytest.raises(mapping.MapFormatError, match=(
+                r"12582912 nodes with 2 kernels needs 384 MiB, .*; the error bound 1e-09 "
+                rf"needs them on axis 0, where \|z_0\| = {re.escape(repr(t))}$")):
+            cauchy_derivative(f, [t, 0.0], (1, 1))
+    assert cauchy_rule([1 - 1.6e-5, 0.0], (1, 1)).nodes == (8388608, 96)
 
 
 def test_separable_kernel_sums_agree_with_the_sampled_ones(monkeypatch):
@@ -382,7 +413,7 @@ def _peak_bytes(call):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("t, nodes", [(0.75, (256, 384, 384)), (0.97, (4096,) * 3)])
+@pytest.mark.parametrize("t, nodes", [(0.75, (384, 384, 384)), (0.97, (4096,) * 3)])
 def test_cauchy_rules_past_the_old_grid_limit_run_small(t, nodes):
     # Both grids once were refused by a size rule on the whole torus sample (576 MiB and
     # 1 TiB), which a series never allocates; only the kernels and power tables are built.
@@ -430,6 +461,21 @@ def test_extraction_past_the_old_grid_limit_runs():
     for k, (a, b) in table.items():
         np.testing.assert_allclose(a, f.holo.get(k, np.zeros(2)), rtol=0, atol=1e-13)
         np.testing.assert_allclose(b, f.anti.get(k, np.zeros(2)), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("nodes", [64, 256])
+def test_extraction_builds_kernels_per_chunk_of_indices(nodes):
+    # The 2 x 1770 kernel rows of all indices up to degree 20 at n = 3, built at once,
+    # peaked at 14.1 MiB on 64 nodes and 55.5 MiB on 256.
+    f = random_bounded_map(3, 1, 3, seed=1)
+    table, peak = _peak_bytes(lambda: extract_coefficients(f, 20, QuadratureSpec(nodes)))
+    assert peak < 10 * 2**20
+    assert len(table) == 1770
+    for k, (a, b) in table.items():
+        # a_k is a torus mean divided by r^k, r = 0.5, which scales up the mean's rounding.
+        atol = 1e-16 / 0.5 ** mi_degree(k)
+        np.testing.assert_allclose(a, f.holo.get(k, np.zeros(1)), rtol=0, atol=atol)
+        np.testing.assert_allclose(b, f.anti.get(k, np.zeros(1)), rtol=0, atol=atol)
 
 
 def _fft_reference(g, max_degree, radii, M):
