@@ -289,7 +289,7 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 2
     try:
         return args.func(args)
-    except (HypothesisError, MapFormatError, FileNotFoundError, ValueError) as exc:
+    except (HypothesisError, MapFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,7 @@ from .multiindex import as_index, degree as mi_degree, enumerate_indices, grid_r
 MODULUS_TOL = 1e-12
 # Largest complex array built to a size the caller chose: a coefficient tensor, one
 # axis's quadrature kernels (rows x nodes), or one row of the torus grid that the
-# generic kernel_sums samples (the grid of all but the first axis, times N).
+# generic _grid_sums samples (the grid of all but the first axis, times N).
 MAX_SAMPLE_BYTES = 256 * 2**20
 # Highest derivative order per coordinate taken of a map that is not a finite
 # series: such derivatives grow like the order's factorial, and 171! overflows a double.
@@ -174,13 +174,31 @@ class PluriharmonicMap:
 
     def kernel_sums(self, axes, kernels) -> np.ndarray:
         """The sums over the tensor grid of n per-axis point arrays eta_j of
-        prod_j K_j[p, m_j] f(eta_m), p = 0, ..., R - 1, shape (R, N), for kernels K_j
-        of shape (R, M_j) whose row R - 1 - p is the conjugate of row p (a series
-        relies on that).  Generic fallback: eval_grid in slabs of at most
-        ROW_CHUNK_BYTES along the first axis, each contracted with the kernels of
-        that axis, then the other axes in turn.  A slab of one row, the grid of the
-        other axes, above MAX_SAMPLE_BYTES is refused before the map is evaluated."""
+        prod_j K_j[p, m_j] f(eta_m) and of prod_j conj(K_j[p, m_j]) f(eta_m), p = 0, ...,
+        R - 1, for kernels K_j of shape (R, M_j), M_j = len(eta_j): shape (2, R, N), the
+        first sums in row [0, p] and the second in row [1, p].  Kernels of another shape
+        are refused before the map is evaluated.  Each class computes the sums in
+        _grid_sums, which takes each axis's kernels, then their conjugates in reverse
+        order, so that row 2R - 1 - q is the conjugate of row q."""
         axes = _check_axes(axes, self.n)
+        kernels = [np.asarray(K, dtype=complex) for K in kernels]
+        if (len(kernels) != self.n or any(K.ndim != 2 or K.shape != (len(kernels[0]), len(a))
+                                          for K, a in zip(kernels, axes))):
+            raise ValueError(f"expected {self.n} kernel arrays of shapes (R, M_j) with one R "
+                             f"and M_j = {[len(a) for a in axes]}, "
+                             f"got {[np.shape(K) for K in kernels]}")
+        R = len(kernels[0])
+        S = self._grid_sums(axes, [np.concatenate([K, np.conj(K[::-1])]) for K in kernels])
+        S = S.reshape(2, R, self.N)
+        S[1] = S[1, ::-1]
+        return S
+
+    def _grid_sums(self, axes, kernels) -> np.ndarray:
+        """The (2R, N) sums of kernel_sums' paired kernels over the grid of checked axes:
+        eval_grid in slabs of at most ROW_CHUNK_BYTES along the first axis, each
+        contracted with the kernels of that axis, then the other axes in turn.  A slab
+        of one row, the grid of the other axes, above MAX_SAMPLE_BYTES is refused before
+        the map is evaluated."""
         row = tuple(len(a) for a in axes[1:]) + (self.N,)
         check_tensor_size(row, lambda: (f"a torus grid row of shape {row}",
                                         "; use fewer quadrature nodes per dimension (--nodes)"))
@@ -282,15 +300,15 @@ class SeriesMap(PluriharmonicMap):
             out[chunk] += np.conj(_contract_rows(self.b, tables))
         return out.reshape(Z.shape[:-1] + (self.N,))
 
-    def kernel_sums(self, axes, kernels) -> np.ndarray:
+    def _grid_sums(self, axes, kernels) -> np.ndarray:
         """Separable: the grid values are the tensors contracted with one power table
         T_j per axis, so each axis's kernels are contracted with its table first,
-        H_j = K_j @ T_j of shape (R, D_j) with T_j built in slabs of ROW_CHUNK_BYTES,
-        and then the tensors with those, R rows at a time as _row_slices allows; no
-        grid-sized array is built.  Row p sums conj(b_k eta^k) to conj(b . H[R-1-p]),
-        since row R - 1 - p of each K_j is the conjugate of row p."""
+        H_j = K_j @ T_j of shape (2R, D_j) with T_j built in slabs of ROW_CHUNK_BYTES,
+        and then the tensors with those, rows at a time as _row_slices allows; no
+        grid-sized array is built.  Row q sums conj(b_k eta^k) to conj(b . H[2R-1-q]),
+        since row 2R - 1 - q of each K_j is the conjugate of row q."""
         H = [_slab_products(K, d, lambda s: _powers(x[s], d))
-             for K, x, d in zip(kernels, _check_axes(axes, self.n), self.a.shape[1:])]
+             for K, x, d in zip(kernels, axes, self.a.shape[1:])]
         A = np.empty((len(H[0]), self.N), dtype=complex)
         B = np.empty_like(A)
         for chunk in _row_slices(len(A), self.a.shape):
@@ -464,10 +482,10 @@ class ComposedMap(PluriharmonicMap):
     def eval_points(self, Z) -> np.ndarray:
         return self.outer.eval_points(self.inner(np.asarray(Z, dtype=complex)))
 
-    def kernel_sums(self, axes, kernels) -> np.ndarray:
+    def _grid_sums(self, axes, kernels) -> np.ndarray:
         # The automorphism acts coordinatewise, so it maps the grid's axes.
-        return self.outer.kernel_sums(
-            [self.inner.coordinate(j, a) for j, a in enumerate(_check_axes(axes, self.n))], kernels)
+        return self.outer._grid_sums([self.inner.coordinate(j, a) for j, a in enumerate(axes)],
+                                     kernels)
 
     def _derivative(self, Z, alpha):
         # Faa di Bruno per coordinate: d^m/dz^m u(phi(z)) = sum_k u^(k)(phi(z)) * weight_k,
@@ -510,10 +528,7 @@ class ColonnaMap(PluriharmonicMap):
     def __init__(self, gamma=1.0, a=0.0, lam=1.0):
         self.gamma = _check_unimodular(gamma, "gamma")
         self.lam = _check_unimodular(lam, "lambda")
-        a = complex(a)
-        if not abs(a) < 1.0 - MODULUS_TOL:  # also refuses NaN
-            raise ValueError(f"automorphism parameter a must satisfy |a| < 1, got {abs(a)!r}")
-        self.a = a
+        self.a = complex(check_points([a], 1)[0, 0])
 
     def eval_points(self, Z) -> np.ndarray:
         zz = np.asarray(Z, dtype=complex)[..., 0]

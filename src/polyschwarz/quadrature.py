@@ -121,8 +121,7 @@ def abs_cos_integral(m: int, gamma: float, nodes: int | None = None) -> float:
 # Torus grids.  The grid is the tensor product of one circle per axis, with
 # its own radius and node count.  Coefficient extraction and Cauchy
 # derivatives both contract it with per-axis kernels through the map's
-# kernel_sums, which never builds the grid of a series.  Nothing is kept
-# between calls.
+# kernel_sums.  Nothing is kept between calls.
 # ---------------------------------------------------------------------------
 
 def _circles(radii, nodes) -> tuple[np.ndarray, ...]:
@@ -136,12 +135,6 @@ def _check_kernels(rows: int, nodes,
     hint(j) ends the refusal of axis j."""
     for j, M in enumerate(nodes):
         check_tensor_size((rows, M), lambda: (f"an axis of {M} nodes with {rows} kernels", hint(j)))
-
-
-def _axis_kernels(first: np.ndarray) -> np.ndarray:
-    """An axis's kernels from their first rows: those rows, then their conjugates in
-    reverse order, so that row R - 1 - p is the conjugate of row p (see kernel_sums)."""
-    return np.concatenate([first, np.conj(first[::-1])])
 
 
 def _check_extraction_nodes(mapping, k, nodes):
@@ -161,17 +154,16 @@ def _nodes_text(nodes) -> str:
 
 def _extract(mapping: PluriharmonicMap, indices, spec: QuadratureSpec | None) -> list[tuple]:
     """The pairs (a_k, b_k) of the indices k, from one kernel_sums call per chunk of
-    indices whose kernels stay within ROW_CHUNK_BYTES per axis.  Axis j's kernels are
-    e^(-i k_j theta)/M_j for each k, then their conjugates, so row p is the torus mean
-    of f e^(-i k.theta), the FFT entry F[k], and row R - 1 - p that of f e^(i k.theta),
-    F[-k]: a_k = F[k]/r^k and b_k = conj(F[-k])/r^k, with the FFT's aliasing, summed in
-    another order."""
+    indices whose kernels, with their conjugates, stay within ROW_CHUNK_BYTES.  Axis j's
+    kernel for k is e^(-i k_j theta)/M_j, so the two sums are the torus means of
+    f e^(-i k.theta) and f e^(i k.theta), the FFT entries F[k] and F[-k]:
+    a_k = F[k]/r^k and b_k = conj(F[-k])/r^k, with the FFT's aliasing."""
     spec = spec or QuadratureSpec()
     radii = spec.resolve_radii(mapping.n, DEFAULT_EXTRACTION_RADIUS)
     nodes = spec.resolve_nodes(mapping.n, DEFAULT_EXTRACTION_NODES)
     _check_extraction_nodes(mapping, max(indices, key=mi_degree), nodes)
     _check_kernels(2, nodes)  # a chunk of one index; a longer one fits in ROW_CHUNK_BYTES
-    step = max(1, ROW_CHUNK_BYTES // (2 * max(nodes) * np.dtype(complex).itemsize))
+    step = max(1, ROW_CHUNK_BYTES // (3 * sum(nodes) * np.dtype(complex).itemsize))
     pairs = []
     for i in range(0, len(indices), step):
         chunk = indices[i:i + step]
@@ -179,11 +171,11 @@ def _extract(mapping: PluriharmonicMap, indices, spec: QuadratureSpec | None) ->
         k = np.array(chunk).reshape(m, mapping.n)
         # Node l of axis j has the phase 2 pi (k_j l mod M_j) / M_j: below 2 pi, so its
         # rounding does not grow with k_j l.
-        kernels = [_axis_kernels(np.exp(-2j * np.pi * (np.outer(kj, np.arange(M)) % M / M)) / M)
+        kernels = [np.exp(-2j * np.pi * (np.outer(kj, np.arange(M)) % M / M)) / M
                    for kj, M in zip(k.T, nodes)]
         S = mapping.kernel_sums(_circles(radii, nodes), kernels)
         rk = np.array([math.prod(r**kj for r, kj in zip(radii, kk)) for kk in chunk])[:, None]
-        pairs += zip(S[:m] / rk, np.conj(S[::-1][:m]) / rk)
+        pairs += zip(S[0] / rk, np.conj(S[1]) / rk)
     return pairs
 
 
@@ -207,9 +199,7 @@ def extract_coefficient(mapping: PluriharmonicMap, k, spec: QuadratureSpec | Non
 def extract_coefficients(mapping: PluriharmonicMap, max_degree: int,
                          spec: QuadratureSpec | None = None):
     """All coefficient pairs with 1 <= |k| <= max_degree from one kernel_sums call per
-    chunk of indices (see _extract), which for a series (also one composed with an
-    automorphism) contracts per-axis kernels with power tables and never samples the
-    torus grid."""
+    chunk of indices (see _extract)."""
     indices = [k for k in enumerate_indices(mapping.n, max_degree) if mi_degree(k) >= 1]
     return dict(zip(indices, _extract(mapping, indices, spec))) if indices else {}
 
@@ -346,7 +336,7 @@ def _check_radii(t, radii) -> None:
 
 def _check_nodes(alpha, nodes) -> None:
     """The contour rule for node counts of an order alpha: one per axis, each above alpha_j,
-    with two kernels per axis that meet the size rule (_check_kernels)."""
+    with a kernel and its conjugate per axis that meet the size rule (_check_kernels)."""
     if len(nodes) != len(alpha):
         raise ValueError(f"expected one node count per axis, {len(alpha)}, got {len(nodes)}")
     for j, (M, a) in enumerate(zip(nodes, alpha)):
@@ -369,7 +359,7 @@ def cauchy_rule(z, alpha, sup: float = 1.0, spec: QuadratureSpec | None = None) 
     carries the bound for the radii and nodes it holds.  Raises ValueError when z
     breaks the point rule (check_points; len(alpha) coordinates), when a given
     radius or node count breaks the contour rule (_check_radii, _check_nodes), and
-    when an axis's two kernels (2 x M_j complex values, which cauchy_derivative
+    when an axis's kernel and its conjugate (2 x M_j complex values, which kernel_sums
     allocates) exceed MAX_SAMPLE_BYTES (_check_kernels), the only reason a default
     rule is refused; that refusal names the axis and its |z_j|.
     """
@@ -426,11 +416,8 @@ def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec=None):
     kernels break the size rule (an axis past 2^23 nodes).  An order whose
     alpha! is not a double (check_factorial) is refused before the map is evaluated.  The
     result carries no error claim.  The torus has a circle of its own radius and node count
-    per axis, with two kernels, the second the conjugate of the first, and the map's
-    kernel_sums gives both trapezoid sums, as it gives extract_coefficients' sums: a
-    series (also one composed with an automorphism) contracts each axis's kernels with its
-    power table, built in slabs, and never builds the grid; any other map is sampled in
-    slabs of at most ROW_CHUNK_BYTES along the first axis.  Nothing is kept between calls.
+    per axis, with one kernel, and the map's kernel_sums gives the trapezoid sums against
+    the kernels and against their conjugates.  Nothing is kept between calls.
     """
     alpha = check_factorial(check_index(alpha, mapping.n))
     if not any(alpha):
@@ -441,11 +428,8 @@ def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec=None):
     _check_radii([abs(complex(c)) for c in z], rule.radii)
     _check_nodes(alpha, rule.nodes)
     circles = _circles(rule.radii, rule.nodes)
-    # Row 0 of an axis's kernels gives A; row 1, the conjugate kernel, gives B,
-    # since the anti-holomorphic part is conj(sum conj(V) K) = sum V conj(K).
-    kernels = [_axis_kernels((eta / (eta - zj) ** (aj + 1))[None])
-               for eta, zj, aj in zip(circles, z, alpha)]
-    res = mapping.kernel_sums(circles, kernels)
+    kernels = [(eta / (eta - zj) ** (aj + 1))[None] for eta, zj, aj in zip(circles, z, alpha)]
+    res = mapping.kernel_sums(circles, kernels)[:, 0]
     res *= float(mi_factorial(alpha)) / math.prod(rule.nodes)
     if not np.all(np.isfinite(res)):
         raise ValueError("non-finite Cauchy quadrature result")

@@ -42,6 +42,19 @@ def test_usage_errors_exit_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("where", ["--map", "--out"])
+def test_a_path_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, where):
+    # A directory once gave an IsADirectoryError traceback and exit 1, for --out after
+    # every check had run.
+    path = _write_random(tmp_path)
+    paths = {"--map": str(path), "--out": str(tmp_path / "reports.jsonl"), where: str(tmp_path)}
+    capsys.readouterr()
+    assert main(["verify", "--map", paths["--map"], "--alpha", "1",
+                 "--out", paths["--out"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err and "Is a directory" in err
+
+
 def test_random_is_byte_deterministic(tmp_path):
     p1 = _write_random(tmp_path, "a.json", seed=7)
     p2 = _write_random(tmp_path, "b.json", seed=7)

@@ -247,3 +247,28 @@ def test_sampling_name_checker_sees_imports_attributes_and_definitions():
                            "def eval_points(Z):\n    pass\n"
                            "s = 'eval_grid, fft'\n"
                            "g = grid_rows(axes)\n") == [1, 2, 3, 4, 5]
+
+
+def _method_homes(source: str, method: str) -> list[str | None]:
+    """The class of each definition of `method` in the source (None outside a class)."""
+    tree = ast.parse(source)
+    owners = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for node in cls.body}
+    return sorted((owners.get(id(node)) for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and node.name == method), key=str)
+
+
+def test_kernel_sums_has_one_definition():
+    # kernel_sums checks the kernels and pairs them with their conjugates for every map
+    # class; a class computes its sums in _grid_sums and nowhere else.
+    assert {p.stem: homes for p in PACKAGE.glob("*.py")
+            if (homes := _method_homes(p.read_text(), "kernel_sums"))} \
+        == {"mapping": ["PluriharmonicMap"]}
+
+
+def test_method_home_checker_names_the_enclosing_class():
+    assert _method_homes("class A:\n    def kernel_sums(self):\n        pass\n"
+                         "class B(A):\n    async def kernel_sums(self):\n        pass\n"
+                         "    def other(self):\n        def kernel_sums():\n            pass\n"
+                         "def kernel_sums():\n    pass\n", "kernel_sums") == ["A", "B", None, None]

@@ -120,6 +120,17 @@ def test_colonna_parameter_validation():
         ColonnaMap(1, 0, 0.5)
 
 
+def test_colonna_parameter_a_follows_the_point_rule():
+    # |a| < 1 - MODULUS_TOL once refused a = 1 - 1e-13 with a message that said |a| < 1.
+    f = ColonnaMap(1.0, 1 - 1e-13)
+    assert f.sup_bound == 1.0
+    A, B = derivative_exact(f, [0.0], (1,))
+    assert np.all(np.isfinite(A)) and np.all(np.isfinite(B))
+    for a in (1.0, 1j, float("nan")):
+        with pytest.raises(ValueError, match="point lies on or outside the unit polydisk"):
+            ColonnaMap(1.0, a)
+
+
 def test_colonna_real_valued_and_bounded():
     f = ColonnaMap(1, 0.3 + 0.2j, np.exp(0.7j))
     rng = np.random.default_rng(2)

@@ -15,7 +15,7 @@ from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, Pluriharmonic
                          extract_coefficient, extract_coefficients, jacobian_pair,
                          random_bounded_map, torus_trapezoid,
                          verify_derivative_bound, PolydiskAutomorphism)
-from polyschwarz.multiindex import degree as mi_degree, enumerate_indices
+from polyschwarz.multiindex import degree as mi_degree, enumerate_indices, grid_rows
 from polyschwarz.quadrature import CAUCHY_ERROR_TARGET
 
 
@@ -338,7 +338,7 @@ def test_a_refused_default_rule_names_its_axis_and_the_target(monkeypatch):
 
 
 def test_separable_kernel_sums_agree_with_the_sampled_ones(monkeypatch):
-    # The generic kernel_sums samples the grid in slabs of ROW_CHUNK_BYTES; with 4 KiB
+    # The generic _grid_sums samples the grid in slabs of ROW_CHUNK_BYTES; with 4 KiB
     # slabs it takes the 192 x 64 x 2 grid of this point 2 rows at a time.
     f = random_bounded_map(2, 2, 4, seed=3)
     T = ComposedMap(PolydiskAutomorphism([0.2, 0.1j]), f)
@@ -346,11 +346,63 @@ def test_separable_kernel_sums_agree_with_the_sampled_ones(monkeypatch):
     assert cauchy_rule(z, alpha).nodes == (192, 64)
     separable = [cauchy_derivative(g, z, alpha) for g in (f, T)]
     monkeypatch.setattr(mapping, "ROW_CHUNK_BYTES", 4096)
-    monkeypatch.setattr(SeriesMap, "kernel_sums", PluriharmonicMap.kernel_sums)
+    monkeypatch.setattr(SeriesMap, "_grid_sums", PluriharmonicMap._grid_sums)
     builds = _count_grid_builds(f)
     sampled = [cauchy_derivative(g, z, alpha) for g in (f, T)]
     assert [len(axes[0]) for axes in builds] == [2] * 192
     np.testing.assert_allclose(np.array(separable), np.array(sampled), rtol=1e-13, atol=0)
+
+
+KERNEL_SUMS_MAPS = {
+    "series n=1": lambda: random_bounded_map(1, 2, 5, seed=11),
+    "series n=2": lambda: random_bounded_map(2, 2, 4, seed=3),
+    "series n=3": lambda: random_bounded_map(3, 2, 3, seed=12),
+    "composed series": lambda: ComposedMap(PolydiskAutomorphism([0.3j, -0.2], [1j, 1.0]),
+                                           random_bounded_map(2, 2, 4, seed=3)),
+    "colonna": lambda: ColonnaMap(np.exp(0.3j), 0.4 - 0.2j, np.exp(-1j)),
+    "blaschke": lambda: BlaschkeProduct([0.3, -0.5j, 0.2 + 0.2j], np.exp(0.5j)),
+    "composed colonna": lambda: ComposedMap(PolydiskAutomorphism([0.2j]), ColonnaMap()),
+}
+
+
+def _kernel_sum_inputs(n, rows, seed=4):
+    """Per-axis points inside the disk and random kernels, which have no conjugate layout."""
+    rng = np.random.default_rng(seed)
+    sizes = (8, 6, 5)[:n]
+    axes = [0.9 * rng.uniform(0, 1, M) * np.exp(2j * np.pi * rng.uniform(0, 1, M)) for M in sizes]
+    kernels = [rng.standard_normal((rows, M)) + 1j * rng.standard_normal((rows, M)) for M in sizes]
+    return axes, kernels
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("case", KERNEL_SUMS_MAPS)
+def test_kernel_sums_meet_one_contract_on_every_class(case, rows):
+    # A series once summed its anti-holomorphic part against row R - 1 - p, right only
+    # for kernels whose row R - 1 - p was the conjugate of row p.
+    g = KERNEL_SUMS_MAPS[case]()
+    axes, kernels = _kernel_sum_inputs(g.n, rows)
+    values = g.eval_points(grid_rows(axes))
+    weights = np.array([grid_rows([K[p] for K in kernels]).prod(axis=1) for p in range(rows)])
+    reference = np.stack([weights @ values, np.conj(weights) @ values])
+    got = g.kernel_sums(axes, kernels)
+    assert got.shape == (2, rows, g.N)
+    assert np.abs(got - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("case", KERNEL_SUMS_MAPS)
+def test_kernel_sums_refuse_kernels_of_another_shape_before_evaluating(monkeypatch, case):
+    # A series reaches its values through _grid_sums, a closed form through eval_points.
+    g = KERNEL_SUMS_MAPS[case]()
+    fail = lambda *args: pytest.fail("evaluated the map")
+    monkeypatch.setattr(type(g), "eval_points", fail)
+    monkeypatch.setattr(type(g), "_grid_sums", fail)
+    axes, kernels = _kernel_sum_inputs(g.n, 2)
+    wrong = [kernels + kernels[:1], [np.hstack([kernels[0], kernels[0]]), *kernels[1:]]]
+    if g.n > 1:
+        wrong.append([kernels[0][:1], *kernels[1:]])
+    for bad in wrong:
+        with pytest.raises(ValueError, match="kernel arrays of shapes"):
+            g.kernel_sums(axes, bad)
 
 
 def test_a_cauchy_derivative_keeps_no_reference_to_its_map():
