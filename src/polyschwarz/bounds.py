@@ -19,8 +19,8 @@ from itertools import product
 import numpy as np
 
 from .multiindex import as_order, check_factorial, grid_rows, unit_index
-from .mapping import (PluriharmonicMap, SeriesMap, check_index, derivative_exact, one_or_stack,
-                      to_pairs)
+from .mapping import (PluriharmonicMap, SeriesMap, check_exact_order, check_index,
+                      derivative_exact, one_or_stack, to_pairs)
 from .quadrature import QuadratureSpec, cauchy_derivative, cauchy_rule, extract_coefficients
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -416,6 +416,22 @@ def _row_norms(values: np.ndarray) -> list[float]:
     return np.sqrt(squares).tolist()
 
 
+def _derivative_sides(Z: np.ndarray, A, B, alpha: tuple) -> list[tuple[float, float]]:
+    """(|a| + |b|, rhs_polydisk(alpha, ||z||_inf)) at each point z of a checked stack, a and b
+    its scalar d^alpha f and dbar^alpha f (from A and B), for an alpha that passed as_order."""
+    # abs of each scalar: numpy's vectorised complex abs can differ from it in the last bit.
+    return [(abs(a) + abs(b), _rhs_polydisk(alpha, t)) for a, b, t in zip(A, B, _sup_norms(Z))]
+
+
+def _exact_ratio(mapping: PluriharmonicMap, Z: np.ndarray, alpha: tuple) -> float:
+    """sharpness_ratio at a checked stack Z of one point, for a map and alpha already checked."""
+    A, B = mapping._derivative(Z, alpha)
+    ((lhs, rhs),) = _derivative_sides(Z, A[:, 0].tolist(), B[:, 0].tolist(), alpha)
+    if not math.isfinite(lhs + rhs):  # make_report refuses the sides, with its message
+        make_report("derivative_polydisk", {}, lhs, rhs, DEFAULT_TOL_EXACT)
+    return lhs / rhs
+
+
 def verify_derivative_bound(mapping: PluriharmonicMap, z, alpha, method: str | None = None,
                             tol: float | None = None, spec: QuadratureSpec | None = None
                             ) -> BoundReport | list[BoundReport]:
@@ -431,16 +447,16 @@ def verify_derivative_bound(mapping: PluriharmonicMap, z, alpha, method: str | N
     bound, which holds for the certified sup, plus the rounding allowance of
     CauchyRule, which assumes rather than proves how accurately the map
     evaluates) and the `sup_bound` it was sized for; it passes only if
-    lhs + error_bound <= rhs + tol.  The exact method takes a stack's
-    derivatives in one stacked derivative_exact call; the Cauchy method sizes
-    and runs one rule per point.
+    lhs + error_bound <= rhs + tol.  The points are checked once; the exact
+    method takes a stack's derivatives in one stacked call of the map's exact
+    derivative, the Cauchy method sizes and runs one rule per point.
     """
     sup = require_certified(mapping, N=1)
     alpha = check_index(as_order(alpha), mapping.n)
     Z, one = one_or_stack(z, mapping.n)
     if method is None or method == "exact":
         method, default_tol = "exact", DEFAULT_TOL_EXACT
-        A, B = derivative_exact(mapping, Z, alpha)
+        A, B = mapping._derivative(Z, check_exact_order(mapping, alpha))
         A, B, rules = A[:, 0].tolist(), B[:, 0].tolist(), [None] * len(Z)
     elif method == "cauchy":
         default_tol = DEFAULT_TOL_QUAD
@@ -451,18 +467,15 @@ def verify_derivative_bound(mapping: PluriharmonicMap, z, alpha, method: str | N
         raise ValueError(f"unknown method {method!r}; expected 'exact' or 'cauchy'")
     tol = default_tol if tol is None else tol
     reports = []
-    # as_order has checked alpha, and each t is in [0, 1).
-    for point, t, a, b, rule in zip(Z.tolist(), _sup_norms(Z), A, B, rules):
-        # abs of each scalar: numpy's vectorised complex abs can differ from it in the last bit.
-        value = abs(a) + abs(b)
+    for point, (value, rhs), rule in zip(Z.tolist(), _derivative_sides(Z, A, B, alpha), rules):
         params = {"z": to_pairs(point), "alpha": list(alpha), "method": method}
         error = None
         if rule is not None:
             error = rule.error_bound + rule.rounding
             params.update(radii=list(rule.radii), nodes=list(rule.nodes),
                           error_bound=error if math.isfinite(error) else None, sup_bound=sup)
-        reports.append(make_report("derivative_polydisk", params, value, _rhs_polydisk(alpha, t),
-                                   tol, upper=None if error is None else value + error))
+        reports.append(make_report("derivative_polydisk", params, value, rhs, tol,
+                                   upper=None if error is None else value + error))
     return reports[0] if one else reports
 
 

@@ -451,13 +451,18 @@ def derivative_exact(mapping: PluriharmonicMap, z, alpha) -> tuple[np.ndarray, n
     are not represented.  Cauchy quadrature (quadrature.cauchy_derivative)
     is the independent cross-check.
     """
-    alpha = check_index(alpha, mapping.n)
-    if not isinstance(mapping, SeriesMap) and max(alpha) > MAX_CLOSED_FORM_ORDER:
-        raise ValueError(f"derivative orders above {MAX_CLOSED_FORM_ORDER} are only "
-                         f"taken of finite series, got {alpha}")
+    alpha = check_exact_order(mapping, check_index(alpha, mapping.n))
     Z, one = one_or_stack(z, mapping.n)
     A, B = mapping._derivative(Z, alpha)
     return (A[0], B[0]) if one else (A, B)
+
+
+def check_exact_order(mapping: PluriharmonicMap, alpha: tuple) -> tuple:
+    """The order cap: alpha, or ValueError for a closed-form order above MAX_CLOSED_FORM_ORDER."""
+    if not isinstance(mapping, SeriesMap) and max(alpha) > MAX_CLOSED_FORM_ORDER:
+        raise ValueError(f"derivative orders above {MAX_CLOSED_FORM_ORDER} are only "
+                         f"taken of finite series, got {alpha}")
+    return alpha
 
 
 class ComposedMap(PluriharmonicMap):

@@ -14,10 +14,10 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .multiindex import as_order
-from .mapping import (ColonnaMap, PluriharmonicMap, SeriesMap, check_index, check_tensor_size,
-                      from_pairs, random_bounded_map, to_pairs)
+from .mapping import (ColonnaMap, PluriharmonicMap, SeriesMap, check_exact_order, check_index,
+                      check_points, check_tensor_size, from_pairs, random_bounded_map, to_pairs)
 # direction_max stays bound here as well: perfbench/tracer.py wraps it as search.direction_max.
-from .bounds import direction_max, verify_derivative_bound  # noqa: F401
+from .bounds import _exact_ratio, direction_max, require_certified  # noqa: F401
 
 # Largest |z_j| and |a_j| searched.  Derivatives are exact for every family,
 # so the caps bound the search box, not a quadrature error.
@@ -30,10 +30,11 @@ FAMILIES = ("colonna_tensor", "random_series")
 
 
 def sharpness_ratio(mapping: PluriharmonicMap, z, alpha) -> float:
-    """(|d^alpha f| + |dbar^alpha f|) / rhs_polydisk(alpha, ||z||_inf) for a
-    certified scalar map, by exact differentiation (derivative_exact)."""
-    report = verify_derivative_bound(mapping, z, alpha)
-    return report.lhs / report.rhs
+    """(|d^alpha f| + |dbar^alpha f|) / rhs_polydisk(alpha, ||z||_inf) for a certified
+    scalar map at one point z: lhs / rhs of verify_derivative_bound, after its checks."""
+    require_certified(mapping, N=1)
+    alpha = check_exact_order(mapping, check_index(as_order(alpha), mapping.n))
+    return _exact_ratio(mapping, check_points([z], mapping.n), alpha)
 
 
 @dataclass
@@ -131,6 +132,8 @@ def sharpness_search(n: int, alpha, family: str = "colonna_tensor",
     family parameters and z) reads the earlier ratio instead of recomputing
     it, and still counts as an evaluation against the budget, so results do
     not depend on the repeat being skipped.  No global optimality is claimed.
+    Each ratio is sharpness_ratio's, without its BoundReport: alpha is checked once
+    per search, a map's certificate and order cap once per build, z once per candidate.
     """
     alpha = check_index(as_order(alpha), n)
     if budget < 1:
@@ -173,12 +176,12 @@ def sharpness_search(n: int, alpha, family: str = "colonna_tensor",
         if ratio is None:
             if params != last["params"]:
                 last["params"], last["map"] = params, _build_family_map(family, n, params)
-            ratio = ratios[key] = sharpness_ratio(last["map"], z, alpha)
+                require_certified(last["map"], N=1)
+                check_exact_order(last["map"], alpha)
+            ratio = ratios[key] = _exact_ratio(last["map"], check_points([z], n), alpha)
         state["evals"] += 1
         if ratio > state["best_ratio"]:
-            state["best_ratio"] = ratio
-            state["best_params"] = params
-            state["best_z"] = z
+            state.update(best_ratio=ratio, best_params=params, best_z=z)
         return ratio
 
     def refine(x, extra, sweeps=2):
@@ -196,22 +199,16 @@ def sharpness_search(n: int, alpha, family: str = "colonna_tensor",
                                      min(hi, x[i] + width), iters=10)
                 if fxi >= cur:
                     x[i] = xi
-        return x
 
     try:
         # Canonical start: all radial parameters zero (the known planar
         # equality case for colonna_tensor at alpha = (1,)).
-        x0 = [0.0] * len(bounds)
-        first_round = True
+        x = [0.0] * len(bounds)
         while state["evals"] < budget:
-            if first_round:
-                x = x0
-                first_round = False
-            else:
-                x = [rng.uniform(lo, hi) for lo, hi in bounds]
             extra = int(rng.integers(2**31)) if family == "random_series" else None
             objective(x, extra)
             refine(list(x), extra)
+            x = [rng.uniform(lo, hi) for lo, hi in bounds]
     except _BudgetExhausted:
         pass
 

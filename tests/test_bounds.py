@@ -13,6 +13,7 @@ from polyschwarz import (BlaschkeProduct, BoundReport, ColonnaMap, ComposedMap, 
                          verify_coefficient_bound, verify_derivative_bound,
                          verify_gradient_bound, verify_growth_bound, verify_homogeneous_bound,
                          verify_l2_bound)
+from polyschwarz import mapping
 
 FOUR_OVER_PI = 4.0 / math.pi
 
@@ -223,6 +224,16 @@ def test_verify_derivative_bound_methods_agree():
     assert r1.lhs == pytest.approx(r2.lhs, abs=1e-9)
     with pytest.raises(ValueError):
         verify_derivative_bound(f, z, (1, 1), method="newton")
+
+
+@pytest.mark.parametrize("f, z", [(random_bounded_map(2, 1, 3, seed=1), np.zeros((4, 2))),
+                                  (ColonnaMap(), [0.3j])])
+def test_an_exact_derivative_report_checks_its_points_once(monkeypatch, f, z):
+    calls = []
+    check = mapping.check_points
+    monkeypatch.setattr(mapping, "check_points", lambda Z, n: calls.append(n) or check(Z, n))
+    verify_derivative_bound(f, z, (1,) * f.n)
+    assert calls == [f.n]
 
 
 def test_verify_derivative_bound_refusals():

@@ -78,14 +78,30 @@ def _size_comparisons(source: str) -> list[int]:
                           for sub in ast.walk(node)))
 
 
+def _text_homes(sources: dict[str, str], text: str) -> dict[str, int]:
+    """How often each module that holds `text` holds it."""
+    return {name: source.count(text) for name, source in sources.items() if text in source}
+
+
 def test_each_input_rule_has_one_home():
     # The size rule (check_tensor_size) and the point rule (check_points) live in mapping;
     # every other module calls them instead of repeating the comparison or the message.
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert [name for name, text in sources.items() if _size_comparisons(text)] == ["mapping"]
-    point = "point lies on or outside the unit polydisk"
-    assert {name: text.count(point) for name, text in sources.items() if point in text} \
-        == {"mapping": 1}
+    assert _text_homes(sources, "point lies on or outside the unit polydisk") == {"mapping": 1}
+
+
+def test_the_order_cap_has_one_home():
+    # check_exact_order in mapping caps the exact derivative orders of closed forms;
+    # derivative_exact, verify_derivative_bound and the search call it.
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert _text_homes(sources, "derivative orders above") == {"mapping": 1}
+    assert _text_homes(sources, "> MAX_CLOSED_FORM_ORDER") == {"mapping": 1}
+
+
+def test_text_home_checker_counts_each_holder():
+    assert _text_homes({"mapping": "a rule; a rule", "bounds": "a ru le", "search": "(a rule)"},
+                       "a rule") == {"mapping": 2, "search": 1}
 
 
 def test_size_comparison_checker_sees_names_and_attributes():

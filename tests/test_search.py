@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polyschwarz import (ColonnaMap, JacobianPair, SeriesMap, direction_max, direction_upper,
+from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, HypothesisError, JacobianPair,
+                         PolydiskAutomorphism, SeriesMap, direction_max, direction_upper,
                          jacobian_pair, make_report, random_bounded_map, reevaluate,
-                         sharpness_ratio, sharpness_search, verify_gradient_bound)
-from polyschwarz import bounds, search
+                         sharpness_ratio, sharpness_search, verify_derivative_bound,
+                         verify_gradient_bound)
+from polyschwarz import bounds, mapping, search
 from polyschwarz.search import FAMILIES, golden_max
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -263,6 +265,82 @@ def test_sharpness_ratio_validation():
         sharpness_ratio(f, [0.1], (0,))
 
 
+def _ratio_cases():
+    """(map, alpha) pairs of every map class, with n = 1, 2 and 3 for series."""
+    composed = ComposedMap(PolydiskAutomorphism([0.3 - 0.2j, 0.1j]),
+                           random_bounded_map(2, 1, 4, seed=6))
+    series = [random_bounded_map(n, 1, 6 - n, seed=n) for n in (1, 2, 3)]
+    return [(series[0], (1,)), (series[0], (3,)), (series[1], (1, 1)), (series[1], (2, 1)),
+            (series[2], (1, 1, 1)), (series[2], (1, 2, 1)),
+            (ColonnaMap(1j, 0.4 - 0.3j, -1.0), (1,)), (ColonnaMap(), (4,)),
+            (BlaschkeProduct([0.5, -0.3j], 1j), (2,)),
+            (composed, (1, 1)), (composed, (1, 2)),
+            (search._tensor_colonna_map([0.2 + 0.1j, -0.3]), (1, 1))]
+
+
+@pytest.mark.parametrize("index", range(len(_ratio_cases())))
+def test_sharpness_ratio_is_the_exact_report_ratio_bit_for_bit(index):
+    f, alpha = _ratio_cases()[index]
+    rng = np.random.default_rng(30 + index)
+    points = [np.zeros(f.n, dtype=complex), np.r_[0.0, 0.5j * np.ones(f.n - 1)]]
+    radii, phases = rng.uniform(size=(2, 8, f.n))
+    points += list(0.9 * radii * np.exp(2j * np.pi * phases))
+    for z in points:
+        report = verify_derivative_bound(f, z, alpha)
+        assert sharpness_ratio(f, z, alpha) == report.lhs / report.rhs
+
+
+def test_sharpness_ratio_keeps_the_checks_of_the_exact_report():
+    f = random_bounded_map(2, 1, 3, seed=1)
+    refusals = [(f.scaled(2.0), [0.1, 0.2], (1, 1), HypothesisError),
+                (random_bounded_map(2, 2, 3, seed=1), [0.1, 0.2], (1, 1), HypothesisError),
+                (f, [0.1, 0.2], (1, 0), ValueError), (f, [0.1], (1, 1), ValueError),
+                (f, [0.1, 1.0], (1, 1), ValueError),
+                # an rhs past the largest double, with a finite or a NaN lhs
+                (random_bounded_map(1, 1, 3, seed=1), [0.9], (170,), ValueError),
+                (ColonnaMap(), [0.9], (170,), ValueError)]
+    for g, z, alpha, error in refusals:
+        with pytest.raises(error) as from_ratio, np.errstate(all="ignore"):
+            sharpness_ratio(g, z, alpha)
+        with pytest.raises(error) as from_report, np.errstate(all="ignore"):
+            verify_derivative_bound(g, z, alpha)
+        assert str(from_ratio.value) == str(from_report.value)
+    # a ratio is taken at one point, not at a stack
+    with pytest.raises(ValueError, match="expected points with 2 coordinates"):
+        sharpness_ratio(f, [[0.1, 0.2]] * 2, (1, 1))
+
+
+def _must_not_run(*args):
+    raise AssertionError("reached past the check that must refuse first")
+
+
+@pytest.mark.parametrize("family, n", [("colonna_tensor", 1), ("colonna_tensor", 2),
+                                       ("random_series", 2)])
+def test_the_search_certifies_each_built_map_before_scoring_it(monkeypatch, family, n):
+    monkeypatch.setattr(search, "_exact_ratio", _must_not_run)
+    # a family map whose l1 norm is 1.5, then one with N = 2
+    for bad, refusal in ((random_bounded_map(n, 1, 3, seed=1).scaled(1.5 / 0.95), "not certified"),
+                         (random_bounded_map(n, 2, 3, seed=1), "codomain dimension")):
+        monkeypatch.setattr(search, "_build_family_map", lambda *args: bad)
+        with pytest.raises(HypothesisError, match=refusal):
+            sharpness_search(n, (1,) * n, family, budget=10, seed=1)
+
+
+def test_the_search_refuses_an_order_before_scoring_a_candidate(monkeypatch):
+    monkeypatch.setattr(search, "_exact_ratio", _must_not_run)
+    # every order above MAX_CLOSED_FORM_ORDER has alpha! past the largest double,
+    # so the order check of the search refuses it before any map is built
+    monkeypatch.setattr(search, "_build_family_map", _must_not_run)
+    with pytest.raises(ValueError, match="exceeds the largest double"):
+        sharpness_search(1, (mapping.MAX_CLOSED_FORM_ORDER + 1,), budget=10, seed=1)
+    # the cap itself is applied to each built map, before its first candidate
+    monkeypatch.undo()
+    monkeypatch.setattr(search, "_exact_ratio", _must_not_run)
+    monkeypatch.setattr(mapping, "MAX_CLOSED_FORM_ORDER", 1)
+    with pytest.raises(ValueError, match="derivative orders above 1 "):
+        sharpness_search(1, (2,), "colonna_tensor", budget=10, seed=1)
+
+
 def test_sharpness_search_attains_planar_equality():
     res = sharpness_search(1, (1,), budget=30, seed=0)
     assert res.ratio == pytest.approx(1.0, abs=1e-9)
@@ -328,18 +406,19 @@ def test_jacobian_pair_feeds_direction_max():
                                               ("colonna_tensor", 2, (1, 1))])
 def test_sharpness_search_builds_each_candidate_once(monkeypatch, family, n, alpha):
     builds, evaluated = [], []
-    build, ratio = search._build_family_map, search.sharpness_ratio
+    build, ratio = search._build_family_map, search._exact_ratio
 
     def counting_build(family, n, params):
         builds.append((params, build(family, n, params)))
         return builds[-1][1]
 
-    def recording_ratio(mapping, z, alpha):
-        evaluated.append((mapping, z.tobytes()))
-        return ratio(mapping, z, alpha)
+    def recording_ratio(mapping, Z, alpha):
+        # Z is the candidate's checked (1, n) stack: the bytes of its one z.
+        evaluated.append((mapping, Z.tobytes()))
+        return ratio(mapping, Z, alpha)
 
     monkeypatch.setattr(search, "_build_family_map", counting_build)
-    monkeypatch.setattr(search, "sharpness_ratio", recording_ratio)
+    monkeypatch.setattr(search, "_exact_ratio", recording_ratio)
     res = sharpness_search(n, alpha, family, budget=80, seed=2)
     assert res.evaluations == 80
     # a ratio is computed once per distinct (parameters, z); repeats of a
