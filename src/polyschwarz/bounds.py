@@ -30,6 +30,7 @@ DEFAULT_TOL_EXACT = 1e-9
 DEFAULT_TOL_QUAD = 1e-7
 
 CERTIFICATION_SLACK = 1e-9
+_REPORT_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps would build one per report
 
 # The directional maximum: starting phases of the ascent, starts refined,
 # Newton steps and the step length that ends them (near a maximum, stopping
@@ -71,7 +72,7 @@ class BoundReport:
     def to_json(self) -> str:
         d = dict(vars(self))
         d["pass"] = d.pop("passed")
-        return json.dumps(d, sort_keys=True)
+        return _REPORT_ENCODER.encode(d)
 
 
 def make_report(check_id: str, params: dict, lhs: float, rhs: float, tol: float,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 import time
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import bounds, quadrature, search
 from .bounds import HypothesisError
-from .mapping import (ColonnaMap, MapFormatError, check_tensor_size, load_map, random_bounded_map,
-                      save_map)
+from .mapping import (ColonnaMap, MapFormatError, _write_file, check_tensor_size, load_map,
+                      random_bounded_map, save_map)
 from .multiindex import as_order, grid_rows
 
 
@@ -58,6 +59,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _radius_cap(text: str) -> float:
+    value = _finite_float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {value}")
+    return value
+
+
 def _z_grid(n: int, points: int, cap: float):
     """Real Cartesian grid: `points` values per coordinate in [0, cap], one
     point per row, under the size rule for its points**n x n complex values."""
@@ -67,25 +75,19 @@ def _z_grid(n: int, points: int, cap: float):
 
 
 def _write_reports(reports, out_path, csv_path=None) -> None:
-    lines = [r.to_json() for r in reports]
+    text = "".join(r.to_json() + "\n" for r in reports)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+        _write_file(out_path, text)
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.write(text)
     if csv_path:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["z", "check_id", "lhs", "rhs", "margin", "pass"])
-            for r in reports:
-                zrepr = ";".join(f"{re}:{im}" for re, im in r.params.get("z", []))
-                writer.writerow([zrepr, r.check_id, repr(r.lhs), repr(r.rhs),
-                                 repr(r.margin), r.passed])
-
-
-def _exit_for(reports) -> int:
-    return 0 if all(r.passed for r in reports) else 1
+        table = io.StringIO()
+        writer = csv.writer(table)
+        writer.writerow(["z", "check_id", "lhs", "rhs", "margin", "pass"])
+        for r in reports:
+            zrepr = ";".join(f"{re}:{im}" for re, im in r.params.get("z", []))
+            writer.writerow([zrepr, r.check_id, repr(r.lhs), repr(r.rhs), repr(r.margin), r.passed])
+        _write_file(csv_path, table.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +122,7 @@ def _sweep(args, check) -> int:
     reports = check(mapping, _z_grid(mapping.n, args.grid, args.radius_cap))
     _write_reports(reports, args.out, args.csv)
     print(_summary(reports, time.perf_counter() - start), file=sys.stderr)
-    return _exit_for(reports)
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_verify(args) -> int:
@@ -187,9 +189,7 @@ def cmd_sharpness(args) -> int:
     print(f"sharpness: family={result.family} alpha={list(result.alpha)} "
           f"ratio={result.ratio:.9f} evaluations={result.evaluations}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_file(args.out, json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n")
         print(f"result JSON: {args.out}")
     return 0
 
@@ -222,8 +222,8 @@ def _build_parser() -> argparse.ArgumentParser:
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--grid", type=_positive_int, default=5,
                       help="points per axis for the z grid (at least 1)")
-    grid.add_argument("--radius-cap", type=float, default=0.9,
-                      help="largest |z_j| sampled on the grid")
+    grid.add_argument("--radius-cap", type=_radius_cap, default=0.9,
+                      help="largest |z_j| sampled on the grid, in [0, 1)")
     grid.add_argument("--csv", default=None, help="also export the reports as CSV")
 
     p = sub.add_parser("verify", parents=[tol, nodes, radius, out, grid],

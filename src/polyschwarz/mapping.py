@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 import sys
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import compress, product
 from types import MappingProxyType
 
 import numpy as np
@@ -232,21 +234,23 @@ class SeriesMap(PluriharmonicMap):
         if n < 1 or N < 1:
             raise ValueError("dimensions must be >= 1")
         self.n, self.N = int(n), int(N)
-        self.a, self.b = _dense_tensors(self.n, self.N, self._clean_table(holo),
-                                        self._clean_table(anti))
+        self.a, self.b = _dense_tensors(self.n, self.N, *self._clean_table(holo, anti))
         self.a.flags.writeable = self.b.flags.writeable = False
         self.certified_sup = _certificate(certified_sup)
 
-    def _clean_table(self, table) -> list[tuple]:
-        """The validated table's terms as (index, N-vector) pairs."""
-        terms = []
-        for k, v in (table or {}).items():
-            kk = check_index(k, self.n)
-            vv = np.atleast_1d(np.asarray(v, dtype=complex))
-            if vv.shape != (self.N,):
-                raise MapFormatError(f"coefficient for {kk} has shape {vv.shape}, expected ({self.N},)")
-            terms.append((kk, vv))
-        return terms
+    def _clean_table(self, holo, anti) -> tuple[list, np.ndarray, list]:
+        """The validated terms of both tables: indices, N-vectors (one per row) and anti flags."""
+        keys, values, is_anti = [], [], []
+        for part, table in enumerate((holo, anti)):
+            for k, v in (table or {}).items():
+                kk = check_index(k, self.n)
+                vv = np.atleast_1d(np.asarray(v, dtype=complex))
+                if vv.shape != (self.N,):
+                    raise MapFormatError(f"coefficient for {kk} has shape {vv.shape}, expected ({self.N},)")
+                keys.append(kk)
+                values.append(vv)
+                is_anti.append(part)
+        return keys, np.array(values, dtype=complex).reshape(-1, self.N), is_anti
 
     @classmethod
     def from_tensors(cls, a: np.ndarray, b: np.ndarray, certified_sup=None) -> SeriesMap:
@@ -367,25 +371,21 @@ def _slab_products(K: np.ndarray, width: int, rows) -> np.ndarray:
     return res
 
 
-def _dense_tensors(n: int, N: int, holo, anti) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficient tensors a and b of validated terms, (index, N-vector)
-    pairs with indices of length n.  Zero vectors are not kept, so they do
-    not widen the tensors; an oversized shape is refused before allocation."""
-    tables = []
-    for terms in (holo, anti):
-        terms = [(k, v) for k, v in terms if v.any()]
-        try:
-            keys = np.array([k for k, _ in terms], dtype=int).reshape(-1, n)
-        except OverflowError as exc:
-            raise MapFormatError(f"an index component exceeds 64 bits ({exc})") from exc
-        tables.append((keys, np.array([v for _, v in terms], dtype=complex).reshape(-1, N)))
-    (hk, hv), (ak, av) = tables
-    top = np.max(np.vstack([hk, ak]), axis=0, initial=0)
-    shape = (N,) + tuple(int(d) + 1 for d in top)
+def _dense_tensors(n: int, N: int, keys, values, anti) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient tensors a and b of validated terms: indices of length n, their (T, N)
+    complex vectors and whether each is anti-holomorphic.  Zero vectors are not kept (nor their
+    indices converted), so they do not widen the tensors; an oversized shape is refused first."""
+    keep = values.any(axis=1)
+    try:
+        idx = np.array(list(compress(keys, keep)), dtype=int).reshape(-1, n)
+    except OverflowError as exc:
+        raise MapFormatError(f"an index component exceeds 64 bits ({exc})") from exc
+    values, anti = values[keep], np.array(anti, dtype=bool)[keep]
+    shape = (N,) + tuple(int(d) + 1 for d in np.max(idx, axis=0, initial=0))
     check_tensor_size(shape)
     a, b = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
-    a[(slice(None),) + tuple(hk.T)] = hv.T
-    b[(slice(None),) + tuple(ak.T)] = av.T
+    a[(slice(None),) + tuple(idx[~anti].T)] = values[~anti].T
+    b[(slice(None),) + tuple(idx[anti].T)] = values[anti].T
     return a, b
 
 
@@ -396,7 +396,7 @@ def _certificate(certified_sup) -> float | None:
         return None
     try:
         certified_sup = float(certified_sup)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MapFormatError(f"certified_sup must be a number ({exc})") from exc
     if not 0.0 <= certified_sup < math.inf:
         raise MapFormatError(f"certified_sup must be finite and nonnegative, got {certified_sup}")
@@ -678,16 +678,28 @@ def map_to_dict(mapping: SeriesMap) -> dict:
     return out
 
 
-def _pairs_to_vec(pairs, N: int, where: str) -> np.ndarray:
+def _coefficient_rows(vectors: list, owners: list, N: int) -> np.ndarray:
+    """The (T, N) complex rows of T vectors of N [re, im] pairs, in one numpy conversion; if that
+    refuses them, one by one (from_pairs), which names the term owners[t] of the first bad one."""
     try:
-        vec = from_pairs(pairs)
-    except (TypeError, ValueError) as exc:
-        raise MapFormatError(f"{where}: coefficient entries must be [re, im] pairs ({exc})") from exc
-    if vec.shape != (N,):
-        raise MapFormatError(f"{where}: expected {N} coefficient entries, got {vec.shape[0]}")
-    if not np.all(np.isfinite(vec)):
-        raise MapFormatError(f"{where}: coefficient entries must be finite")
-    return vec
+        # No dtype=float: numpy would parse a numeric string, which complex() refuses.
+        x = np.array(vectors)
+    except (TypeError, ValueError, OverflowError):
+        x = np.empty(0)
+    if x.dtype.kind in "biuf" and x.shape == (len(vectors), N, 2) and np.isfinite(x).all():
+        return np.ascontiguousarray(x, dtype=float).view(complex)[..., 0]
+    rows = []
+    for vec, i in zip(vectors, owners):
+        try:
+            vec = from_pairs(vec)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MapFormatError(f"term {i}: coefficient entries must be [re, im] pairs ({exc})") from exc
+        if vec.shape != (N,):
+            raise MapFormatError(f"term {i}: expected {N} coefficient entries, got {vec.shape[0]}")
+        if not np.all(np.isfinite(vec)):
+            raise MapFormatError(f"term {i}: coefficient entries must be finite")
+        rows.append(vec)
+    return np.array(rows, dtype=complex).reshape(-1, N)
 
 
 def map_from_dict(data: dict) -> SeriesMap:
@@ -695,34 +707,44 @@ def map_from_dict(data: dict) -> SeriesMap:
         n = int(data["n"])
         N = int(data["N"])
         raw_terms = data["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MapFormatError(f"map file must contain integer 'n', 'N' and a 'terms' list ({exc})") from exc
     if n < 1 or N < 1:
         raise MapFormatError(f"dimensions must be >= 1, got n = {n} and N = {N}")
-    # Each term is parsed and validated once, here; the tensors are built from the result.
-    seen, holo, anti = set(), [], []
+    # Terms are checked one by one and their vectors converted at once, the earlier error first.
+    seen, keys, vectors, anti, owners = set(), [], [], [], []
     for i, term in enumerate(raw_terms):
-        where = f"term {i}"
-        if not isinstance(term, dict) or "k" not in term:
-            raise MapFormatError(f"{where}: expected an object with a 'k' index")
         try:
+            if not isinstance(term, dict) or "k" not in term:
+                raise MapFormatError("expected an object with a 'k' index")
             k = check_index(term["k"], n)
-        except ValueError as exc:
-            raise MapFormatError(f"{where}: {exc}") from exc
-        if k in seen:
-            raise MapFormatError(f"{where}: duplicate index {k}")
+            if k in seen:
+                raise MapFormatError(f"duplicate index {k}")
+        except (ValueError, OverflowError) as exc:
+            _coefficient_rows(vectors, owners, N)
+            raise MapFormatError(f"term {i}: {exc}") from exc
         seen.add(k)
-        if "a" in term:
-            holo.append((k, _pairs_to_vec(term["a"], N, where)))
-        if "b" in term:
-            anti.append((k, _pairs_to_vec(term["b"], N, where)))
-    return SeriesMap.from_tensors(*_dense_tensors(n, N, holo, anti), data.get("certified_sup"))
+        for part in ("a", "b"):
+            if part in term:
+                keys.append(k)
+                vectors.append(term[part])
+                anti.append(part == "b")
+                owners.append(i)
+    values = _coefficient_rows(vectors, owners, N)
+    return SeriesMap.from_tensors(*_dense_tensors(n, N, keys, values, anti), data.get("certified_sup"))
+
+
+def _write_file(path, text: str) -> None:
+    """The package's one way to write a file: over its old bytes, since ext4 makes a close after
+    O_TRUNC wait for the blocks (auto_da_alloc); a regular file is then cut to the text.  No fsync."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode())
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def save_map(mapping: SeriesMap, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(map_to_dict(mapping), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_file(path, json.dumps(map_to_dict(mapping), indent=2, sort_keys=True) + "\n")
 
 
 def load_map(path) -> SeriesMap:

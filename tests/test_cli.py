@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import threading
 import tracemalloc
 import warnings
 
@@ -511,3 +513,74 @@ def test_an_order_past_the_double_range_of_its_weights_is_checked_at_zero(tmp_pa
     (report,) = [json.loads(line) for line in out_path.read_text().splitlines()]
     assert report["pass"] and 0 < report["lhs"] < math.inf
     assert "Warning" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_a_report_file_rewritten_with_a_shorter_report_holds_just_that_report(tmp_path, flag):
+    path = _write_random(tmp_path, n=2)
+
+    def run(grid, target):
+        argv = ["verify", "--map", str(path), "--alpha", "1,1", "--grid", str(grid), flag, str(target)]
+        if flag == "--csv":
+            argv += ["--out", str(tmp_path / "reports.jsonl")]
+        assert main(argv) == 0
+        return target.read_bytes()
+
+    fresh, target = tmp_path / "fresh", tmp_path / "target"
+    assert len(run(6, target)) > len(run(2, fresh))
+    assert run(2, target) == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["sharpness", "--n", "1", "--alpha", "1", "--budget", "30"],
+                                  ["random", "--n", "1", "--degree", "2"]])
+def test_a_result_or_map_file_written_over_a_longer_file_holds_just_the_new_text(tmp_path, argv):
+    fresh, target = tmp_path / "fresh.json", tmp_path / "target.json"
+    target.write_text("x" * 100_000)
+    for out in (fresh, target):
+        assert main([*argv, "--out", str(out)]) == 0
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_reports_go_to_the_null_device_and_to_a_fifo_uncut(tmp_path):
+    path = _write_random(tmp_path)
+    verify = ["verify", "--map", str(path), "--alpha", "1", "--grid", "3"]
+    assert main([*verify, "--out", os.devnull, "--csv", os.devnull]) == 0
+    if not hasattr(os, "mkfifo"):
+        return
+    fifo, fresh = tmp_path / "fifo", tmp_path / "fresh.jsonl"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    assert main([*verify, "--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert main([*verify, "--out", str(fresh)]) == 0
+    assert got == [fresh.read_bytes()]
+
+
+@pytest.mark.parametrize("cap", ["-0.5", "1.0", "1.5", "nan"])
+def test_a_radius_cap_outside_the_unit_interval_is_a_usage_error(tmp_path, capsys, cap):
+    # -0.5 once sampled z = -0.5, and 1.0 reached only the point rule's message
+    path = _write_random(tmp_path)
+    out_path = tmp_path / "reports.jsonl"
+    for command in (["verify", "--alpha", "1"], ["gradient"], ["growth"], ["coeffs"]):
+        assert main([command[0], "--map", str(path), *command[1:], "--radius-cap", cap,
+                     "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert "argument --radius-cap" in err and "Traceback" not in err
+    assert not out_path.exists()
+    assert main(["verify", "--map", str(path), "--alpha", "1", "--radius-cap", "0",
+                 "--out", str(out_path)]) == 0
+
+
+@pytest.mark.parametrize("terms, extra, where", [
+    ([{"k": [1, 0], "a": [[10**400, 0.0]]}], {}, "term 0"),
+    ([{"k": [1, 0], "a": [[0.5, 0.0]]}], {"certified_sup": 10**400}, "certified_sup"),
+])
+def test_a_map_file_number_beyond_the_double_range_exits_2_without_a_traceback(tmp_path, capsys,
+                                                                              terms, extra, where):
+    # both once ended in an OverflowError traceback and exit 1, the failed-check code
+    path = _write_terms(tmp_path, terms, **extra)
+    assert main(["verify", "--map", str(path), "--alpha", "1,1", "--grid", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and where in err and "Traceback" not in err

@@ -288,3 +288,56 @@ def test_method_home_checker_names_the_enclosing_class():
                          "class B(A):\n    async def kernel_sums(self):\n        pass\n"
                          "    def other(self):\n        def kernel_sums():\n            pass\n"
                          "def kernel_sums():\n    pass\n", "kernel_sums") == ["A", "B", None, None]
+
+
+def _file_writes(source: str) -> list[tuple[int, str | None]]:
+    """(line, innermost enclosing function) of each call that may open a file for writing:
+    os.open, write_text, write_bytes, and an open(...) or x.open(...) whose mode (argument 1
+    of open, argument 0 of a method, or mode=) is given and is not a constant of r, b and t."""
+    tree = ast.parse(source)
+    funcs = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", getattr(func, "attr", None))
+        if name == "open" and getattr(getattr(func, "value", None), "id", None) == "os":
+            writes = True
+        elif name == "open":
+            at = 1 if isinstance(func, ast.Name) else 0
+            modes = node.args[at:at + 1] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            writes = any(not (isinstance(m, ast.Constant) and set(str(m.value)) <= set("rbt"))
+                         for m in modes)
+        else:
+            writes = name in ("write_text", "write_bytes")
+        if writes:
+            inside = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+            found.append((node.lineno, inside[-1] if inside else None))
+    return sorted(found, key=lambda f: f[0])
+
+
+def test_every_file_is_written_by_one_helper():
+    # mapping._write_file writes report files, CSV tables, sharpness results and map files
+    # in place; no other function of the package opens a file for writing.
+    homes = {(p.stem, func) for p in PACKAGE.glob("*.py") for _, func in _file_writes(p.read_text())}
+    assert homes == {("mapping", "_write_file")}
+
+
+def test_file_write_checker_sees_modes_os_open_and_path_methods():
+    assert _file_writes("import os\n"
+                        "def save(p):\n"
+                        "    open(p, 'w')\n"
+                        "    open(p, mode='a')\n"
+                        "    open(p, 'r+b')\n"
+                        "def load(p, m):\n"
+                        "    open(p)\n"
+                        "    open(p, 'rb')\n"
+                        "    p.open()\n"
+                        "    p.open('rt')\n"
+                        "    p.open('w')\n"
+                        "    open(p, m)\n"
+                        "    p.write_text('x')\n"
+                        "    p.read_text()\n"
+                        "fd = os.open('f', os.O_WRONLY)\n") == [
+        (3, "save"), (4, "save"), (5, "save"), (11, "load"), (12, "load"), (13, "load"), (15, None)]

@@ -645,3 +645,95 @@ def test_map_files_are_parsed_once_and_build_the_same_tensors(monkeypatch):
         map_from_dict({"n": 1, "N": 1, "terms": [{"k": [10**19], "a": [[0.1, 0]]}]})
     with pytest.raises(MapFormatError, match="dimensions"):
         map_from_dict({"n": 0, "N": 1, "terms": []})
+
+
+def _reference_tensors(data: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The tensors of a well-formed map dict built term by term in plain Python: complex(re, im)
+    per entry, all-zero vectors dropped, each tensor as wide as the largest kept index."""
+    n, N = data["n"], data["N"]
+    parts = [{}, {}]
+    for term in data["terms"]:
+        for table, name in zip(parts, "ab"):
+            vec = [complex(re, im) for re, im in term.get(name, [])]
+            if any(vec):
+                table[tuple(term["k"])] = vec
+    keys = list(parts[0]) + list(parts[1])
+    shape = (N,) + tuple(max((k[j] for k in keys), default=0) + 1 for j in range(n))
+    a, b = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    for t, table in zip((a, b), parts):
+        for k, vec in table.items():
+            t[(slice(None),) + k] = vec
+    return a, b
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2])
+def test_map_files_give_the_tensors_of_a_term_by_term_parse(n, N):
+    rng = np.random.default_rng(10 * n + N)
+    entries = [lambda: [float(rng.standard_normal()), float(rng.standard_normal())],
+               lambda: [0.0, 0.0], lambda: [-0.0, 0.0], lambda: [int(rng.integers(-3, 4)), 0],
+               lambda: [float(rng.standard_normal()) * 1e-300, -0.0], lambda: [2**53 + 1, 0.5]]
+    for _ in range(20):
+        keys = {tuple(int(x) for x in rng.integers(0, 5, n)) for _ in range(rng.integers(0, 9))}
+        terms = []
+        for k in keys:
+            term = {"k": list(k)}
+            for name in "ab":
+                if rng.random() < 0.7:  # sparse: some terms carry one part or none
+                    term[name] = [entries[rng.integers(len(entries))]() for _ in range(N)]
+            terms.append(term)
+        data = {"n": n, "N": N, "terms": terms}
+        f = map_from_dict(json.loads(json.dumps(data)))
+        a, b = _reference_tensors(data)
+        # bit for bit, signed zeros included
+        assert f.a.shape == a.shape and f.a.tobytes() == a.tobytes()
+        assert f.b.shape == b.shape and f.b.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("terms, message", [
+    # a bad b in term 0 is named before a bad a in term 1
+    ([{"k": [0], "a": [[0.1, 0]], "b": [[None, 0]]}, {"k": [1], "a": [["1", 0]]}],
+     "term 0: coefficient entries must be"),
+    # an a is named before the b of the same term
+    ([{"k": [0], "a": [[0.1]], "b": [[math.nan, 0]]}], "term 0: coefficient entries must be"),
+    ([{"k": [0], "a": [[0.1, 0]], "b": [[math.nan, 0]]}], "term 0: coefficient entries must be finite"),
+    # a bad vector is named before a later term's bad structure, and after an earlier one's
+    ([{"k": [0], "b": [[0.1, 0, 0]]}, {"k": [0]}], "term 0: coefficient entries must be"),
+    ([{"k": [0], "b": [[0.1, 0]]}, {"k": [0]}, {"k": [2], "a": [[None, 0]]}], "term 1: duplicate"),
+    ([{"k": [0], "a": [[0.1, 0]]}, [1], {"k": [2], "a": "x"}], "term 1: expected an object"),
+])
+def test_a_bad_map_file_names_its_first_bad_term_in_file_order(terms, message):
+    with pytest.raises(MapFormatError, match=message):
+        map_from_dict({"n": 1, "N": 1, "terms": terms})
+
+
+@pytest.mark.parametrize("vector, message", [
+    ([["1.5", "0"]], r"term 1: coefficient entries must be \[re, im\] pairs \(complex\(\) can't"),
+    ([["1.5", 0]], r"term 1: coefficient entries must be \[re, im\] pairs"),
+    ([[0.5, "0"]], r"term 1: coefficient entries must be \[re, im\] pairs"),
+    ([[None, 0.0]], r"term 1: coefficient entries must be \[re, im\] pairs"),
+    (None, r"term 1: coefficient entries must be \[re, im\] pairs"),
+    ([[0.5]], r"term 1: coefficient entries must be \[re, im\] pairs \(not enough values"),
+    ([[0.5, 0.0, 0.0]], r"term 1: coefficient entries must be \[re, im\] pairs \(too many values"),
+    ([], "term 1: expected 1 coefficient entries, got 0"),
+    ([[0.5, 0.0], [0.5, 0.0]], "term 1: expected 1 coefficient entries, got 2"),
+    ([[10**400, 0]], r"term 1: .*\(int too large to convert to float\)"),
+    ([[0.5, -10**400]], r"term 1: .*\(int too large to convert to float\)"),
+])
+def test_malformed_coefficient_vectors_are_refused_with_their_term(vector, message):
+    for name in "ab":
+        # every other term is well formed, so the one conversion refuses the file
+        terms = [{"k": [0], "a": [[0.1, 0.0]]}, {"k": [1], name: vector}, {"k": [2], "b": [[0.2, 0]]}]
+        with pytest.raises(MapFormatError, match=message):
+            map_from_dict({"n": 1, "N": 1, "terms": terms})
+
+
+def test_numbers_beyond_the_double_range_are_refused_as_map_format_errors():
+    for data, message in [({"n": 1, "N": 1, "terms": [], "certified_sup": 10**400}, "certified_sup"),
+                          ({"n": 1, "N": 1, "terms": [{"k": [math.inf], "a": [[0.1, 0]]}]}, "term 0"),
+                          ({"n": math.inf, "N": 1, "terms": []}, "integer 'n', 'N'")]:
+        with pytest.raises(MapFormatError, match=message):
+            map_from_dict(data)
+    # an integer that needs no more than a double's range is read as complex() reads it
+    g = map_from_dict({"n": 1, "N": 1, "terms": [{"k": [1], "a": [[10**30, 2**64]]}]})
+    assert g.a[0, 1] == complex(10**30, 2**64)
