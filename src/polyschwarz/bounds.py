@@ -21,7 +21,8 @@ import numpy as np
 from .multiindex import as_order, check_factorial, grid_rows, unit_index
 from .mapping import (PluriharmonicMap, SeriesMap, check_exact_order, check_index,
                       derivative_exact, one_or_stack, to_pairs)
-from .quadrature import QuadratureSpec, cauchy_derivative, cauchy_rule, extract_coefficients
+from .quadrature import (QuadratureSpec, _cauchy_derivative, _cauchy_rule, _check_sup, _moduli,
+                         extract_coefficients)
 
 FOUR_OVER_PI = 4.0 / math.pi
 
@@ -461,8 +462,9 @@ def verify_derivative_bound(mapping: PluriharmonicMap, z, alpha, method: str | N
         A, B, rules = A[:, 0].tolist(), B[:, 0].tolist(), [None] * len(Z)
     elif method == "cauchy":
         default_tol = DEFAULT_TOL_QUAD
-        rules = [cauchy_rule(point, alpha, sup, spec) for point in Z]
-        pairs = [cauchy_derivative(mapping, point, alpha, rule) for point, rule in zip(Z, rules)]
+        sup = _check_sup(sup)  # alpha and the points are checked above, once per call
+        rules = [_cauchy_rule(_moduli(point), alpha, sup, spec) for point in Z]
+        pairs = [_cauchy_derivative(mapping, point, alpha, rule) for point, rule in zip(Z, rules)]
         A, B = [a[0] for a, _ in pairs], [b[0] for _, b in pairs]
     else:
         raise ValueError(f"unknown method {method!r}; expected 'exact' or 'cauchy'")

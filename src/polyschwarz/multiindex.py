@@ -18,7 +18,10 @@ MultiIndex = Tuple[int, ...]
 
 def as_index(k: Sequence[int]) -> MultiIndex:
     """Validate a multi-index and normalize it to a tuple of ints."""
-    idx = tuple(map(int, k))
+    try:
+        idx = tuple(map(int, k))
+    except OverflowError:  # int() of an infinite float
+        raise ValueError(f"multi-index components must be integers, got {tuple(k)}") from None
     if not idx:
         raise ValueError("multi-index must have length >= 1")
     if idx != tuple(k):

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import (as_index, check_factorial, degree as mi_degree, enumerate_indices,
-                         factorial as mi_factorial, grid_rows)
+from .multiindex import as_index, check_factorial, degree as mi_degree, enumerate_indices, grid_rows
 from .mapping import (MAX_SAMPLE_BYTES, ROW_CHUNK_BYTES, PluriharmonicMap, SeriesMap, check_index,
                       check_points, check_tensor_size)
 
@@ -245,10 +244,12 @@ class CauchyRule:
       section 3.6) plus 16 for each grid value, times 2 alpha! S and the
       kernels' grid means.  The 16 units per value assume that the map's
       values, which a series forms implicitly by the contraction of its
-      tensors with per-axis power tables in kernel_sums and a closed form
-      by evaluation, are within 16 S ulps; that is assumed, not derived,
-      and a series with many terms or a closed form near the boundary
-      (conditioning about 1/(1 - |z|)) can err by more.
+      tensors with per-axis power tables in kernel_sums (built by binary
+      powering, so that entry k errs by up to k - 1 complex products'
+      rounding) and a closed form by evaluation, are within 16 S ulps; that
+      is assumed, not derived, and a series with many terms or a high
+      degree, or a closed form near the boundary (conditioning about
+      1/(1 - |z|)), can err by more.
     Either is math.inf when it overflows."""
 
     radii: tuple
@@ -364,11 +365,25 @@ def cauchy_rule(z, alpha, sup: float = 1.0, spec: QuadratureSpec | None = None) 
     rule is refused; that refusal names the axis and its |z_j|.
     """
     alpha = as_index(alpha)
-    n = len(alpha)
-    t = [abs(complex(c)) for c in check_points([z], n)[0]]
+    return _cauchy_rule(_moduli(check_points([z], len(alpha))[0]), alpha, _check_sup(sup), spec)
+
+
+def _check_sup(sup) -> float:
+    """The sup rule of a Cauchy rule: sup as a finite nonnegative float."""
     sup = float(sup)
     if not 0.0 <= sup < math.inf:
         raise ValueError(f"sup must be finite and nonnegative, got {sup}")
+    return sup
+
+
+def _moduli(z: np.ndarray) -> list[float]:
+    """|z_j| of each coordinate of a checked point, in scalar arithmetic."""
+    return [abs(c) for c in z.tolist()]
+
+
+def _cauchy_rule(t: list, alpha: tuple, sup: float, spec: QuadratureSpec | None) -> CauchyRule:
+    """cauchy_rule at a point of moduli t, for an alpha and a sup already checked."""
+    n = len(alpha)
     if spec is None or spec.radii is None:
         radii = [max(CAUCHY_MIN_RADIUS, math.sqrt(tj)) for tj in t]
     else:
@@ -424,13 +439,21 @@ def cauchy_derivative(mapping: PluriharmonicMap, z, alpha, spec=None):
         raise ValueError("order-zero derivative: use f(z) for values; the a_0/b_0 split "
                          "is not recoverable from point values")
     z = check_points([z], mapping.n)[0]
-    rule = spec if isinstance(spec, CauchyRule) else cauchy_rule(z, alpha, 1.0, spec)
-    _check_radii([abs(complex(c)) for c in z], rule.radii)
-    _check_nodes(alpha, rule.nodes)
+    t = _moduli(z)
+    if isinstance(spec, CauchyRule):
+        _check_radii(t, spec.radii)
+        _check_nodes(alpha, spec.nodes)
+        return _cauchy_derivative(mapping, z, alpha, spec)
+    return _cauchy_derivative(mapping, z, alpha, _cauchy_rule(t, alpha, 1.0, spec))
+
+
+def _cauchy_derivative(mapping: PluriharmonicMap, z: np.ndarray, alpha: tuple, rule: CauchyRule):
+    """cauchy_derivative at a checked point z, for an alpha already checked (a nonzero
+    order whose alpha! is a double) and a rule that meets the contour rule there."""
     circles = _circles(rule.radii, rule.nodes)
     kernels = [(eta / (eta - zj) ** (aj + 1))[None] for eta, zj, aj in zip(circles, z, alpha)]
     res = mapping.kernel_sums(circles, kernels)[:, 0]
-    res *= float(mi_factorial(alpha)) / math.prod(rule.nodes)
-    if not np.all(np.isfinite(res)):
+    res *= float(math.prod(map(math.factorial, alpha))) / math.prod(rule.nodes)
+    if not np.isfinite(res).all():
         raise ValueError("non-finite Cauchy quadrature result")
     return res[0], res[1]

@@ -7,13 +7,13 @@ import pytest
 
 from polyschwarz import (BlaschkeProduct, BoundReport, ColonnaMap, ComposedMap, HypothesisError,
                          MapFormatError, PluriharmonicMap, PolydiskAutomorphism, QuadratureSpec,
-                         SeriesMap, cauchy_derivative, derivative_exact, jacobian_pair, make_report,
-                         random_bounded_map, require_certified, rhs_colonna, rhs_gradient,
-                         rhs_growth, rhs_polydisk, rhs_ruscheweyh, rhs_szasz,
+                         SeriesMap, cauchy_derivative, cauchy_rule, derivative_exact, jacobian_pair,
+                         make_report, random_bounded_map, require_certified, rhs_colonna,
+                         rhs_gradient, rhs_growth, rhs_polydisk, rhs_ruscheweyh, rhs_szasz,
                          verify_coefficient_bound, verify_derivative_bound,
                          verify_gradient_bound, verify_growth_bound, verify_homogeneous_bound,
                          verify_l2_bound)
-from polyschwarz import mapping
+from polyschwarz import mapping, quadrature
 
 FOUR_OVER_PI = 4.0 / math.pi
 
@@ -234,6 +234,46 @@ def test_an_exact_derivative_report_checks_its_points_once(monkeypatch, f, z):
     monkeypatch.setattr(mapping, "check_points", lambda Z, n: calls.append(n) or check(Z, n))
     verify_derivative_bound(f, z, (1,) * f.n)
     assert calls == [f.n]
+
+
+def test_a_cauchy_derivative_report_checks_its_points_once(monkeypatch):
+    cases = [(random_bounded_map(2, 1, 3, seed=1), np.zeros((3, 2)), None),
+             (ComposedMap(PolydiskAutomorphism([0.2, -0.1j]), random_bounded_map(2, 1, 3, seed=2)),
+              [0.3, 0.1j], None),
+             (ColonnaMap(), [0.3j], None),
+             (random_bounded_map(1, 1, 4, seed=3), [[0.2], [0.5j]], QuadratureSpec(64, (0.8,)))]
+    calls = []
+    check = mapping.check_points
+
+    def counted(Z, n):
+        calls.append(n)
+        return check(Z, n)
+
+    for f, z, spec in cases:
+        alpha = (1,) * f.n
+        monkeypatch.setattr(mapping, "check_points", counted)
+        monkeypatch.setattr(quadrature, "check_points", counted)
+        reports = verify_derivative_bound(f, z, alpha, method="cauchy", spec=spec)
+        monkeypatch.undo()
+        assert calls == [f.n]
+        calls.clear()
+        # each report is the one the public entry points give its point
+        for r, point in zip(np.atleast_1d(reports), np.reshape(z, (-1, f.n))):
+            rule = cauchy_rule(point, alpha, f.sup_bound, spec)
+            A, B = cauchy_derivative(f, point, alpha, rule)
+            assert r.lhs == abs(A[0]) + abs(B[0])
+            assert r.params["error_bound"] == rule.error_bound + rule.rounding
+    # The public entry points keep every check, with its message.
+    f = random_bounded_map(1, 1, 3, seed=1)
+    rule = cauchy_rule([0.3], (1,))
+    with pytest.raises(ValueError, match=r"radius 0.5477\d* on axis 0 must exceed \|z_0\| = 0.9"):
+        cauchy_derivative(f, [0.9], (1,), rule)
+    with pytest.raises(ValueError, match="radius nan on axis 0 must exceed"):
+        cauchy_derivative(f, [0.3], (1,), dataclasses.replace(rule, radii=(math.nan,)))
+    with pytest.raises(MapFormatError, match="16777216 nodes .* 512 MiB"):
+        cauchy_rule([0.3], (1,), spec=QuadratureSpec(2**24))
+    with pytest.raises(MapFormatError, match="16777216 nodes .* 512 MiB"):
+        cauchy_derivative(f, [0.3], (1,), dataclasses.replace(rule, nodes=(2**24,)))
 
 
 def test_verify_derivative_bound_refusals():

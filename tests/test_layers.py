@@ -341,3 +341,33 @@ def test_file_write_checker_sees_modes_os_open_and_path_methods():
                         "    p.read_text()\n"
                         "fd = os.open('f', os.O_WRONLY)\n") == [
         (3, "save"), (4, "save"), (5, "save"), (11, "load"), (12, "load"), (13, "load"), (15, None)]
+
+
+def _names_of(source: str, names: set[str]) -> list[tuple[int, str]]:
+    """(line, name) of each reference to one of `names`: a name, an attribute or an import
+    (not in a string)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if isinstance(node, ast.alias):
+            name = node.name
+        if name in names:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_bounds_runs_cauchy_checks_on_inputs_it_has_checked():
+    # verify_derivative_bound checks sup, alpha and the points once and calls quadrature's
+    # private rule and derivative bodies; the public cauchy_rule and cauchy_derivative
+    # would check every point again.
+    assert _names_of((PACKAGE / "bounds.py").read_text(), {"cauchy_rule", "cauchy_derivative"}) == []
+
+
+def test_name_checker_sees_calls_attributes_and_imports():
+    assert _names_of("from .quadrature import (QuadratureSpec, cauchy_rule)\n"
+                     "A, B = quadrature.cauchy_derivative(f, z, alpha)\n"
+                     "rule = _cauchy_rule(t, alpha, sup, spec)\n"
+                     "doc = 'cauchy_rule sizes the rule'\n"
+                     "run = cauchy_derivative\n",
+                     {"cauchy_rule", "cauchy_derivative"}) \
+        == [(1, "cauchy_rule"), (2, "cauchy_derivative"), (5, "cauchy_derivative")]

@@ -602,6 +602,35 @@ def test_eval_grid_fallback_past_32_axes():
     np.testing.assert_allclose(vals.ravel(), 0.01 * (np.array([0.1, 0.2j]) + 0.3 * 32))
 
 
+def _binary_power(x: complex, k: int) -> complex:
+    """x**k by square-and-multiply in Python complex arithmetic."""
+    result, square = 1 + 0j, x
+    while k:
+        if k & 1:
+            result *= square
+        k >>= 1
+        if k:
+            square *= square
+    return result
+
+
+def test_power_tables_agree_with_binary_powering():
+    rng = np.random.default_rng(11)
+    x = 0.999 * np.sqrt(rng.uniform(size=24)) * np.exp(2j * np.pi * rng.uniform(size=24))
+    x = np.concatenate([x, [0.999, -0.999j, 0.999 * np.exp(1j), 0.5, 0.0]])
+    d = 1001
+    T = mapping._powers(x, d)
+    assert T.shape == (d, len(x)) and np.all(T[0] == 1) and np.array_equal(T[1], x)
+    ref = np.array([[_binary_power(v, k) for v in x.tolist()] for k in range(d)])
+    # To first order each side errs by at most k - 1 complex products, each of relative
+    # error sqrt(2) eps (Higham, Accuracy and Stability, 2nd ed., Lemma 3.5): powering
+    # carries an early product's error to x**k times the exponent still to come, so the
+    # error grows with k rather than with log2 k.  The floor covers values that underflow.
+    products = np.maximum(np.arange(d) - 1, 0)[:, None]
+    bound = 2 * math.sqrt(2) * products * np.finfo(float).eps * np.abs(ref) + 1e-300
+    assert np.all(np.abs(T - ref) <= bound)
+
+
 @pytest.mark.parametrize("n, N, degree", [(2, 1, 6), (1, 1, 40), (3, 2, 3)])
 def test_many_points_are_contracted_within_the_row_budget(n, N, degree):
     # 65536 points of an n = 2, degree-6 map once peaked at 23.0 MiB in eval_points.
@@ -726,6 +755,15 @@ def test_malformed_coefficient_vectors_are_refused_with_their_term(vector, messa
         terms = [{"k": [0], "a": [[0.1, 0.0]]}, {"k": [1], name: vector}, {"k": [2], "b": [[0.2, 0]]}]
         with pytest.raises(MapFormatError, match=message):
             map_from_dict({"n": 1, "N": 1, "terms": terms})
+
+
+def test_an_infinite_index_component_is_a_value_error():
+    # both calls once ended in "OverflowError: cannot convert float infinity to integer"
+    f = random_bounded_map(1, 1, 2, 0)
+    for call in (lambda: SeriesMap(1, 1, {(math.inf,): [1]}),
+                 lambda: derivative_exact(f, 0.1, [math.inf])):
+        with pytest.raises(ValueError, match=r"must be integers, got \(inf,\)"):
+            call()
 
 
 def test_numbers_beyond_the_double_range_are_refused_as_map_format_errors():

@@ -64,6 +64,10 @@ def test_validation():
         mi.as_index((1, -2))
     with pytest.raises(ValueError):
         mi.as_index((1.5,))
+    # int(inf) raises OverflowError, which once passed through
+    for bad in ((math.inf,), (1, -math.inf)):
+        with pytest.raises(ValueError, match="must be integers"):
+            mi.as_index(bad)
     with pytest.raises(ValueError):
         mi.enumerate_indices(0, 3)
     with pytest.raises(ValueError):

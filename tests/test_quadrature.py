@@ -596,6 +596,16 @@ def test_series_kernel_sums_build_power_tables_in_slabs():
     assert abs(A[0] - A0[0]) + abs(B[0] - B0[0]) <= rule.error_bound + rule.rounding
 
 
+def test_a_degree_1000_cauchy_check_stays_within_its_error_bound():
+    f = random_bounded_map(1, 1, 1000, seed=1)
+    z, alpha = [0.99], (1,)
+    rule = cauchy_rule(z, alpha, f.sup_bound)
+    assert rule.nodes == (8192,)
+    A, B = cauchy_derivative(f, z, alpha, rule)
+    A0, B0 = derivative_exact(f, z, alpha)
+    assert abs(A[0] - A0[0]) + abs(B[0] - B0[0]) <= rule.error_bound + rule.rounding
+
+
 @pytest.mark.parametrize("z, message", [([0.5, 0.5], "expected points with 1 coordinates"),
                                         ([float("nan")], "on or outside the unit polydisk"),
                                         ([1.2], "on or outside the unit polydisk"),
