@@ -1,13 +1,13 @@
 """Pluriharmonic mappings on the unit polydisk.
 
 A pluriharmonic map f = h + conj(g) is represented either as a finite
-series held in two dense coefficient tensors, as a lazy composition with a
+series held in one dense coefficient tensor, as a lazy composition with a
 coordinatewise Mobius automorphism, or in closed form (the planar extremal
 family, finite Blaschke products).  Every class is exactly evaluable and
 exactly differentiable (derivative_exact).
 
-Coefficient convention: the anti-holomorphic tensor stores b_k unconjugated;
-the series term it contributes is conj(b_k) * conj(z)**k.
+Coefficient convention: the anti-holomorphic half of that tensor stores b_k
+unconjugated; the series term it contributes is conj(b_k) * conj(z)**k.
 """
 
 from __future__ import annotations
@@ -218,10 +218,10 @@ class PluriharmonicMap:
 class SeriesMap(PluriharmonicMap):
     """Finite double power series: f(z) = sum a_k z^k + sum conj(b_k) conj(z)^k.
 
-    Its coefficients are two dense read-only tensors a and b of shape (N, D_1, ..., D_n),
-    at most MAX_SAMPLE_BYTES each; holo and anti are read-only views of their nonzero entries,
-    and l1_norm is their coefficient l1 norm.  All three are computed once, on first read,
-    which is sound because the tensors cannot be written.
+    Its coefficients are one dense read-only tensor c of shape (2N, D_1, ..., D_n), a stacked
+    over b, each half at most MAX_SAMPLE_BYTES; a and b are read-only views of its halves, holo
+    and anti of their nonzero entries, and l1_norm is their coefficient l1 norm.  All are
+    computed once, on first read, which is sound because the tensor cannot be written.
 
     certified_sup, when set, declares a sup-norm bound known from closed-form
     range information (e.g. a truncation of an extremal whose coefficients
@@ -234,8 +234,8 @@ class SeriesMap(PluriharmonicMap):
         if n < 1 or N < 1:
             raise ValueError("dimensions must be >= 1")
         self.n, self.N = int(n), int(N)
-        self.a, self.b = _dense_tensors(self.n, self.N, *self._clean_table(holo, anti))
-        self.a.flags.writeable = self.b.flags.writeable = False
+        self.c = _dense_tensors(self.n, self.N, *self._clean_table(holo, anti))
+        self.c.flags.writeable = False
         self.certified_sup = _certificate(certified_sup)
 
     def _clean_table(self, holo, anti) -> tuple[list, np.ndarray, list]:
@@ -253,24 +253,26 @@ class SeriesMap(PluriharmonicMap):
         return keys, np.array(values, dtype=complex).reshape(-1, self.N), is_anti
 
     @classmethod
-    def from_tensors(cls, a: np.ndarray, b: np.ndarray, certified_sup=None) -> SeriesMap:
-        """The series with complex tensors a and b of one shape (N, D_1, ..., D_n), held
-        without a copy and made read-only, and a declared certified_sup.  No table is parsed."""
-        if a.ndim < 2 or a.shape[0] < 1:
-            raise ValueError("dimensions must be >= 1")
+    def from_tensors(cls, c: np.ndarray, certified_sup=None) -> SeriesMap:
+        """The series with the tensor c (2N, D_1, ..., D_n), a stacked over b, held read-only as a
+        C-ordered complex array (no copy if c is one; no contraction copies it), and a certified_sup."""
+        if c.ndim < 2 or c.shape[0] < 2 or c.shape[0] % 2:
+            raise ValueError(f"dimensions must be >= 1: expected shape (2N, D_1, ...), got {c.shape}")
         out = cls.__new__(cls)
-        out.n, out.N = a.ndim - 1, a.shape[0]
-        out.a, out.b = a, b
-        a.flags.writeable = b.flags.writeable = False
+        out.n, out.N = c.ndim - 1, c.shape[0] // 2
+        out.c = np.ascontiguousarray(c, dtype=complex)
+        out.c.flags.writeable = False
         out.certified_sup = _certificate(certified_sup)
         return out
 
-    # Read-only {k: a_k} and {k: b_k} over the nonzero terms, built once, on first read.
+    a = cached_property(lambda self: self.c[:self.N])
+    b = cached_property(lambda self: self.c[self.N:])
     holo = cached_property(lambda self: _table_view(self.a))
     anti = cached_property(lambda self: _table_view(self.b))
-    # sum_k ||a_k|| + ||b_k||, which bounds sup ||f|| since |z^k| <= 1 on the closed polydisk.
-    l1_norm = cached_property(lambda self: float(np.linalg.norm(self.a, axis=0).sum()
-                                                 + np.linalg.norm(self.b, axis=0).sum()))
+    # sum_k ||a_k|| + ||b_k||, which bounds sup ||f|| since |z^k| <= 1 on the closed polydisk;
+    # a's norms are summed before b's, the order random_bounded_map's scaling was fixed in.
+    l1_norm = cached_property(lambda self: float(np.linalg.norm(self.c[:self.N], axis=0).sum()
+                                                 + np.linalg.norm(self.c[self.N:], axis=0).sum()))
 
     @property
     def sup_bound(self) -> float:
@@ -280,16 +282,16 @@ class SeriesMap(PluriharmonicMap):
 
     @property
     def degrees(self) -> np.ndarray:
-        """|k| at each index k of the coefficient tensors, shape (D_1, ..., D_n)."""
-        return np.indices(self.a.shape[1:]).sum(axis=0)
+        """|k| at each index k of the coefficient tensor c, shape (D_1, ..., D_n)."""
+        return np.indices(self.c.shape[1:]).sum(axis=0)
 
     @property
     def degree(self) -> int:
-        return int(self.degrees[np.any(self.a, axis=0) | np.any(self.b, axis=0)].max(initial=0))
+        return int(self.degrees[np.any(self.c, axis=0)].max(initial=0))
 
-    def scaled(self, factor: float) -> SeriesMap:
-        """The series times a real factor (no certified_sup is carried over)."""
-        return SeriesMap.from_tensors(factor * self.a, factor * self.b)
+    def scaled(self, factor) -> SeriesMap:
+        """The series times a real factor or a (D_1, ..., D_n) array of them (no certified_sup)."""
+        return SeriesMap.from_tensors(factor * self.c)
 
     def eval_points(self, Z) -> np.ndarray:
         """Each point's value is the bits it gets alone; the points are
@@ -297,34 +299,33 @@ class SeriesMap(PluriharmonicMap):
         Z = np.asarray(Z, dtype=complex)
         rows = Z.reshape(-1, self.n)
         out = np.empty((len(rows), self.N), dtype=complex)
-        for chunk in _row_slices(len(rows), self.a.shape):
+        for chunk in _row_slices(len(rows), self.c.shape):
             # C order, so that each row's contraction takes the path it takes alone.
             tables = [np.ascontiguousarray(_powers(x, d).T)
-                      for x, d in zip(rows[chunk].T, self.a.shape[1:])]
-            # conj(b_k) conj(z)^k = conj(b_k z^k): both parts use the powers of z.
-            out[chunk] = _contract_rows(self.a, tables)
-            out[chunk] += np.conj(_contract_rows(self.b, tables))
+                      for x, d in zip(rows[chunk].T, self.c.shape[1:])]
+            # conj(b_k) conj(z)^k = conj(b_k z^k): both halves use the powers of z.
+            res = _contract_rows(self.c, tables)
+            out[chunk] = res[:, :self.N] + np.conj(res[:, self.N:])
         return out.reshape(Z.shape[:-1] + (self.N,))
 
     def _grid_sums(self, axes, kernels) -> np.ndarray:
-        """Separable: the grid values are the tensors contracted with one power table
+        """Separable: the grid values are c contracted with one power table
         T_j per axis, so each axis's kernels are contracted with its table first,
         H_j = K_j @ T_j of shape (2R, D_j) with T_j built in slabs of ROW_CHUNK_BYTES,
-        and then a over b, stacked, with those, rows at a time as _row_slices allows; no
-        grid-sized array is built.  Row q sums conj(b_k eta^k) to conj(b . H[2R-1-q]),
-        since row 2R - 1 - q of each K_j is the conjugate of row q."""
+        and then c with those, rows at a time as _row_slices allows; no grid-sized array
+        is built.  Row q sums conj(b_k eta^k) to conj(b . H[2R-1-q]), since row
+        2R - 1 - q of each K_j is the conjugate of row q."""
         H = [_slab_products(K, d, lambda s: _powers(x[s], d).T)
-             for K, x, d in zip(kernels, axes, self.a.shape[1:])]
-        t = np.concatenate([self.a, self.b])
-        res = np.empty((len(H[0]), len(t)), dtype=complex)
-        for chunk in _row_slices(len(res), t.shape):
-            res[chunk] = _contract_rows(t, [h[chunk] for h in H])
+             for K, x, d in zip(kernels, axes, self.c.shape[1:])]
+        res = np.empty((len(H[0]), len(self.c)), dtype=complex)
+        for chunk in _row_slices(len(res), self.c.shape):
+            res[chunk] = _contract_rows(self.c, [h[chunk] for h in H])
         return res[:, :self.N] + np.conj(res[::-1, self.N:])
 
     def _derivative(self, Z, alpha):
         part = (slice(None),) + tuple(slice(aj, None) for aj in alpha)
-        # a over b, each cut to k_j >= alpha_j: one contraction gives both sums.
-        t = np.concatenate([self.a[part], self.b[part]])
+        # c cut to k_j >= alpha_j, copied once to C order: one contraction gives both sums.
+        t = np.ascontiguousarray(self.c[part])
         A = np.empty((len(Z), self.N), dtype=complex)
         B = np.empty_like(A)
         # A term past the double range is inf or NaN (inf times a zero imaginary part), and
@@ -332,7 +333,7 @@ class SeriesMap(PluriharmonicMap):
         with np.errstate(invalid="ignore", over="ignore"):
             for chunk in _row_slices(len(Z), t.shape):
                 tables = []
-                for zj, aj, dj in zip(Z[chunk].T, alpha, self.a.shape[1:]):
+                for zj, aj, dj in zip(Z[chunk].T, alpha, self.c.shape[1:]):
                     falling, exponents = _axis_weights(aj, dj)
                     table = zj[:, None] ** exponents
                     # A zero power stays a zero term, also where its falling factorial is inf.
@@ -381,10 +382,10 @@ def _slab_products(K: np.ndarray, width: int, rows) -> np.ndarray:
     return res
 
 
-def _dense_tensors(n: int, N: int, keys, values, anti) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficient tensors a and b of validated terms: indices of length n, their (T, N)
-    complex vectors and whether each is anti-holomorphic.  Zero vectors are not kept (nor their
-    indices converted), so they do not widen the tensors; an oversized shape is refused first."""
+def _dense_tensors(n: int, N: int, keys, values, anti) -> np.ndarray:
+    """The tensor c, a over b, of validated terms: indices of length n, their (T, N) complex
+    vectors and whether each is anti-holomorphic.  Zero vectors are not kept (nor their indices
+    converted), so they do not widen c; an oversized half (N, D_1, ...) is refused first."""
     keep = values.any(axis=1)
     try:
         idx = np.array(list(compress(keys, keep)), dtype=int).reshape(-1, n)
@@ -393,10 +394,10 @@ def _dense_tensors(n: int, N: int, keys, values, anti) -> tuple[np.ndarray, np.n
     values, anti = values[keep], np.array(anti, dtype=bool)[keep]
     shape = (N,) + tuple(int(d) + 1 for d in np.max(idx, axis=0, initial=0))
     check_tensor_size(shape)
-    a, b = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
-    a[(slice(None),) + tuple(idx[~anti].T)] = values[~anti].T
-    b[(slice(None),) + tuple(idx[anti].T)] = values[anti].T
-    return a, b
+    c = np.zeros((2 * N,) + shape[1:], dtype=complex)
+    for half, part in ((c[:N], ~anti), (c[N:], anti)):
+        half[(slice(None),) + tuple(idx[part].T)] = values[part].T
+    return c
 
 
 def _certificate(certified_sup) -> float | None:
@@ -423,13 +424,13 @@ def _table_view(t: np.ndarray) -> MappingProxyType:
 
 def _row_slices(P: int, shape) -> list[slice]:
     """Slices that cover the rows 0..P-1 of a _contract_rows on a tensor of
-    this shape (N, D_1, ..., D_n), in chunks of at most ROW_CHUNK_BYTES of
+    this shape (2N, D_1, ..., D_n), in chunks of at most ROW_CHUNK_BYTES of
     working memory.  The rows get half of it, since numpy's broadcasting
     ufuncs take a buffer of their own (256 KiB for the power tables)
     whatever the row count.  Per row, everything counts twice: the per-axis
     tables (a chunk's are built before the last chunk's are freed, and a
     weighted table is built from an unweighted one), and the largest
-    intermediate and the result (a series contracts two tensors)."""
+    intermediate and the result (each is built while its input lives)."""
     row = 2 * 16 * (sum(shape[1:]) + math.prod(shape[:-1]) + shape[0])
     step = max(1, ROW_CHUNK_BYTES // 2 // row)
     return [slice(i, i + step) for i in range(0, P, step)]
@@ -451,7 +452,7 @@ def derivative_exact(mapping: PluriharmonicMap, z, alpha) -> tuple[np.ndarray, n
     at z as complex N-vectors, or at a (P, n) stack of points as two (P, N)
     arrays whose rows are the bits each point gets alone; exact up to
     rounding for every map class:
-    - SeriesMap: the tensors cut to k_j >= alpha_j, weighted per axis by
+    - SeriesMap: its tensor cut to k_j >= alpha_j, weighted per axis by
       k_j!/(k_j - alpha_j)! * z_j**(k_j - alpha_j) and summed;
     - ColonnaMap: the closed-form derivatives of log((1+psi)/(1-psi));
     - BlaschkeProduct: the product of its Mobius factors' truncated Taylor series;
@@ -589,14 +590,14 @@ class ColonnaMap(PluriharmonicMap):
         if max_degree < 0:
             raise ValueError(f"expansion degree must be >= 0, got {max_degree}")
         check_tensor_size((1, max_degree + 1))
-        c = np.zeros(max_degree + 1, dtype=complex)
-        c[1:] = self._log_taylor(0.0, np.arange(1, max_degree + 1))
-        a, b = -1j * self.gamma / np.pi * c, -1j * np.conj(self.gamma) / np.pi * c
-        a[0] = self(0.0)[0]
+        L = np.zeros(max_degree + 1, dtype=complex)
+        L[1:] = self._log_taylor(0.0, np.arange(1, max_degree + 1))
+        c = np.outer([-1j * self.gamma / np.pi, -1j * np.conj(self.gamma) / np.pi], L)
+        c[0, 0] = self(0.0)[0]
         # Declared, not checked: the truncation itself reaches |f| = 1.1665 on
         # |z| = 0.999 (the FOUND on this stamp in CHANGES.md), so this bound is
         # unsound; ROADMAP item 1 removes the stamp.
-        return SeriesMap.from_tensors(a[None], b[None], certified_sup=1.0)
+        return SeriesMap.from_tensors(c, certified_sup=1.0)
 
 
 class BlaschkeProduct(PluriharmonicMap):
@@ -649,13 +650,12 @@ def random_bounded_map(n: int, N: int, degree: int, seed: int, margin: float = 0
     shape = (N,) + (degree + 1,) * n
     check_tensor_size(shape)
     where = (slice(None),) + tuple(np.array(enumerate_indices(n, degree)).reshape(-1, n).T)
-    # One draw fills the arrays in the order of four standard_normal(N) calls
+    # One draw fills the tensor in the order of four standard_normal(N) calls
     # per index: re a_k, im a_k, re b_k, im b_k, indices in graded-lex order.
     x = np.random.default_rng(seed).standard_normal((len(where[1]), 4, N))
-    a, b = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
-    a[where] = (x[:, 0] + 1j * x[:, 1]).T
-    b[where] = (x[:, 2] + 1j * x[:, 3]).T
-    raw = SeriesMap.from_tensors(a, b)
+    c = np.zeros((2 * N,) + shape[1:], dtype=complex)
+    c[where] = (x[:, 0::2] + 1j * x[:, 1::2]).reshape(len(x), 2 * N).T
+    raw = SeriesMap.from_tensors(c)
     return raw.scaled((1.0 - margin) / raw.l1_norm)
 
 
@@ -741,7 +741,7 @@ def map_from_dict(data: dict) -> SeriesMap:
                 anti.append(part == "b")
                 owners.append(i)
     values = _coefficient_rows(vectors, owners, N)
-    return SeriesMap.from_tensors(*_dense_tensors(n, N, keys, values, anti), data.get("certified_sup"))
+    return SeriesMap.from_tensors(_dense_tensors(n, N, keys, values, anti), data.get("certified_sup"))
 
 
 def _write_file(path, text: str) -> None:

@@ -18,14 +18,18 @@ MultiIndex = Tuple[int, ...]
 
 def as_index(k: Sequence[int]) -> MultiIndex:
     """Validate a multi-index and normalize it to a tuple of ints."""
+    # Refused: a k that is not a sequence (5, None, 1.5), an entry that int() refuses or
+    # changes ([1], "x", 1.5), and an infinite float.
     try:
         idx = tuple(map(int, k))
-    except OverflowError:  # int() of an infinite float
-        raise ValueError(f"multi-index components must be integers, got {tuple(k)}") from None
+        integral = idx == tuple(k)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        shown = tuple(k) if np.iterable(k) else k
+        raise ValueError(f"multi-index components must be integers, got {shown}")
     if not idx:
         raise ValueError("multi-index must have length >= 1")
-    if idx != tuple(k):
-        raise ValueError(f"multi-index components must be integers, got {tuple(k)}")
     if min(idx) < 0:
         raise ValueError(f"multi-index components must be nonnegative, got {idx}")
     return idx

@@ -244,7 +244,7 @@ class CauchyRule:
       section 3.6) plus 16 for each grid value, times 2 alpha! S and the
       kernels' grid means.  The 16 units per value assume that the map's
       values, which a series forms implicitly by the contraction of its
-      tensors with per-axis power tables in kernel_sums (built by binary
+      tensor with per-axis power tables in kernel_sums (built by binary
       powering, so that entry k errs by up to k - 1 complex products'
       rounding) and a closed form by evaluation, are within 16 S ulps; that
       is assumed, not derived, and a series with many terms or a high

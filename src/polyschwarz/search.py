@@ -60,12 +60,12 @@ def _tensor_colonna_map(a_params) -> SeriesMap:
     series parts, l1-renormalized into the unit ball.  Not claimed extremal.
     Refused before anything is built when a tensor would exceed MAX_SAMPLE_BYTES."""
     check_tensor_size((1,) + (TENSOR_FACTOR_DEGREE + 1,) * len(a_params))
-    a = b = np.ones(1, dtype=complex)  # the N = 1 axis
+    c = np.ones(2, dtype=complex)  # a over b, each of N = 1
     for aj in a_params:
         factor = ColonnaMap(1.0, aj, 1.0).to_series(TENSOR_FACTOR_DEGREE)
-        a = np.multiply.outer(a, factor.a[0])
-        b = np.multiply.outer(b, factor.b[0])
-    out = SeriesMap.from_tensors(a, b)
+        # Each half times the factor's half along a new last axis.
+        c = c[..., None] * factor.c.reshape((2,) + (1,) * (c.ndim - 1) + (-1,))
+    out = SeriesMap.from_tensors(c)
     l1 = out.l1_norm
     if l1 > 1.0:
         out = out.scaled((1.0 - 1e-12) / l1)

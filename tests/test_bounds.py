@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from polyschwarz import (BlaschkeProduct, BoundReport, ColonnaMap, ComposedMap, HypothesisError,
-                         MapFormatError, PluriharmonicMap, PolydiskAutomorphism, QuadratureSpec,
-                         SeriesMap, cauchy_derivative, cauchy_rule, derivative_exact, jacobian_pair,
+                         JacobianPair, MapFormatError, PluriharmonicMap, PolydiskAutomorphism,
+                         QuadratureSpec, SeriesMap, cauchy_derivative, cauchy_rule,
+                         derivative_exact, direction_max, direction_upper, jacobian_pair,
                          make_report, random_bounded_map, require_certified, rhs_colonna,
                          rhs_gradient, rhs_growth, rhs_polydisk, rhs_ruscheweyh, rhs_szasz,
                          verify_coefficient_bound, verify_derivative_bound,
                          verify_gradient_bound, verify_growth_bound, verify_homogeneous_bound,
-                         verify_l2_bound)
+                         verify_l2_bound, unit_index)
 from polyschwarz import mapping, quadrature
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -147,8 +148,8 @@ def test_each_map_class_states_its_sup_bound():
     assert ComposedMap(phi, ColonnaMap(1j, 0.3, 1)).sup_bound == 1.0
     assert ComposedMap(phi, BlaschkeProduct([0.3, -0.5j])).sup_bound == 1.0
     # a declared bound counts where it is below the l1 norm
-    assert SeriesMap.from_tensors(f.a, f.b, certified_sup=0.5).sup_bound == 0.5
-    assert SeriesMap.from_tensors(f.a, f.b, certified_sup=2.0).sup_bound == f.l1_norm
+    assert SeriesMap.from_tensors(f.c, certified_sup=0.5).sup_bound == 0.5
+    assert SeriesMap.from_tensors(f.c, certified_sup=2.0).sup_bound == f.l1_norm
     assert SeriesMap(1, 1, f.holo, f.anti, certified_sup=0.25).sup_bound == 0.25
     # the truncated extremal series carries a range certificate despite l1 > 1
     s = ColonnaMap(1, 0, 1).to_series(32)
@@ -157,8 +158,7 @@ def test_each_map_class_states_its_sup_bound():
     assert PluriharmonicMap().sup_bound == math.inf
     for bad in (-0.5, math.nan, math.inf, "one"):
         with pytest.raises(MapFormatError, match="certified_sup"):
-            SeriesMap.from_tensors(np.zeros((1, 2), complex), np.zeros((1, 2), complex),
-                                   certified_sup=bad)
+            SeriesMap.from_tensors(np.zeros((2, 2), complex), certified_sup=bad)
 
 
 def test_require_certified_reads_the_bound_the_class_states():
@@ -234,6 +234,32 @@ def test_an_exact_derivative_report_checks_its_points_once(monkeypatch, f, z):
     monkeypatch.setattr(mapping, "check_points", lambda Z, n: calls.append(n) or check(Z, n))
     verify_derivative_bound(f, z, (1,) * f.n)
     assert calls == [f.n]
+
+
+@pytest.mark.parametrize("f, z", [
+    (random_bounded_map(1, 2, 3, seed=1), [[0.2], [0.5j]]),
+    (random_bounded_map(2, 1, 3, seed=2), np.full((3, 2), 0.3j)),
+    (ComposedMap(PolydiskAutomorphism([0.2, -0.1j, 0.3]), random_bounded_map(3, 2, 3, seed=3)),
+     [0.1, 0.2, -0.3j]),
+    (ColonnaMap(), [0.3j])])
+def test_a_gradient_report_checks_its_points_once(monkeypatch, f, z):
+    # jacobian_pair once took each column through derivative_exact, which checked the
+    # points again: 1 + n checks per report.
+    calls = []
+    check = mapping.check_points
+    monkeypatch.setattr(mapping, "check_points", lambda Z, n: calls.append(n) or check(Z, n))
+    reports = verify_gradient_bound(f, z)
+    monkeypatch.undo()
+    assert calls == [f.n]
+    # and the reports are the bits that the Jacobians of derivative_exact columns give
+    Z = np.reshape(z, (-1, f.n))
+    columns = [derivative_exact(f, Z, unit_index(f.n, m)) for m in range(f.n)]
+    d, dbar = (np.stack([col[i] for col in columns], axis=-1) for i in (0, 1))
+    _, values = direction_max(JacobianPair(d, dbar))
+    for r, value, dp, dbarp in zip(reports if isinstance(reports, list) else [reports],
+                                   values, d, dbar):
+        upper, boxes = direction_upper(JacobianPair(dp, dbarp), r.rhs + r.tol)
+        assert (r.lhs, r.params["upper"], r.params["boxes"]) == (value, upper, boxes)
 
 
 def test_a_cauchy_derivative_report_checks_its_points_once(monkeypatch):
@@ -368,10 +394,9 @@ def test_classical_bounds_hold_for_blaschke_derivatives():
 
 def _centred(f):
     """f without its constant term, so that f(0) = 0."""
-    origin = (slice(None),) + (0,) * f.n
-    a, b = f.a.copy(), f.b.copy()
-    a[origin] = b[origin] = 0
-    return SeriesMap.from_tensors(a, b)
+    c = f.c.copy()
+    c[(slice(None),) + (0,) * f.n] = 0
+    return SeriesMap.from_tensors(c)
 
 
 def _complex_points(n, count, seed, cap=0.8):

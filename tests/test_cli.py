@@ -264,6 +264,15 @@ def test_malformed_map_file(tmp_path, capsys):
     assert "term 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [5, None, 1.5, [[1]]])
+def test_a_map_file_index_that_is_not_a_list_of_integers_exits_2(tmp_path, capsys, k):
+    # each of these once ended in a TypeError traceback from as_index, exit 1
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps({"n": 1, "N": 1, "terms": [{"k": k, "a": [[0.1, 0.0]]}]}))
+    assert main(["verify", "--map", str(path), "--alpha", "1"]) == 2
+    assert "term 0: multi-index components must be integers" in capsys.readouterr().err
+
+
 def test_sharpness_command(tmp_path, capsys):
     out_path = tmp_path / "sharp.json"
     code = main(["sharpness", "--n", "1", "--alpha", "1", "--budget", "30",

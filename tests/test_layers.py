@@ -356,6 +356,26 @@ def _names_of(source: str, names: set[str]) -> list[tuple[int, str]]:
     return sorted(found)
 
 
+def _half_reads(source: str) -> list[tuple[int, str]]:
+    """(line, text) of each attribute named a or b that the source reads or writes."""
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in ("a", "b"))
+
+
+def test_the_coefficient_layout_has_one_home():
+    # A SeriesMap holds one tensor c, a stacked over b: only mapping splits it into its
+    # halves, and the other modules use c whole.  cli reads the extremal command's option a.
+    assert {p.stem: [text for _, text in lines] for p in PACKAGE.glob("*.py")
+            if p.stem != "mapping" and (lines := _half_reads(p.read_text()))} == {"cli": ["args.a"]}
+
+
+def test_half_read_checker_sees_reads_writes_and_calls():
+    assert _half_reads("x = f.a[0]\n"
+                       "mapping.b = y\n"
+                       "z = g().a\n"
+                       "w = f.c, f.ab, a, 'f.a'\n") == [(1, "f.a"), (2, "mapping.b"), (3, "g().a")]
+
+
 def test_bounds_runs_cauchy_checks_on_inputs_it_has_checked():
     # verify_derivative_bound checks sup, alpha and the points once and calls quadrature's
     # private rule and derivative bodies; the public cauchy_rule and cauchy_derivative

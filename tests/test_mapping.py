@@ -561,7 +561,7 @@ def test_quadrature_leaves_every_map_as_it_was_built():
     # A map holds what its constructor built and its cached_property values; the
     # quadrature routines keep their samples elsewhere.
     f = random_bounded_map(1, 1, 3, seed=2)
-    part = SeriesMap.from_tensors(f.a * (f.degrees == 2), f.b * (f.degrees == 2))
+    part = SeriesMap.from_tensors(f.c * (f.degrees == 2))
     maps = (f, f.scaled(0.5), part, random_bounded_map(2, 1, 3, seed=1), ColonnaMap(),
             BlaschkeProduct([0.3, -0.2j]), ComposedMap(PolydiskAutomorphism([0.2]), f))
     for g in maps:
@@ -763,6 +763,14 @@ def test_an_infinite_index_component_is_a_value_error():
     for call in (lambda: SeriesMap(1, 1, {(math.inf,): [1]}),
                  lambda: derivative_exact(f, 0.1, [math.inf])):
         with pytest.raises(ValueError, match=r"must be integers, got \(inf,\)"):
+            call()
+
+
+def test_an_index_that_is_not_a_sequence_of_integers_is_a_value_error():
+    # both calls once ended in "TypeError: 'int' object is not iterable"
+    f = random_bounded_map(1, 1, 2, 0)
+    for call in (lambda: SeriesMap(1, 1, {5: [1.0]}), lambda: derivative_exact(f, 0.1, 3)):
+        with pytest.raises(ValueError, match="must be integers, got [35]"):
             call()
 
 

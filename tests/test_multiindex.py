@@ -68,6 +68,10 @@ def test_validation():
     for bad in ((math.inf,), (1, -math.inf)):
         with pytest.raises(ValueError, match="must be integers"):
             mi.as_index(bad)
+    # neither is a scalar, None, a nested list or a string that int() refuses
+    for bad in (5, None, 1.5, [[1]], ["x"], (1, "2")):
+        with pytest.raises(ValueError, match="must be integers"):
+            mi.as_index(bad)
     with pytest.raises(ValueError):
         mi.enumerate_indices(0, 3)
     with pytest.raises(ValueError):
