@@ -60,10 +60,10 @@ def _finite_float(text: str) -> float:
 
 
 def _radius_cap(text: str) -> float:
-    value = _finite_float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {value}")
-    return value
+    try:
+        return bounds._check_radius(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _z_grid(n: int, points: int, cap: float):

@@ -294,19 +294,11 @@ class SeriesMap(PluriharmonicMap):
         return SeriesMap.from_tensors(factor * self.c)
 
     def eval_points(self, Z) -> np.ndarray:
-        """Each point's value is the bits it gets alone; the points are
-        contracted in chunks of at most ROW_CHUNK_BYTES of working memory."""
+        """The order-0 _derivative, its sums added; each point's value is the bits it gets alone."""
         Z = np.asarray(Z, dtype=complex)
-        rows = Z.reshape(-1, self.n)
-        out = np.empty((len(rows), self.N), dtype=complex)
-        for chunk in _row_slices(len(rows), self.c.shape):
-            # C order, so that each row's contraction takes the path it takes alone.
-            tables = [np.ascontiguousarray(_powers(x, d).T)
-                      for x, d in zip(rows[chunk].T, self.c.shape[1:])]
-            # conj(b_k) conj(z)^k = conj(b_k z^k): both halves use the powers of z.
-            res = _contract_rows(self.c, tables)
-            out[chunk] = res[:, :self.N] + np.conj(res[:, self.N:])
-        return out.reshape(Z.shape[:-1] + (self.N,))
+        out = np.empty(Z.shape[:-1] + (self.N,), dtype=complex)
+        self._derivative(Z.reshape(-1, self.n), (0,) * self.n, out.reshape(-1, self.N))
+        return out
 
     def _grid_sums(self, axes, kernels) -> np.ndarray:
         """Separable: the grid values are c contracted with one power table
@@ -322,40 +314,48 @@ class SeriesMap(PluriharmonicMap):
             res[chunk] = _contract_rows(self.c, [h[chunk] for h in H])
         return res[:, :self.N] + np.conj(res[::-1, self.N:])
 
-    def _derivative(self, Z, alpha):
-        part = (slice(None),) + tuple(slice(aj, None) for aj in alpha)
-        # c cut to k_j >= alpha_j, copied once to C order: one contraction gives both sums.
-        t = np.ascontiguousarray(self.c[part])
-        A = np.empty((len(Z), self.N), dtype=complex)
-        B = np.empty_like(A)
-        # A term past the double range is inf or NaN (inf times a zero imaginary part), and
-        # so is the result, which make_report refuses; numpy need not warn on the way.
+    def _derivative(self, Z, alpha, out=None):
+        """The one pointwise contraction, of c whole with no cut or copy, per chunk of rows
+        from _row_slices: A = sum_k a_k w_k(z) and B = conj(sum_k b_k w_k(z)), w_k the product
+        of the axes' _weighted_powers, or A + B written into a (P, N) out (then B is None)."""
+        A, B = np.empty((2, len(Z), self.N), dtype=complex) if out is None else (out, None)
+        # A term past the double range makes the result inf or NaN, which make_report refuses.
         with np.errstate(invalid="ignore", over="ignore"):
-            for chunk in _row_slices(len(Z), t.shape):
-                tables = []
-                for zj, aj, dj in zip(Z[chunk].T, alpha, self.c.shape[1:]):
-                    falling, exponents = _axis_weights(aj, dj)
-                    table = zj[:, None] ** exponents
-                    # A zero power stays a zero term, also where its falling factorial is inf.
-                    tables.append(np.multiply(falling, table, out=table, where=table != 0))
-                res = _contract_rows(t, tables)
-                A[chunk] = res[:, :self.N]
-                # The anti-holomorphic sum is conj(sum b_k (falling factorial) z^(k - alpha)).
-                np.conj(res[:, self.N:], out=B[chunk])
+            for chunk in _row_slices(len(Z), self.c.shape):
+                res = _contract_rows(self.c, [_weighted_powers(zj, aj, dj) for zj, aj, dj
+                                              in zip(Z[chunk].T, alpha, self.c.shape[1:])])
+                if B is None:
+                    np.add(res[:, :self.N], np.conj(res[:, self.N:]), out=A[chunk])
+                else:
+                    A[chunk] = res[:, :self.N]
+                    np.conj(res[:, self.N:], out=B[chunk])
         return A, B
 
 
 @lru_cache(maxsize=1024)
-def _axis_weights(a: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """For an axis with D_j = d and an order a: the falling factorials
-    k!/(k - a)! as floats (inf past the largest double) and the exponents k - a
-    as complex values (so that a power table needs no cast of its exponents),
-    for a <= k < d; read-only, and empty when a >= d."""
-    falling = np.array([p if p <= sys.float_info.max else math.inf
-                        for p in (math.perm(k, a) for k in range(a, d))], dtype=float)
-    exponents = np.arange(len(falling), dtype=complex)
-    falling.flags.writeable = exponents.flags.writeable = False
-    return falling, exponents
+def _axis_weights(a: int, d: int) -> tuple[np.ndarray, bool]:
+    """At 0 <= k < d for an order a: the weights, 0 below a and then k!/(k - a)! as floats (inf
+    past the largest double), read-only, and whether they are all finite."""
+    falling = (math.perm(k, a) for k in range(a, d))
+    weights = np.array([0.0] * min(a, d) + [p if p <= sys.float_info.max else math.inf
+                                            for p in falling], dtype=float)
+    weights.flags.writeable = False
+    return weights, bool(np.isfinite(weights).all())
+
+
+def _weighted_powers(x: np.ndarray, a: int, d: int) -> np.ndarray:
+    """The C-ordered (len(x), d) table of k!/(k - a)! x**(k - a) for k >= a and 0 below: row p is
+    the running product of 1 up to k = a and x[p] after it, so a power's k - a - 1 products are
+    the same whatever the other rows and err by their rounding to first order; then the weights."""
+    weights, finite = _axis_weights(a, d)
+    T = x[:, None].repeat(d, axis=1)
+    T[:, :a + 1] = 1.0
+    np.multiply.accumulate(T, axis=1, out=T)
+    if a and finite:
+        T *= weights
+    elif a:  # a zero power stays a zero term, also where its weight is inf
+        np.multiply(T, weights, out=T, where=T != 0)
+    return T
 
 
 def _powers(x: np.ndarray, d: int) -> np.ndarray:
@@ -424,13 +424,13 @@ def _table_view(t: np.ndarray) -> MappingProxyType:
 
 def _row_slices(P: int, shape) -> list[slice]:
     """Slices that cover the rows 0..P-1 of a _contract_rows on a tensor of
-    this shape (2N, D_1, ..., D_n), in chunks of at most ROW_CHUNK_BYTES of
-    working memory.  The rows get half of it, since numpy's broadcasting
-    ufuncs take a buffer of their own (256 KiB for the power tables)
-    whatever the row count.  Per row, everything counts twice: the per-axis
-    tables (a chunk's are built before the last chunk's are freed, and a
-    weighted table is built from an unweighted one), and the largest
-    intermediate and the result (each is built while its input lives)."""
+    this shape (2N, D_1, ..., D_n), points or kernel rows, in chunks of at most
+    ROW_CHUNK_BYTES of working memory.  The rows get half of it, since numpy's
+    broadcasting ufuncs take a buffer of their own (256 KiB for the power
+    tables) whatever the row count.  Per row, everything counts twice: the
+    per-axis tables (a chunk's are built before the last chunk's are freed),
+    and the largest intermediate and the result (each is built while its
+    input lives)."""
     row = 2 * 16 * (sum(shape[1:]) + math.prod(shape[:-1]) + shape[0])
     step = max(1, ROW_CHUNK_BYTES // 2 // row)
     return [slice(i, i + step) for i in range(0, P, step)]
@@ -452,8 +452,8 @@ def derivative_exact(mapping: PluriharmonicMap, z, alpha) -> tuple[np.ndarray, n
     at z as complex N-vectors, or at a (P, n) stack of points as two (P, N)
     arrays whose rows are the bits each point gets alone; exact up to
     rounding for every map class:
-    - SeriesMap: its tensor cut to k_j >= alpha_j, weighted per axis by
-      k_j!/(k_j - alpha_j)! * z_j**(k_j - alpha_j) and summed;
+    - SeriesMap: its whole tensor, weighted per axis by k_j!/(k_j - alpha_j)! *
+      z_j**(k_j - alpha_j) for k_j >= alpha_j and by 0 below, and summed;
     - ColonnaMap: the closed-form derivatives of log((1+psi)/(1-psi));
     - BlaschkeProduct: the product of its Mobius factors' truncated Taylor series;
     - ComposedMap: Faa di Bruno through the per-coordinate Mobius factors,

@@ -8,13 +8,15 @@ is derived from the other.
 
 import math
 import sys
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from polyschwarz import (BlaschkeProduct, ColonnaMap, ComposedMap, PluriharmonicMap,
-                         PolydiskAutomorphism, cauchy_derivative, derivative_exact,
+                         PolydiskAutomorphism, SeriesMap, cauchy_derivative, derivative_exact,
                          jacobian_pair, random_bounded_map, verify_derivative_bound,
                          verify_gradient_bound)
 from polyschwarz.mapping import _axis_weights
@@ -138,7 +140,9 @@ def test_high_orders_of_closed_forms():
 
 def test_falling_factorials_past_the_largest_double_are_infinite():
     # k!/(k - 120)! passes the largest double below k = 1000; it once raised OverflowError.
-    falling, _ = _axis_weights(120, 1001)
+    weights, finite = _axis_weights(120, 1001)
+    assert not weights[:120].any() and not finite
+    falling = weights[120:]
     exact = [math.perm(k, 120) for k in range(120, 1001)]
     fits = sum(p <= sys.float_info.max for p in exact)
     assert 0 < fits < len(exact)
@@ -157,6 +161,104 @@ def test_a_series_derivative_past_the_double_range_of_its_weights_is_finite_at_z
         A, B = derivative_exact(f, [0.0], (120,))
     weight = float(math.factorial(120))
     assert A[0] == weight * f.a[0, 120] and B[0] == np.conj(weight * f.b[0, 120])
+
+
+def test_a_series_derivative_copies_no_coefficient_tensor():
+    # Cutting c to k_j >= alpha_j and copying the cut on every call once peaked at 30.6 MiB
+    # here; c is contracted whole against tables that are 0 below alpha_j.
+    c = np.zeros((2, 1000, 1000), dtype=complex)
+    c[0, 1, 0], c[1, 2, 0] = 0.5, 0.25  # a_(1, 0) and b_(2, 0)
+    f = SeriesMap.from_tensors(c)
+    derivative_exact(f, [0.1, 0.1], (1, 0))  # numpy's first call of a kind allocates caches
+    tracemalloc.start()
+    try:
+        A, B = derivative_exact(f, [0.1, 0.1], (1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # dbar of conj(b) conj(z_1)^2 is 2 conj(b z_1); both sums are exact here
+    assert A[0] == 0.5 and B[0] == np.conj(0.25 * (2 * 0.1))
+
+
+@pytest.mark.parametrize("n, N", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_series_values_are_the_order_zero_derivative_sums(n, N):
+    # eval_points is the order-0 case of the one pointwise contraction, its two sums added.
+    f = random_bounded_map(n, N, 6 if n < 3 else 3, seed=3 * n + N)
+    Z = _disk(np.random.default_rng(n + N), 0.95, (6, n))
+    A, B = derivative_exact(f, Z, (0,) * n)
+    assert np.array_equal(f.eval_points(Z), A + B)
+    assert np.array_equal(f.eval_points(Z.reshape(2, 3, n)), (A + B).reshape(2, 3, N))
+
+
+def _fractions(w) -> tuple[Fraction, Fraction]:
+    return Fraction(w.real), Fraction(w.imag)
+
+
+def _times(x, y) -> tuple[Fraction, Fraction]:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+@pytest.mark.parametrize("n, N, degree", [(1, 2, 40), (2, 1, 40), (2, 2, 20), (3, 1, 10)])
+def test_series_derivatives_are_within_their_first_order_rounding_bound(n, N, degree):
+    """derivative_exact of a random series against its exact sum.
+
+    A float is a dyadic rational, so Fraction holds every coefficient and coordinate
+    exactly and sum_k c_k prod_j k_j!/(k_j - alpha_j)! z_j^(k_j - alpha_j) is summed without
+    rounding.  To first order in u = 2^-53, the computed sum errs by at most
+
+        sum_k |c_k| W_k sum_j u (2 sqrt(2) (k_j - alpha_j - 1)^+ + 2 + 2 sqrt(2) D_j),
+
+    W_k = prod_j k_j!/(k_j - alpha_j)! |z_j|^(k_j - alpha_j), since
+    - the table's power z_j^m is a running product, 1 * z_j (exact) and then m - 1 complex
+      products, each within 2 sqrt(2) u relative (Higham, Accuracy and Stability of
+      Numerical Algorithms, Lemma 3.5; a fused multiply-add does no worse);
+    - its weight k_j!/(k_j - alpha_j)! is rounded to a double (u) and multiplied in by
+      one product with a real number (u);
+    - each axis is a complex dot product of length D_j, whose real and imaginary parts
+      are sums of 2 D_j real products, in any order: within 2 D_j u times
+      sum |x_k| |y_k| each, so 2 sqrt(2) D_j u in modulus;
+    and conjugating the anti-holomorphic sum is exact.  The bound is evaluated in doubles:
+    its own rounding, like the terms left out, is of second order.
+    """
+    u = 2.0**-53
+    rng = np.random.default_rng(10 * n + degree)
+    f = random_bounded_map(n, N, degree, seed=n + N)
+    for z in _disk(rng, 0.99, (3, n)):
+        # alpha_j <= 8 and |alpha| <= degree, so that some term of every component survives
+        alpha = tuple(int(a) for a in rng.integers(0, min(8, degree // n) + 1, n))
+        A, B = derivative_exact(f, z, alpha)
+        exact, majorant, allowance = [], [], []  # per axis, at each k_j
+        for zj, aj, dj in zip(z, alpha, f.c.shape[1:]):
+            ks = range(aj, dj)
+            power, powers = (Fraction(1), Fraction(0)), []
+            for _ in ks:
+                powers.append(power)
+                power = _times(power, _fractions(zj))
+            exact.append([(Fraction(0), Fraction(0))] * min(aj, dj)
+                         + [(math.perm(k, aj) * p[0], math.perm(k, aj) * p[1])
+                            for k, p in zip(ks, powers)])
+            majorant.append(np.array([0.0] * min(aj, dj) + [math.perm(k, aj) * abs(zj) ** (k - aj)
+                                                            for k in ks]))
+            allowance.append(np.array([u * (2 * math.sqrt(2) * max(k - aj - 1, 0) + 2
+                                            + 2 * math.sqrt(2) * dj) for k in range(dj)]))
+        sums = [(Fraction(0), Fraction(0))] * (2 * N)
+        for k in zip(*np.nonzero(np.any(f.c, axis=0))):
+            w = (Fraction(1), Fraction(0))
+            for table, kj in zip(exact, k):
+                w = _times(w, table[kj])
+            for r in range(2 * N):
+                term = _times(_fractions(f.c[(r, *k)]), w)
+                sums[r] = (sums[r][0] + term[0], sums[r][1] + term[1])
+        W = math.prod(np.ix_(*majorant))
+        errors = sum(np.ix_(*allowance))
+        bounds = [float(np.sum(np.abs(f.c[r]) * W * errors)) for r in range(2 * N)]
+        assert min(bounds) > 0
+        computed = list(A) + list(np.conj(B))
+        for r in range(2 * N):
+            d = _fractions(computed[r])
+            d = (d[0] - sums[r][0], d[1] - sums[r][1])
+            assert d[0] ** 2 + d[1] ** 2 <= Fraction(bounds[r]) ** 2, (alpha, r)
 
 
 def test_a_map_without_exact_derivatives_asks_for_cauchy():

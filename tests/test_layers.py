@@ -99,6 +99,13 @@ def test_the_order_cap_has_one_home():
     assert _text_homes(sources, "> MAX_CLOSED_FORM_ORDER") == {"mapping": 1}
 
 
+def test_the_radius_rule_has_one_home():
+    # bounds._check_radius keeps moduli and radii in [0, 1); the rhs_* functions and the
+    # CLI's --radius-cap call it.
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert _text_homes(sources, "must lie in [0, 1)") == {"bounds": 1}
+
+
 def test_text_home_checker_counts_each_holder():
     assert _text_homes({"mapping": "a rule; a rule", "bounds": "a ru le", "search": "(a rule)"},
                        "a rule") == {"mapping": 2, "search": 1}
@@ -224,7 +231,8 @@ def _cache_decorators(source: str) -> list[int]:
 def test_quadrature_keeps_no_cache():
     # A cache keyed on a map keeps the map and its tensors alive after the caller drops
     # it; quadrature recomputes what it needs.  The integer-keyed caches of bounds and
-    # mapping (_start_grid, _axis_weights) hold no map.
+    # mapping (_start_grid, and _axis_weights for the weights of one order on one axis)
+    # hold no map.
     assert _cache_decorators((PACKAGE / "quadrature.py").read_text()) == []
 
 
@@ -391,3 +399,43 @@ def test_name_checker_sees_calls_attributes_and_imports():
                      "run = cauchy_derivative\n",
                      {"cauchy_rule", "cauchy_derivative"}) \
         == [(1, "cauchy_rule"), (2, "cauchy_derivative"), (5, "cauchy_derivative")]
+
+
+def _callers(source: str, name: str) -> list[tuple[str | None, str | None]]:
+    """(innermost enclosing class, innermost enclosing function) of each call of `name`, as a
+    name or an attribute."""
+    tree = ast.parse(source)
+    scopes = [s for s in ast.walk(tree)
+              if isinstance(s, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            inside = [s for s in scopes if s.lineno <= node.lineno <= s.end_lineno]
+            classes = [s.name for s in inside if isinstance(s, ast.ClassDef)]
+            funcs = [s.name for s in inside if not isinstance(s, ast.ClassDef)]
+            found.append((classes[-1] if classes else None, funcs[-1] if funcs else None))
+    return sorted(found, key=str)
+
+
+def test_series_contractions_have_two_homes():
+    # A series contracts its tensor c in SeriesMap._derivative, at points (values and exact
+    # derivatives, one table per axis), and in SeriesMap._grid_sums, against kernel sums.
+    assert {p.stem: callers for p in PACKAGE.glob("*.py")
+            if (callers := _callers(p.read_text(), "_contract_rows"))} \
+        == {"mapping": [("SeriesMap", "_derivative"), ("SeriesMap", "_grid_sums")]}
+
+
+def test_caller_checker_names_the_enclosing_class_and_function():
+    assert _callers("x = _contract_rows(c, t)\n"
+                    "class S:\n"
+                    "    def f(self):\n"
+                    "        def g():\n"
+                    "            return mapping._contract_rows(c, t)\n"
+                    "        return _contract_rows(c, t)\n"
+                    "    async def h(self):\n"
+                    "        run = _contract_rows\n"
+                    "        return '_contract_rows(c, t)'\n"
+                    "def k():\n"
+                    "    return _contract_rows_other(c)\n", "_contract_rows") \
+        == [("S", "f"), ("S", "g"), (None, None)]
