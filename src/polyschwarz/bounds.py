@@ -518,7 +518,7 @@ def verify_homogeneous_bound(mapping: PluriharmonicMap, m: int, z,
     require_certified(mapping)
     Z, one = one_or_stack(z, mapping.n)
     tol = DEFAULT_TOL_EXACT if tol is None else tol
-    values = _row_norms(mapping.scaled(mapping.degrees == m).eval_points(Z))
+    values = _row_norms(mapping.homogeneous_part(m).eval_points(Z))
     reports = [make_report("homogeneous_part", {"m": m, "z": to_pairs(point)}, value, FOUR_OVER_PI,
                            tol)
                for point, value in zip(Z.tolist(), values)]
@@ -531,8 +531,8 @@ def verify_l2_bound(mapping: PluriharmonicMap, tol: float | None = None) -> Boun
     if not isinstance(mapping, SeriesMap):
         raise ValueError("the l2 coefficient check requires a finite-series map")
     require_certified(mapping)
-    higher = mapping.degrees >= 1
-    lhs = np.linalg.norm(mapping(np.zeros(mapping.n))) ** 2 + np.sum(np.abs(mapping.c[:, higher]) ** 2)
+    higher = mapping.c.reshape(len(mapping.c), -1)[:, 1:]  # each half without k = 0, a view
+    lhs = np.linalg.norm(mapping(np.zeros(mapping.n))) ** 2 + sum(np.vdot(r, r).real for r in higher)
     return make_report("coefficient_l2", {}, lhs, 1.0, DEFAULT_TOL_EXACT if tol is None else tol)
 
 

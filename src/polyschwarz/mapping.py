@@ -281,16 +281,17 @@ class SeriesMap(PluriharmonicMap):
         return min(self.l1_norm, self.certified_sup)
 
     @property
-    def degrees(self) -> np.ndarray:
-        """|k| at each index k of the coefficient tensor c, shape (D_1, ..., D_n)."""
-        return np.indices(self.c.shape[1:]).sum(axis=0)
-
-    @property
     def degree(self) -> int:
-        return int(self.degrees[np.any(self.c, axis=0)].max(initial=0))
+        return int(np.indices(self.c.shape[1:]).sum(axis=0)[np.any(self.c, axis=0)].max(initial=0))
 
-    def scaled(self, factor) -> SeriesMap:
-        """The series times a real factor or a (D_1, ..., D_n) array of them (no certified_sup)."""
+    def homogeneous_part(self, m: int) -> SeriesMap:
+        """The terms with |k| = m as a series: the corner c[:, :m+1, ..., :m+1] that holds them,
+        its other entries zeroed, so at most (m+1)^n entries per half are read (no certified_sup)."""
+        corner = self.c[(slice(None),) + (slice(m + 1),) * self.n]
+        return SeriesMap.from_tensors(np.where(np.indices(corner.shape[1:]).sum(axis=0) == m, corner, 0))
+
+    def scaled(self, factor: float) -> SeriesMap:
+        """The series times a real factor (no certified_sup)."""
         return SeriesMap.from_tensors(factor * self.c)
 
     def eval_points(self, Z) -> np.ndarray:

@@ -128,12 +128,11 @@ def _circles(radii, nodes) -> tuple[np.ndarray, ...]:
     return tuple(r * np.exp(2j * np.pi * np.arange(M) / M) for r, M in zip(radii, nodes))
 
 
-def _check_kernels(rows: int, nodes,
-                   hint=lambda j: "; use fewer quadrature nodes per dimension (--nodes)") -> None:
-    """The size rule for the kernels of a torus quadrature, `rows` per axis of M_j nodes;
-    hint(j) ends the refusal of axis j."""
+def _check_kernels(nodes, hint=lambda j: "; use fewer quadrature nodes per dimension (--nodes)") -> None:
+    """The size rule for the kernels of a torus quadrature, a kernel and its conjugate per axis
+    of M_j nodes; hint(j) ends the refusal of axis j."""
     for j, M in enumerate(nodes):
-        check_tensor_size((rows, M), lambda: (f"an axis of {M} nodes with {rows} kernels", hint(j)))
+        check_tensor_size((2, M), lambda: (f"an axis of {M} nodes with 2 kernels", hint(j)))
 
 
 def _check_extraction_nodes(mapping, k, nodes):
@@ -161,7 +160,7 @@ def _extract(mapping: PluriharmonicMap, indices, spec: QuadratureSpec | None) ->
     radii = spec.resolve_radii(mapping.n, DEFAULT_EXTRACTION_RADIUS)
     nodes = spec.resolve_nodes(mapping.n, DEFAULT_EXTRACTION_NODES)
     _check_extraction_nodes(mapping, max(indices, key=mi_degree), nodes)
-    _check_kernels(2, nodes)  # a chunk of one index; a longer one fits in ROW_CHUNK_BYTES
+    _check_kernels(nodes)  # a chunk of one index; a longer one fits in ROW_CHUNK_BYTES
     step = max(1, ROW_CHUNK_BYTES // (3 * sum(nodes) * np.dtype(complex).itemsize))
     pairs = []
     for i in range(0, len(indices), step):
@@ -343,7 +342,7 @@ def _check_nodes(alpha, nodes) -> None:
     for j, (M, a) in enumerate(zip(nodes, alpha)):
         if not M > a:
             raise ValueError(f"{M} nodes on axis {j} cannot resolve the order {a}")
-    _check_kernels(2, nodes)
+    _check_kernels(nodes)
 
 
 def cauchy_rule(z, alpha, sup: float = 1.0, spec: QuadratureSpec | None = None) -> CauchyRule:
@@ -394,8 +393,8 @@ def _cauchy_rule(t: list, alpha: tuple, sup: float, spec: QuadratureSpec | None)
     if spec is None or spec.nodes_per_dim is None:
         nodes, tails = _default_nodes(t, radii, alpha, log_scale,
                                       MAX_SAMPLE_BYTES // (2 * np.dtype(complex).itemsize))
-        _check_kernels(2, nodes, lambda j: f"; the error bound {CAUCHY_ERROR_TARGET:g} needs "
-                                           f"them on axis {j}, where |z_{j}| = {t[j]!r}")
+        _check_kernels(nodes, lambda j: f"; the error bound {CAUCHY_ERROR_TARGET:g} needs "
+                                        f"them on axis {j}, where |z_{j}| = {t[j]!r}")
     else:
         nodes = spec.resolve_nodes(n, 0)
         _check_nodes(alpha, nodes)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,6 +350,49 @@ def test_verify_l2_bound_example():
     assert r.passed
     for seed in range(3):
         assert verify_l2_bound(random_bounded_map(2, 1, 3, seed=seed)).passed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2])
+def test_a_homogeneous_part_is_the_series_of_its_masked_terms(n, N):
+    # The part reads only the corner of c that holds |k| = m, so its values may round apart
+    # from those of the whole tensor masked to |k| = m, by at most 1e-15 of the part's l1
+    # norm; from m = 0, the constant term, to past the degree, where the part is zero.
+    rng = np.random.default_rng(10 * n + N)
+    shape = (2 * N,) + (6, 4, 5)[:n]
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    f = SeriesMap.from_tensors(c)
+    Z = 0.95 * rng.uniform(0, 1, (3, 2, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, (3, 2, n)))
+    degrees = np.indices(shape[1:]).sum(axis=0)
+    for m in range(f.degree + 2):
+        masked = SeriesMap.from_tensors(c * (degrees == m))
+        values = f.homogeneous_part(m).eval_points(Z)
+        assert values.shape == (3, 2, N)
+        assert np.abs(values - masked.eval_points(Z)).max() <= 1e-15 * masked.l1_norm
+    assert not f.homogeneous_part(f.degree + 1).c.any()
+    g = random_bounded_map(n, 1, 3, seed=n)
+    assert [r.lhs for r in verify_homogeneous_bound(g, 4, Z.reshape(-1, n))] == [0.0] * 6
+
+
+@pytest.mark.parametrize("check, lhs", [
+    (lambda f: verify_homogeneous_bound(f, 3, [0.1, 0.2]), abs(0.5 * 0.1 * 0.2**2 - 0.25j * 0.2**3)),
+    (verify_l2_bound, 0.5**2 + 0.25**2)], ids=["homogeneous", "l2"])
+def test_the_coefficient_checks_copy_no_coefficient_tensor(check, lhs):
+    # A mask of degrees and a copy of c masked by it once peaked at 31.6 MiB (the degree-3
+    # part at one point) and 46.7 MiB (the l2 sum) here.  The map's l1 norm is read first,
+    # as certifying it does.
+    c = np.zeros((2, 1000, 1000), dtype=complex)
+    c[0, 1, 2], c[1, 0, 3] = 0.5, 0.25j  # a_(1, 2) and b_(0, 3)
+    f = SeriesMap.from_tensors(c)
+    require_certified(f)
+    tracemalloc.start()
+    try:
+        report = check(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert report.lhs == pytest.approx(lhs, rel=1e-15) and report.passed
 
 
 def test_verify_gradient_bound_random_and_extremal():

@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from polyschwarz import SeriesMap, bounds, save_map
+from polyschwarz import ColonnaMap, map_to_dict
 from polyschwarz.cli import _summary, main
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -117,6 +118,18 @@ def test_extremal_takes_any_degree_within_the_size_limit(tmp_path, capsys):
     assert main(["extremal", "--nodes", "512", "--out", str(tmp_path / "n.json")]) == 2
     assert "unrecognized arguments: --nodes 512" in capsys.readouterr().err
     assert not (tmp_path / "big.json").exists() and not (tmp_path / "n.json").exists()
+
+
+def test_extremal_parses_complex_parameters(tmp_path, capsys):
+    path = tmp_path / "e.json"
+    assert main(["extremal", "--a", "0.3+0.2i", "--gamma", "i", "--lambda", "-1", "--degree", "4",
+                 "--out", str(path)]) == 0
+    expected = map_to_dict(ColonnaMap(1j, 0.3 + 0.2j, -1).to_series(4))
+    assert json.loads(path.read_text()) == json.loads(json.dumps(expected))
+    capsys.readouterr()
+    assert main(["extremal", "--a", "0.3+", "--out", str(tmp_path / "bad.json")]) == 2
+    assert "argument --a: cannot parse complex number '0.3+'" in capsys.readouterr().err
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_gradient_and_growth_commands(tmp_path):
@@ -262,6 +275,14 @@ def test_malformed_map_file(tmp_path, capsys):
         {"n": 1, "N": 1, "terms": [{"k": [1], "a": [[0.1, 0.0]]}, {"k": [1, 2]}]}))
     assert main(["coeffs", "--map", str(path)]) == 2
     assert "term 1" in capsys.readouterr().err
+
+
+def test_a_map_file_that_is_not_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"n": 1, "N": 1, "terms": [')
+    assert main(["verify", "--map", str(path), "--alpha", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "map file is not valid JSON" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("k", [5, None, 1.5, [[1]]])
@@ -484,6 +505,16 @@ def test_a_tolerance_that_is_not_finite_is_a_usage_error(tmp_path, capsys, tol):
     assert not out_path.exists()
     # negative finite values stay a way to ask for failures
     assert main(["lemma", "--m", "3", "--tol", "-1"]) == 1
+
+
+def test_a_tolerance_that_is_not_a_number_is_a_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "reports.jsonl"
+    path = _write_random(tmp_path, n=2, degree=3, seed=1)
+    capsys.readouterr()
+    assert main(["gradient", "--map", str(path), "--grid", "2", "--out", str(out_path),
+                 "--tol", "abc"]) == 2
+    assert "argument --tol: must be a number, got 'abc'" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("degree, alpha, method", [(3, "171", "exact"), (3, "171", "cauchy"),

@@ -384,6 +384,26 @@ def test_half_read_checker_sees_reads_writes_and_calls():
                        "w = f.c, f.ab, a, 'f.a'\n") == [(1, "f.a"), (2, "mapping.b"), (3, "g().a")]
 
 
+def _grid_reads(source: str) -> list[tuple[int, str]]:
+    """(line, text) of each attribute named indices or degrees: an index grid (np.indices), or
+    a SeriesMap.degrees that would hold one."""
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in ("indices", "degrees"))
+
+
+def test_the_degree_structure_has_one_home():
+    # |k| over the tensor c is mapping's: SeriesMap.degree and SeriesMap.homogeneous_part build
+    # their index grids there, and bounds evaluates the part instead of masking c.
+    assert sorted(p.stem for p in PACKAGE.glob("*.py") if _grid_reads(p.read_text())) == ["mapping"]
+
+
+def test_grid_read_checker_sees_attributes_only():
+    assert _grid_reads("grid = np.indices(shape).sum(axis=0)\n"
+                       "part = f.c * (f.degrees == 2)\n"
+                       "indices = enumerate_indices(2, 3)\n"
+                       "doc = 'np.indices'\n") == [(1, "np.indices"), (2, "f.degrees")]
+
+
 def test_bounds_runs_cauchy_checks_on_inputs_it_has_checked():
     # verify_derivative_bound checks sup, alpha and the points once and calls quadrature's
     # private rule and derivative bodies; the public cauchy_rule and cauchy_derivative

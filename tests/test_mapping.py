@@ -561,7 +561,7 @@ def test_quadrature_leaves_every_map_as_it_was_built():
     # A map holds what its constructor built and its cached_property values; the
     # quadrature routines keep their samples elsewhere.
     f = random_bounded_map(1, 1, 3, seed=2)
-    part = SeriesMap.from_tensors(f.c * (f.degrees == 2))
+    part = f.homogeneous_part(2)
     maps = (f, f.scaled(0.5), part, random_bounded_map(2, 1, 3, seed=1), ColonnaMap(),
             BlaschkeProduct([0.3, -0.2j]), ComposedMap(PolydiskAutomorphism([0.2]), f))
     for g in maps:
